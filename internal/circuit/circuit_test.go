@@ -48,23 +48,36 @@ func TestArity(t *testing.T) {
 }
 
 func TestGateValidate(t *testing.T) {
+	all := make([]int, 130)
+	for i := range all {
+		all[i] = i
+	}
 	tests := []struct {
 		g    Gate
 		n    int
-		okay bool
+		want string // the error, or "" for a valid gate
 	}{
-		{NewGate1(GateH, 0), 1, true},
-		{NewGate2(GateCNOT, 0, 1), 2, true},
-		{NewGate2(GateCNOT, 0, 0), 2, false}, // repeated operand
-		{NewGate1(GateH, 5), 2, false},       // out of range
-		{NewGate1(GateH, -1), 2, false},
-		{Gate{Kind: GateCNOT, Qubits: []int{0}}, 2, false}, // wrong arity
-		{Gate{}, 2, false},                                 // invalid kind
+		{NewGate1(GateH, 0), 1, ""},
+		{NewGate2(GateCNOT, 0, 1), 2, ""},
+		{NewGate2(GateCNOT, 0, 0), 2, "circuit: gate cx repeats operand 0"},
+		{NewGate2(GateCNOT, 1, 1), 1, "circuit: gate cx operand 1 out of range [0,1)"},
+		{NewGate1(GateH, 5), 2, "circuit: gate h operand 5 out of range [0,2)"},
+		{NewGate1(GateH, -1), 2, "circuit: gate h operand -1 out of range [0,2)"},
+		{Gate{Kind: GateCNOT, Qubits: []int{0}}, 2, "circuit: gate cx wants 2 qubits, has 1"},
+		{Gate{}, 2, "circuit: invalid gate kind"},
+		{Gate{Kind: GateBarrier, Qubits: []int{3, 70, 3}}, 100, "circuit: gate barrier repeats operand 3"},
+		{Gate{Kind: GateBarrier, Qubits: []int{0, 1, 2, 99, 98, 97}}, 100, ""},
+		{Gate{Kind: GateBarrier, Qubits: all}, 130, ""},
+		{Gate{Kind: GateBarrier, Qubits: []int{0, 130}}, 130, "circuit: gate barrier operand 130 out of range [0,130)"},
 	}
 	for i, tt := range tests {
 		err := tt.g.Validate(tt.n)
-		if (err == nil) != tt.okay {
-			t.Errorf("case %d: Validate() err=%v, want ok=%v", i, err, tt.okay)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tt.want {
+			t.Errorf("case %d: Validate() err=%q, want %q", i, got, tt.want)
 		}
 	}
 }

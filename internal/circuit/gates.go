@@ -1,6 +1,9 @@
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind identifies a gate operation in the program IR.
 //
@@ -146,7 +149,10 @@ func Measure(q int) Gate { return Gate{Kind: GateMeasure, Qubits: []int{q}} }
 // IsTwoQubit reports whether g is an entangling two-qubit gate.
 func (g Gate) IsTwoQubit() bool { return g.Kind.IsTwoQubit() }
 
-// Validate checks arity and operand distinctness against numQubits.
+// Validate checks arity and operand distinctness against numQubits. It
+// runs for every gate a Builder adds and again for every gate of a
+// compiled circuit, so fixed-arity gates compare their operands instead
+// of hashing them.
 func (g Gate) Validate(numQubits int) error {
 	if g.Kind == Invalid {
 		return fmt.Errorf("circuit: invalid gate kind")
@@ -155,15 +161,26 @@ func (g Gate) Validate(numQubits int) error {
 	if want >= 0 && len(g.Qubits) != want {
 		return fmt.Errorf("circuit: gate %s wants %d qubits, has %d", g.Kind, want, len(g.Qubits))
 	}
-	seen := make(map[int]bool, len(g.Qubits))
-	for _, q := range g.Qubits {
+	// A barrier may span every qubit, so it tracks seen operands in a
+	// bitset; a fixed-arity gate has at most two operands to compare.
+	var seen []uint64
+	if want < 0 {
+		seen = make([]uint64, (numQubits+63)/64)
+	}
+	for i, q := range g.Qubits {
 		if q < 0 || q >= numQubits {
 			return fmt.Errorf("circuit: gate %s operand %d out of range [0,%d)", g.Kind, q, numQubits)
 		}
-		if seen[q] {
+		var repeat bool
+		if seen != nil {
+			repeat = seen[q/64]&(1<<(q%64)) != 0
+			seen[q/64] |= 1 << (q % 64)
+		} else {
+			repeat = slices.Contains(g.Qubits[:i], q)
+		}
+		if repeat {
 			return fmt.Errorf("circuit: gate %s repeats operand %d", g.Kind, q)
 		}
-		seen[q] = true
 	}
 	return nil
 }

@@ -15,12 +15,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/device"
+	"repro/internal/isa"
 	"repro/internal/models"
 	"repro/internal/sim"
 )
@@ -74,8 +76,18 @@ type Toolflow struct {
 	// outcomes is any cache tier: the in-memory LRU, or a two-level
 	// persistent store shared across processes (cache.Store).
 	outcomes cache.Tier[Outcome]
-	mu       sync.Mutex
-	circuits map[string]*circuit.Circuit
+	// shared is common to every toolflow derived with WithParams.
+	shared *shared
+}
+
+// shared is the calibration-independent state of a family of toolflows.
+type shared struct {
+	// circuits memoizes benchmark circuits by app name. Builds are
+	// single-flight per name, so one app's build never holds up lookups
+	// of another's.
+	circuits *cache.Cache[*circuit.Circuit]
+	// compiles counts compiler.Compile calls.
+	compiles atomic.Uint64
 }
 
 // New returns a toolflow whose physical parameters default to base (the
@@ -83,7 +95,7 @@ type Toolflow struct {
 // is computed from scratch; use NewCached or NewWithCache to reuse
 // outcomes across sweeps.
 func New(base models.Params) *Toolflow {
-	return &Toolflow{base: base, circuits: make(map[string]*circuit.Circuit)}
+	return &Toolflow{base: base, shared: &shared{circuits: cache.New[*circuit.Circuit](0)}}
 }
 
 // NewCached returns a toolflow backed by a fresh outcome cache holding at
@@ -104,6 +116,12 @@ func NewWithCache(base models.Params, c cache.Tier[Outcome]) *Toolflow {
 	return tf
 }
 
+// WithParams returns a toolflow for calibration p that shares tf's
+// outcome cache, circuit memo and compile counter.
+func (tf *Toolflow) WithParams(p models.Params) *Toolflow {
+	return &Toolflow{base: p, baseHash: paramsHash(p), outcomes: tf.outcomes, shared: tf.shared}
+}
+
 // Params returns the toolflow's base physical parameters.
 func (tf *Toolflow) Params() models.Params { return tf.base }
 
@@ -119,19 +137,16 @@ func (tf *Toolflow) CacheStats() cache.Stats {
 	return tf.outcomes.Stats()
 }
 
+// Compiles reports how many programs tf and the toolflows derived from it
+// with WithParams have compiled.
+func (tf *Toolflow) Compiles() uint64 { return tf.shared.compiles.Load() }
+
 // circuitFor builds or fetches the cached circuit for an app name.
 func (tf *Toolflow) circuitFor(app string) (*circuit.Circuit, error) {
-	tf.mu.Lock()
-	defer tf.mu.Unlock()
-	if c, ok := tf.circuits[app]; ok {
-		return c, nil
-	}
-	c, err := apps.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	tf.circuits[app] = c
-	return c, nil
+	c, err, _ := tf.shared.circuits.Do(app, func() (*circuit.Circuit, error) {
+		return apps.ByName(app)
+	})
+	return c, err
 }
 
 // Run executes a single design point: build device, compile, simulate.
@@ -143,13 +158,49 @@ func (tf *Toolflow) Run(pt Point) Outcome {
 }
 
 // Do is Run plus a report of whether the outcome was served from the
-// cache (or an in-flight duplicate) instead of computed by this call.
+// cache (or an in-flight duplicate) instead of computed by this call. It
+// is the one-point case of a Group.
 func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
+	return tf.NewGroup().Do(pt)
+}
+
+// Group evaluates design points that differ only in their gate
+// implementation. The gate enters only the simulator, so such points
+// share one compiled program: a Group compiles it for the first point
+// that misses the outcome cache and simulates every later point from it.
+// A point with another program replaces the held one, so any sequence of
+// points evaluates correctly. The program lives only as long as the
+// Group, which is not safe for concurrent use.
+type Group struct {
+	tf   *Toolflow
+	held *program
+}
+
+// program is what a group's points share: the device and compiled
+// program of one (app, topology, capacity, reorder, policy), or the error
+// building them gave.
+type program struct {
+	key  Point // the points' shared fields, Gate zeroed
+	dev  *device.Device
+	prog *isa.Program
+	// err is a circuit or device error, reported as is; compileErr is a
+	// compiler error, which each point wraps with its own name.
+	err, compileErr error
+}
+
+// NewGroup returns a Group over tf holding no program yet.
+func (tf *Toolflow) NewGroup() *Group { return &Group{tf: tf} }
+
+// Do evaluates pt as Toolflow.Do does, through the outcome cache under
+// pt's own key, compiling only if pt misses the cache and the group holds
+// no program for it.
+func (g *Group) Do(pt Point) (Outcome, bool) {
+	tf := g.tf
 	if tf.outcomes == nil {
-		return tf.compute(pt), false
+		return g.compute(pt), false
 	}
 	o, err, hit := tf.outcomes.Do(cacheKey(pt, tf.baseHash), func() (Outcome, error) {
-		o := tf.compute(pt)
+		o := g.compute(pt)
 		// A failed outcome is returned to every waiter but never stored,
 		// so transient failures do not poison the cache.
 		return o, o.Err
@@ -160,26 +211,24 @@ func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
 	return o, hit
 }
 
-// compute executes the point uncached: build device, compile, simulate.
-func (tf *Toolflow) compute(pt Point) Outcome {
-	c, err := tf.circuitFor(pt.App)
-	if err != nil {
-		return Outcome{Point: pt, Err: err}
+// compute executes the point uncached: simulate it on the group's
+// program, compiling that first if the group does not hold it.
+func (g *Group) compute(pt Point) Outcome {
+	key := pt
+	key.Gate = 0
+	if g.held == nil || g.held.key != key {
+		g.held = g.tf.compile(key)
 	}
-	dev, err := device.Parse(pt.Topology, pt.Capacity)
-	if err != nil {
-		return Outcome{Point: pt, Err: err}
+	p := g.held
+	if p.err != nil {
+		return Outcome{Point: pt, Err: p.err}
 	}
-	opts := compiler.DefaultOptions()
-	opts.Reorder = pt.Reorder
-	opts.Policy = pt.Policy
-	prog, err := compiler.Compile(c, dev, opts)
-	if err != nil {
-		return Outcome{Point: pt, Err: fmt.Errorf("%s: %w", pt, err)}
+	if p.compileErr != nil {
+		return Outcome{Point: pt, Err: fmt.Errorf("%s: %w", pt, p.compileErr)}
 	}
-	params := tf.base
+	params := g.tf.base
 	params.Gate = pt.Gate
-	res, err := sim.Run(prog, dev, params)
+	res, err := sim.Run(p.prog, p.dev, params)
 	if err != nil {
 		return Outcome{Point: pt, Err: fmt.Errorf("%s: %w", pt, err)}
 	}
@@ -190,6 +239,25 @@ func (tf *Toolflow) compute(pt Point) Outcome {
 		res.AttachQEC(d, rounds)
 	}
 	return Outcome{Point: pt, Result: res}
+}
+
+// compile builds the circuit and device of key and compiles the program.
+func (tf *Toolflow) compile(key Point) *program {
+	p := &program{key: key}
+	c, err := tf.circuitFor(key.App)
+	if err != nil {
+		p.err = err
+		return p
+	}
+	if p.dev, p.err = device.Parse(key.Topology, key.Capacity); p.err != nil {
+		return p
+	}
+	opts := compiler.DefaultOptions()
+	opts.Reorder = key.Reorder
+	opts.Policy = key.Policy
+	tf.shared.compiles.Add(1)
+	p.prog, p.compileErr = compiler.Compile(c, p.dev, opts)
+	return p
 }
 
 // Sweep executes all points concurrently (bounded by GOMAXPROCS) and

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -128,5 +130,96 @@ func TestQECMetricAttachment(t *testing.T) {
 	}
 	if plain.Result.CodeDistance != 0 || plain.Result.QECRounds != 0 || plain.Result.LogicalErrorRate != 0 {
 		t.Errorf("non-QEC point carries QEC fields: %+v", plain.Result)
+	}
+}
+
+// TestGroupCompilesOncePerProgram runs gate siblings through one Group:
+// they compile once, give the results a fresh per-point compile gives,
+// and compile nothing once their outcomes are cached.
+func TestGroupCompilesOncePerProgram(t *testing.T) {
+	tf := NewCached(models.Default(), 0)
+	fresh := New(models.Default())
+	g := tf.NewGroup()
+	for _, gate := range models.GateImpls() {
+		pt := Point{App: "QFT", Topology: "G2x3", Capacity: 18, Gate: gate, Reorder: models.IS}
+		o, cached := g.Do(pt)
+		want := fresh.Run(pt)
+		if o.Err != nil || want.Err != nil || cached {
+			t.Fatalf("%s: err %v / %v, cached %v", pt, o.Err, want.Err, cached)
+		}
+		got, _ := json.Marshal(o.Result)
+		exp, _ := json.Marshal(want.Result)
+		if string(got) != string(exp) {
+			t.Errorf("%s: grouped result differs from a fresh compile:\n got %s\nwant %s", pt, got, exp)
+		}
+	}
+	if n := tf.Compiles(); n != 1 {
+		t.Errorf("compiles = %d after four gate siblings, want 1", n)
+	}
+
+	// A fully cached group compiles nothing; a point of another program
+	// replaces the group's program.
+	g = tf.NewGroup()
+	for _, gate := range models.GateImpls() {
+		if _, cached := g.Do(Point{App: "QFT", Topology: "G2x3", Capacity: 18, Gate: gate, Reorder: models.IS}); !cached {
+			t.Errorf("gate %s: not served from the cache", gate)
+		}
+	}
+	if n := tf.Compiles(); n != 1 {
+		t.Errorf("compiles = %d after a cached group, want 1", n)
+	}
+	g.Do(Point{App: "QFT", Topology: "G2x3", Capacity: 18, Gate: models.FM, Reorder: models.GS})
+	if n := tf.Compiles(); n != 2 {
+		t.Errorf("compiles = %d after another program, want 2", n)
+	}
+}
+
+// TestGroupCompileErrorNamesEachPoint: a compile error reaches every
+// point of the group, each wrapped with its own point as a per-point
+// compile wraps it.
+func TestGroupCompileErrorNamesEachPoint(t *testing.T) {
+	tf := New(models.Default())
+	g := tf.NewGroup()
+	for _, gate := range models.GateImpls() {
+		pt := Point{App: "QFT", Topology: "L2", Capacity: 4, Gate: gate}
+		o, _ := g.Do(pt)
+		want := New(models.Default()).Run(pt)
+		if o.Err == nil || want.Err == nil || o.Err.Error() != want.Err.Error() {
+			t.Fatalf("%s: err %v, want %v", pt, o.Err, want.Err)
+		}
+		if !strings.HasPrefix(o.Err.Error(), pt.String()+": ") {
+			t.Errorf("%s: error %q does not name its point", pt, o.Err)
+		}
+	}
+	if n := tf.Compiles(); n != 1 {
+		t.Errorf("compiles = %d, want 1", n)
+	}
+}
+
+// TestWithParamsSharesCircuitsAndCompiles: toolflows of different
+// calibrations share one circuit memo and one compile counter.
+func TestWithParamsSharesCircuitsAndCompiles(t *testing.T) {
+	tf := NewCached(models.Default(), 0)
+	p := models.Default()
+	p.PhotonicLinkLatency *= 2
+	other := tf.WithParams(p)
+	a, err := tf.circuitFor("QFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := other.circuitFor("QFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("toolflows of one family built the circuit twice")
+	}
+	pt := Point{App: "BV", Topology: "L6", Capacity: 18, Gate: models.FM}
+	tf.Run(pt)
+	if _, cached := other.Do(pt); cached {
+		t.Error("a different calibration was served another calibration's outcome")
+	}
+	if n := tf.Compiles(); n != 2 {
+		t.Errorf("compiles = %d, want 2 (one per calibration)", n)
 	}
 }

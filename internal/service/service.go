@@ -96,10 +96,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxToolflows bounds the per-calibration toolflow table; evicted
-// toolflows only lose their circuit memos, never cached outcomes.
-const maxToolflows = 64
-
 // Server is the sweep service. Construct with New; safe for concurrent
 // use.
 type Server struct {
@@ -107,9 +103,10 @@ type Server struct {
 	outcomes *cache.Store[core.Outcome]
 	start    time.Time
 	sweeps   *sweepRegistry
-
-	mu    sync.Mutex
-	flows map[string]*core.Toolflow // keyed by params hash
+	// root is the base calibration's toolflow. Each request's toolflow
+	// derives from it, sharing the outcome cache, the circuit memo and
+	// the compile counter.
+	root *core.Toolflow
 }
 
 // New returns a server with one shared outcome cache: an in-memory LRU
@@ -128,33 +125,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
+	outcomes := cache.NewStore[core.Outcome](cfg.CacheEntries, disk)
 	return &Server{
 		cfg:      cfg,
-		outcomes: cache.NewStore[core.Outcome](cfg.CacheEntries, disk),
+		outcomes: outcomes,
 		start:    time.Now(),
 		sweeps:   newSweepRegistry(),
-		flows:    make(map[string]*core.Toolflow),
+		root:     core.NewWithCache(cfg.Params, outcomes),
 	}, nil
-}
-
-// toolflowFor returns the toolflow for one calibration, creating it on
-// first use. All toolflows share the server's outcome cache.
-func (s *Server) toolflowFor(p models.Params) *core.Toolflow {
-	key := p.Hash()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tf, ok := s.flows[key]; ok {
-		return tf
-	}
-	if len(s.flows) >= maxToolflows {
-		for k := range s.flows {
-			delete(s.flows, k)
-			break
-		}
-	}
-	tf := core.NewWithCache(p, s.outcomes)
-	s.flows[key] = tf
-	return tf
 }
 
 // Handler returns the routed HTTP handler.
@@ -269,7 +247,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	o, cached := s.toolflowFor(params).Do(req.Point)
+	o, cached := s.root.WithParams(params).Do(req.Point)
 	writeJSON(w, http.StatusOK, runResponse(o, cached, time.Since(start)))
 }
 
@@ -358,7 +336,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		workers = len(req.Points)
 	}
 
-	tf := s.toolflowFor(params)
+	tf := s.root.WithParams(params)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -579,6 +557,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // replica re-serving known work).
 type CacheResponse struct {
 	Store cache.StoreStats `json:"store"`
+	// Compiles counts the programs this process has compiled. A grammar
+	// sweep compiles once per compile group, so on a cold paper grammar
+	// it is a quarter of Store.Computes.
+	Compiles uint64 `json:"compiles"`
 	// Persistent reports whether a disk tier is mounted; Dir and
 	// DiskMaxBytes echo its configuration.
 	Persistent   bool   `json:"persistent"`
@@ -587,7 +569,7 @@ type CacheResponse struct {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	resp := CacheResponse{Store: s.outcomes.StoreStats()}
+	resp := CacheResponse{Store: s.outcomes.StoreStats(), Compiles: s.root.Compiles()}
 	if d := s.outcomes.Disk(); d != nil {
 		resp.Persistent = true
 		resp.Dir = d.Dir()

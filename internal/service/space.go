@@ -236,16 +236,18 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 
 // slot carries one grid index through the worker pool. res is buffered so
 // a worker can always deposit its row and move on, even after the client
-// has dropped and the emitter stopped draining promptly.
+// has dropped and the emitter stopped draining promptly. A worker closes
+// res without a row when the request ends before it evaluates the index.
 type slot struct {
 	idx int64
 	res chan RunResponse
 }
 
 // handleSpaceSweep streams the lazy expansion of a sweep grammar as
-// NDJSON. Points are evaluated concurrently but emitted strictly in
-// expansion order, each row carrying the cursor that resumes immediately
-// after it; peak expanded-point residency is O(workers), never O(grid).
+// NDJSON. Points are evaluated concurrently, one compile group per
+// worker, but emitted strictly in expansion order, each row carrying the
+// cursor that resumes immediately after it; peak expanded-point
+// residency is O(workers×|gates|), never O(grid).
 func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest) {
 	grid, err := req.Space.Compile()
 	if err != nil {
@@ -306,7 +308,7 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		workers = 1
 	}
 
-	tf := s.toolflowFor(params)
+	tf := s.root.WithParams(params)
 	st := s.sweeps.add(grid, start, end, req.Shard)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -314,7 +316,7 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 
 	// The emitter below is the only writer, so no write lock is needed.
 	// A failed write (client gone) cancels the feeder; workers then wind
-	// down after at most their in-flight points.
+	// down after at most their in-flight rows.
 	ctx, cancelFeed := context.WithCancel(r.Context())
 	defer cancelFeed()
 	enc := json.NewEncoder(w)
@@ -342,14 +344,26 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		ShardCount: st.status.ShardCount,
 	})
 
+	// Rows are dispatched by compile group: the rows of the window that
+	// differ only in the gate axis, so share one compiled program. The
+	// feeder hands a worker the whole group when it reaches the group's
+	// first row; the worker compiles the program once and simulates each
+	// row from it, checking the request between rows.
+	//
 	// order is the emission sequence and the backpressure bound: the
-	// feeder stalls once `workers` slots are pending emission, so at most
-	// ~2×workers points exist at once (queued here plus held by workers).
-	order := make(chan *slot, workers)
-	work := make(chan *slot)
+	// feeder stalls once workers×|gates| slots are pending emission. A
+	// group's later rows wait there for the rows between them, so that is
+	// room for every worker to hold a group while the emitter waits on
+	// the earliest one.
+	order := make(chan *slot, workers*len(grid.Space().Gates))
+	work := make(chan []*slot)
 	go func() {
 		defer close(order)
 		defer close(work)
+		win := sweep.Window{Start: start, End: end}
+		// pending holds the slots of dispatched groups' later rows until
+		// the feeder reaches them.
+		pending := make(map[int64]*slot)
 		for i := start; i < end; i++ {
 			// Checked before the selects: both channel sends can be ready at
 			// the same time as ctx.Done, and select would pick arbitrarily —
@@ -357,14 +371,28 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 			if ctx.Err() != nil {
 				return
 			}
-			sl := &slot{idx: i, res: make(chan RunResponse, 1)}
-			// Hand the slot to a worker before queueing it for emission:
-			// every slot the emitter sees is guaranteed to be filled, so a
-			// cancellation can never strand the emitter on an empty slot.
-			select {
-			case work <- sl:
-			case <-ctx.Done():
-				return
+			sl, ok := pending[i]
+			if ok {
+				delete(pending, i)
+			} else {
+				// i is its group's first row in the window. Hand the group
+				// to a worker before queueing any of its slots for emission:
+				// every slot the emitter sees is then guaranteed to be filled
+				// or closed, so it can never be stranded on an empty slot.
+				var group []*slot
+				for _, j := range grid.Group(i, win) {
+					member := &slot{idx: j, res: make(chan RunResponse, 1)}
+					group = append(group, member)
+					if j != i {
+						pending[j] = member
+					}
+				}
+				select {
+				case work <- group:
+				case <-ctx.Done():
+					return
+				}
+				sl = group[0]
 			}
 			select {
 			case order <- sl:
@@ -378,17 +406,31 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sl := range work {
-				opStart := time.Now()
-				o, cached := tf.Do(grid.PointAt(sl.idx))
-				sl.res <- runResponse(o, cached, time.Since(opStart))
+			for group := range work {
+				g := tf.NewGroup()
+				for _, sl := range group {
+					if ctx.Err() != nil {
+						close(sl.res)
+						continue
+					}
+					// Each row is timed on its own; the group's first
+					// computed row carries the compile.
+					opStart := time.Now()
+					o, cached := g.Do(grid.PointAt(sl.idx))
+					sl.res <- runResponse(o, cached, time.Since(opStart))
+				}
 			}
 		}()
 	}
 
 	sweepStart := time.Now()
 	for sl := range order {
-		resp := <-sl.res
+		resp, ok := <-sl.res
+		if !ok {
+			// The request ended before this row was evaluated; a later row
+			// would leave a gap in the stream.
+			alive = false
+		}
 		if !alive {
 			continue // drain so progress stays truthful
 		}

@@ -362,22 +362,27 @@ func TestSpaceSweepLimitPagination(t *testing.T) {
 
 func TestSpaceSweepFailedPointsStreamAsRows(t *testing.T) {
 	_, ts := newTestServer(t)
-	// BV@8 is 9 qubits; a single 2-capacity trap (L1) cannot hold it, so
-	// every L1 point fails at evaluation while every L3 point succeeds.
-	body := `{"space":{"apps":["BV@8"],"topologies":["L1","L3"],"capacities":[2,14]}}`
+	// BV@8 is 9 qubits; capacity-2 traps cannot hold it on L1 or L3, so
+	// those points fail to compile while the capacity-14 points succeed.
+	// Two gates make each failing compile group two rows, and each row's
+	// error must name its own point.
+	body := `{"space":{"apps":["BV@8"],"topologies":["L1","L3"],"capacities":[2,14],"gates":["AM1","FM"]}}`
 	resp := postJSON(t, ts.URL+"/v1/sweep", body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	_, rows, summary := ndjson(t, resp.Body)
-	if len(rows) != 4 || summary == nil {
+	if len(rows) != 8 || summary == nil {
 		t.Fatalf("rows = %d, summary = %v", len(rows), summary)
 	}
 	var failed int
 	for _, row := range rows {
 		if row.Error != "" {
 			failed++
+			if !strings.HasPrefix(row.Error, row.Point.String()+": ") {
+				t.Errorf("row %d: error %q does not name its point %s", row.Seq, row.Error, row.Point)
+			}
 		}
 	}
 	if failed == 0 || failed == len(rows) {

@@ -72,3 +72,22 @@ func min64(a, b int64) int64 {
 	}
 	return b
 }
+
+// Group returns the indexes inside window w of the rows that share row
+// i's compiled program, in increasing order: i's gate siblings, which
+// differ from it only in the gate axis. The gate implementation enters
+// only the simulator, so one compiled program serves the whole group. In
+// the expansion order gate siblings sit at stride |reorders|×|policies|
+// inside their (app, topology, capacity) block. i must lie in w.
+func (g *Grid) Group(i int64, w Window) []int64 {
+	stride := int64(len(g.reorders) * len(g.policies))
+	block := stride * int64(len(g.gates))
+	first := i - i%block + i%stride
+	members := make([]int64, 0, len(g.gates))
+	for j := first; j < first+block; j += stride {
+		if j >= w.Start && j < w.End {
+			members = append(members, j)
+		}
+	}
+	return members
+}

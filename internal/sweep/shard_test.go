@@ -141,3 +141,44 @@ func TestWindowClampComposesWithResume(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupIsGateSiblingsInWindow checks Grid.Group against its
+// definition: the rows of the window whose points equal row i's in every
+// field but the gate, in increasing order.
+func TestGroupIsGateSiblingsInWindow(t *testing.T) {
+	g, err := Space{
+		Apps:       []string{"BV", "QFT"},
+		Topologies: []string{"L6", "G2x3"},
+		Capacities: []int{14, 18},
+		Gates:      []string{"AM1", "AM2", "PM"},
+		Reorders:   []string{"GS", "IS"},
+		Policies:   []string{"baseline", "lookahead"},
+	}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := func(i int64) core.Point {
+		pt := g.PointAt(i)
+		pt.Gate = 0
+		return pt
+	}
+	for _, w := range []Window{g.FullWindow(), {Start: 5, End: 20}, {Start: 13, End: 14}} {
+		for i := w.Start; i < w.End; i++ {
+			var want []int64
+			for j := w.Start; j < w.End; j++ {
+				if program(j) == program(i) {
+					want = append(want, j)
+				}
+			}
+			got := g.Group(i, w)
+			if len(got) != len(want) {
+				t.Fatalf("window %+v: Group(%d) = %v, want %v", w, i, got, want)
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("window %+v: Group(%d) = %v, want %v", w, i, got, want)
+				}
+			}
+		}
+	}
+}
