@@ -12,9 +12,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/apps"
@@ -193,8 +193,15 @@ func (tf *Toolflow) NewGroup() *Group { return &Group{tf: tf} }
 
 // Do evaluates pt as Toolflow.Do does, through the outcome cache under
 // pt's own key, compiling only if pt misses the cache and the group holds
-// no program for it.
-func (g *Group) Do(pt Point) (Outcome, bool) {
+// no program for it. A panic while evaluating pt becomes pt's error
+// outcome, which the cache never stores: one bad design point must not
+// take down a sweep, or the daemon whose goroutine evaluates it.
+func (g *Group) Do(pt Point) (o Outcome, hit bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			o, hit = Outcome{Point: pt, Err: fmt.Errorf("%s: panic: %v", pt, v)}, false
+		}
+	}()
 	tf := g.tf
 	if tf.outcomes == nil {
 		return g.compute(pt), false
@@ -263,30 +270,11 @@ func (tf *Toolflow) compile(key Point) *program {
 // Sweep executes all points concurrently (bounded by GOMAXPROCS) and
 // returns outcomes in input order.
 func (tf *Toolflow) Sweep(points []Point) []Outcome {
-	out := make([]Outcome, len(points))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = tf.Run(points[i])
-			}
-		}()
-	}
-	for i := range points {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	out := make([]Outcome, 0, len(points))
+	tf.Stream(context.TODO(), List(points), runtime.GOMAXPROCS(0), func(r Row) bool {
+		out = append(out, r.Outcome)
+		return true
+	})
 	return out
 }
 

@@ -6,10 +6,10 @@
 // Endpoints:
 //
 //	POST /v1/run         evaluate a single design point
-//	POST /v1/sweep       evaluate a batch, streaming outcomes as NDJSON;
-//	                     accepts either a materialized "points" list or a
-//	                     "space" sweep grammar expanded lazily server-side,
-//	                     with per-row resume cursors
+//	POST /v1/sweep       evaluate a batch, streaming outcomes as NDJSON
+//	                     in input order; accepts either a materialized
+//	                     "points" list or a "space" sweep grammar expanded
+//	                     lazily server-side, with per-row resume cursors
 //	GET  /v1/sweeps      list tracked grammar sweeps with progress
 //	GET  /v1/sweeps/{id} report one grammar sweep's progress
 //	GET  /v1/apps        list the built-in Table II benchmarks and the
@@ -25,12 +25,10 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/apps"
@@ -53,12 +51,11 @@ type Config struct {
 	// MaxWorkers caps the per-request sweep concurrency (default
 	// GOMAXPROCS).
 	MaxWorkers int
-	// MaxSweepPoints caps the batch size of one materialized-points sweep
-	// request (default 10000).
-	MaxSweepPoints int
-	// MaxSpacePoints caps the expansion size of one grammar sweep
-	// (default 10,000,000). Grammar sweeps stream lazily with O(workers)
-	// residency, so this bound is about total compute, not memory.
+	// MaxSpacePoints caps the design points one sweep request covers, in
+	// either form: a points list's length or a grammar window's size
+	// (default 10,000,000). Both forms stream with O(workers) residency,
+	// so this bound is about total compute; a list's memory is bounded by
+	// MaxBodyBytes.
 	MaxSpacePoints int64
 	// MaxBodyBytes caps request body size (default 8 MiB).
 	MaxBodyBytes int64
@@ -83,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxSweepPoints <= 0 {
-		c.MaxSweepPoints = 10000
 	}
 	if c.MaxSpacePoints <= 0 {
 		c.MaxSpacePoints = 10_000_000
@@ -206,12 +200,12 @@ type RunResponse struct {
 	ElapsedUS int64       `json:"elapsed_us"`
 }
 
-// SweepLine is one NDJSON outcome line of POST /v1/sweep. For the
-// materialized-points form, Seq is the zero-based index of the point in
-// the request and lines stream in completion order. For the grammar
-// form, Seq is the point's index in the space expansion, lines stream in
-// expansion order, and Cursor resumes the sweep immediately after this
-// row (pass it back as resume_from with the same space).
+// SweepLine is one NDJSON outcome line of POST /v1/sweep. Lines stream
+// in input order. For the materialized-points form, Seq is the zero-based
+// index of the point in the request. For the grammar form, Seq is the
+// point's index in the space expansion, and Cursor resumes the sweep
+// immediately after this row (pass it back as resume_from with the same
+// space).
 type SweepLine struct {
 	Seq    int    `json:"seq"`
 	Cursor string `json:"cursor,omitempty"`
@@ -277,7 +271,8 @@ type SweepRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// SweepSummary is the final NDJSON line of a sweep response.
+// SweepSummary is the final NDJSON line of a sweep response. It is
+// written only after every row, so a stream without one ended early.
 type SweepSummary struct {
 	Done      bool  `json:"done"`
 	Total     int   `json:"total"`
@@ -312,9 +307,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "sweep: no points and no space")
 		return
 	}
-	if len(req.Points) > s.cfg.MaxSweepPoints {
-		writeError(w, http.StatusBadRequest, "sweep: %d points exceeds the limit of %d",
-			len(req.Points), s.cfg.MaxSweepPoints)
+	if s.tooLarge(w, int64(len(req.Points))) {
 		return
 	}
 	for i, pt := range req.Points {
@@ -328,93 +321,77 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "params: %v", err)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	if workers > len(req.Points) {
-		workers = len(req.Points)
-	}
 
-	tf := s.root.WithParams(params)
+	st := &sweepState{started: time.Now()}
+	out := newNDJSONWriter(w, st)
+	emit := func(row core.Row) bool { return out.row(row, "") }
+	if s.root.WithParams(params).Stream(r.Context(), core.List(req.Points), s.workers(req.Workers), emit) {
+		out.write(st.summary())
+	}
+}
+
+// tooLarge rejects a sweep request covering more than MaxSpacePoints
+// points, reporting whether it did.
+func (s *Server) tooLarge(w http.ResponseWriter, points int64) bool {
+	if points <= s.cfg.MaxSpacePoints {
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "sweep: request covers %d points, exceeding the limit of %d",
+		points, s.cfg.MaxSpacePoints)
+	return true
+}
+
+// workers clamps a sweep request's worker count to the server limit; zero
+// means the limit.
+func (s *Server) workers(requested int) int {
+	if requested <= 0 || requested > s.cfg.MaxWorkers {
+		return s.cfg.MaxWorkers
+	}
+	return requested
+}
+
+// ndjsonWriter streams one sweep response as NDJSON, flushing each line
+// to the client as it is written, and notes the rows it delivers in the
+// sweep's progress. After the first failed write (the client is gone) it
+// writes nothing more.
+type ndjsonWriter struct {
+	enc     *json.Encoder
+	flusher http.Flusher
+	failed  bool
+	st      *sweepState
+}
+
+func newNDJSONWriter(w http.ResponseWriter, st *sweepState) *ndjsonWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	return &ndjsonWriter{enc: json.NewEncoder(w), flusher: flusher, st: st}
+}
 
-	// A dropped connection surfaces as an encode error. The first write
-	// failure cancels the feeder and suppresses every later emit, so at
-	// most `workers` in-flight points are still evaluated before the
-	// request winds down — not the whole remaining sweep.
-	start := time.Now()
-	ctx, cancelFeed := context.WithCancel(r.Context())
-	defer cancelFeed()
-	var (
-		writeMu     sync.Mutex
-		writeNoMore bool
-	)
-	enc := json.NewEncoder(w)
-	emit := func(v any) {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if writeNoMore {
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			writeNoMore = true
-			cancelFeed()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+// write sends v as one line and reports whether the client received it.
+func (nw *ndjsonWriter) write(v any) bool {
+	if nw.failed {
+		return false
 	}
+	if err := nw.enc.Encode(v); err != nil {
+		nw.failed = true
+		return false
+	}
+	if nw.flusher != nil {
+		nw.flusher.Flush()
+	}
+	return true
+}
 
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := range req.Points {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var (
-		wg       sync.WaitGroup
-		countMu  sync.Mutex
-		failed   int
-		hits     int
-		streamed int
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				opStart := time.Now()
-				o, cached := tf.Do(req.Points[idx])
-				emit(SweepLine{Seq: idx, RunResponse: runResponse(o, cached, time.Since(opStart))})
-				countMu.Lock()
-				streamed++
-				if o.Err != nil {
-					failed++
-				}
-				if cached {
-					hits++
-				}
-				countMu.Unlock()
-			}
-		}()
+// row writes one evaluated point with its resume cursor, if any, and
+// reports whether the client received it.
+func (nw *ndjsonWriter) row(r core.Row, cursor string) bool {
+	resp := runResponse(r.Outcome, r.Cached, r.Elapsed)
+	if !nw.write(SweepLine{Seq: int(r.Index), Cursor: cursor, RunResponse: resp}) {
+		return false
 	}
-	wg.Wait()
-	emit(SweepSummary{
-		Done:      true,
-		Total:     streamed,
-		Failed:    failed,
-		CacheHits: hits,
-		ElapsedUS: time.Since(start).Microseconds(),
-	})
+	nw.st.note(resp.Error != "", resp.Cached)
+	return true
 }
 
 // AppInfo is one entry of GET /v1/apps.

@@ -1,15 +1,14 @@
 package service
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
@@ -95,7 +94,8 @@ type SweepStatus struct {
 	ElapsedUS     int64 `json:"elapsed_us"`
 }
 
-// sweepState is the mutable progress record behind one SweepStatus.
+// sweepState is the mutable progress record of one sweep. For a grammar
+// sweep it backs the SweepStatus the registry reports.
 type sweepState struct {
 	mu      sync.Mutex
 	status  SweepStatus
@@ -120,6 +120,18 @@ func (st *sweepState) finish(dropped bool) {
 	st.status.Done = true
 	st.status.ClientDropped = dropped
 	st.status.ElapsedUS = time.Since(st.started).Microseconds()
+}
+
+// summary is the final line of a stream whose rows st has noted.
+func (st *sweepState) summary() SweepSummary {
+	snap := st.snapshot()
+	return SweepSummary{
+		Done:      true,
+		Total:     int(snap.Emitted),
+		Failed:    int(snap.Failed),
+		CacheHits: int(snap.CacheHits),
+		ElapsedUS: snap.ElapsedUS,
+	}
 }
 
 func (st *sweepState) snapshot() SweepStatus {
@@ -234,15 +246,6 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sweeps.snapshotAll())
 }
 
-// slot carries one grid index through the worker pool. res is buffered so
-// a worker can always deposit its row and move on, even after the client
-// has dropped and the emitter stopped draining promptly. A worker closes
-// res without a row when the request ends before it evaluates the index.
-type slot struct {
-	idx int64
-	res chan RunResponse
-}
-
 // handleSpaceSweep streams the lazy expansion of a sweep grammar as
 // NDJSON. Points are evaluated concurrently, one compile group per
 // worker, but emitted strictly in expansion order, each row carrying the
@@ -265,9 +268,7 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 			return
 		}
 	}
-	if window.Len() > s.cfg.MaxSpacePoints {
-		writeError(w, http.StatusBadRequest, "sweep: request covers %d points, exceeding the limit of %d",
-			window.Len(), s.cfg.MaxSpacePoints)
+	if s.tooLarge(w, window.Len()) {
 		return
 	}
 	if req.Limit < 0 {
@@ -297,44 +298,12 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 	if req.Limit > 0 && start+req.Limit < end {
 		end = start + req.Limit
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	if n := end - start; int64(workers) > n {
-		workers = int(n)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
-	tf := s.root.WithParams(params)
 	st := s.sweeps.add(grid, start, end, req.Shard)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	// The emitter below is the only writer, so no write lock is needed.
-	// A failed write (client gone) cancels the feeder; workers then wind
-	// down after at most their in-flight rows.
-	ctx, cancelFeed := context.WithCancel(r.Context())
-	defer cancelFeed()
-	enc := json.NewEncoder(w)
-	alive := true
-	write := func(v any) {
-		if !alive {
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			alive = false
-			cancelFeed()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	write(SweepHeader{
+	out := newNDJSONWriter(w, st)
+	emit := func(row core.Row) bool { return out.row(row, grid.Cursor(row.Index+1)) }
+	src := grid.Source(sweep.Window{Start: start, End: end})
+	complete := out.write(SweepHeader{
 		SweepID:    st.status.ID,
 		SpaceHash:  grid.Hash(),
 		GridSize:   grid.Size(),
@@ -342,125 +311,19 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		End:        end,
 		ShardIndex: st.status.ShardIndex,
 		ShardCount: st.status.ShardCount,
-	})
-
-	// Rows are dispatched by compile group: the rows of the window that
-	// differ only in the gate axis, so share one compiled program. The
-	// feeder hands a worker the whole group when it reaches the group's
-	// first row; the worker compiles the program once and simulates each
-	// row from it, checking the request between rows.
-	//
-	// order is the emission sequence and the backpressure bound: the
-	// feeder stalls once workers×|gates| slots are pending emission. A
-	// group's later rows wait there for the rows between them, so that is
-	// room for every worker to hold a group while the emitter waits on
-	// the earliest one.
-	order := make(chan *slot, workers*len(grid.Space().Gates))
-	work := make(chan []*slot)
-	go func() {
-		defer close(order)
-		defer close(work)
-		win := sweep.Window{Start: start, End: end}
-		// pending holds the slots of dispatched groups' later rows until
-		// the feeder reaches them.
-		pending := make(map[int64]*slot)
-		for i := start; i < end; i++ {
-			// Checked before the selects: both channel sends can be ready at
-			// the same time as ctx.Done, and select would pick arbitrarily —
-			// this keeps a dropped client from feeding any further points.
-			if ctx.Err() != nil {
-				return
-			}
-			sl, ok := pending[i]
-			if ok {
-				delete(pending, i)
-			} else {
-				// i is its group's first row in the window. Hand the group
-				// to a worker before queueing any of its slots for emission:
-				// every slot the emitter sees is then guaranteed to be filled
-				// or closed, so it can never be stranded on an empty slot.
-				var group []*slot
-				for _, j := range grid.Group(i, win) {
-					member := &slot{idx: j, res: make(chan RunResponse, 1)}
-					group = append(group, member)
-					if j != i {
-						pending[j] = member
-					}
-				}
-				select {
-				case work <- group:
-				case <-ctx.Done():
-					return
-				}
-				sl = group[0]
-			}
-			select {
-			case order <- sl:
-			case <-ctx.Done():
-				return
-			}
+	}) && s.root.WithParams(params).Stream(r.Context(), src, s.workers(req.Workers), emit)
+	if complete {
+		summary := st.summary()
+		summary.SweepID = st.status.ID
+		// A limited request that stopped short of its window end gets the
+		// continuation cursor in the summary, so paginating clients need
+		// not track per-row cursors. A completed shard window is done — its
+		// summary carries no cursor even when the grid continues beyond it;
+		// the next window belongs to another replica.
+		if end < window.End {
+			summary.NextCursor = grid.Cursor(end)
 		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for group := range work {
-				g := tf.NewGroup()
-				for _, sl := range group {
-					if ctx.Err() != nil {
-						close(sl.res)
-						continue
-					}
-					// Each row is timed on its own; the group's first
-					// computed row carries the compile.
-					opStart := time.Now()
-					o, cached := g.Do(grid.PointAt(sl.idx))
-					sl.res <- runResponse(o, cached, time.Since(opStart))
-				}
-			}
-		}()
+		complete = out.write(summary)
 	}
-
-	sweepStart := time.Now()
-	for sl := range order {
-		resp, ok := <-sl.res
-		if !ok {
-			// The request ended before this row was evaluated; a later row
-			// would leave a gap in the stream.
-			alive = false
-		}
-		if !alive {
-			continue // drain so progress stays truthful
-		}
-		write(SweepLine{
-			Seq:         int(sl.idx),
-			Cursor:      grid.Cursor(sl.idx + 1),
-			RunResponse: resp,
-		})
-		if alive {
-			st.note(resp.Error != "", resp.Cached)
-		}
-	}
-	wg.Wait()
-	snap := st.snapshot()
-	summary := SweepSummary{
-		Done:      true,
-		SweepID:   st.status.ID,
-		Total:     int(snap.Emitted),
-		Failed:    int(snap.Failed),
-		CacheHits: int(snap.CacheHits),
-		ElapsedUS: time.Since(sweepStart).Microseconds(),
-	}
-	// A limited request that stopped short of its window end gets the
-	// continuation cursor in the summary, so paginating clients need not
-	// track per-row cursors. A completed shard window is done — its
-	// summary carries no cursor even when the grid continues beyond it;
-	// the next window belongs to another replica.
-	if end < window.End {
-		summary.NextCursor = grid.Cursor(end)
-	}
-	write(summary)
-	st.finish(!alive)
+	st.finish(!complete)
 }

@@ -514,12 +514,18 @@ func TestSpaceSweepTooLargeRejected(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp := postJSON(t, ts.URL+"/v1/sweep", `{"space":`+testSpaceBody+`}`) // 12 > 8
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
-	}
-	if body := decodeBody[errorBody](t, resp); !strings.Contains(body.Error, "exceeding the limit") {
-		t.Errorf("error = %q", body.Error)
+	// The cap bounds both forms.
+	for _, tc := range []struct{ form, body string }{
+		{"12-point grammar", `{"space":` + testSpaceBody + `}`},
+		{"9-point list", `{"points":[` + strings.Repeat(`{"app":"BV","topology":"L6","capacity":20},`, 8) + `{"app":"BV","topology":"L6","capacity":20}]}`},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/sweep", tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", tc.form, resp.StatusCode)
+		}
+		if body := decodeBody[errorBody](t, resp); !strings.Contains(body.Error, "exceeding the limit") {
+			t.Errorf("%s: error = %q", tc.form, body.Error)
+		}
 	}
 }
 

@@ -279,3 +279,15 @@ func (g *Grid) PointAt(i int64) core.Point {
 		Policy:   g.policies[p],
 	}
 }
+
+// Source returns window w of the expansion as a stream source whose
+// compile groups are gate siblings (see Group).
+func (g *Grid) Source(w Window) core.Source {
+	return core.Source{
+		Start: w.Start,
+		End:   w.End,
+		Point: g.PointAt,
+		Group: func(i int64) []int64 { return g.Group(i, w) },
+		Width: len(g.gates),
+	}
+}

@@ -6,8 +6,10 @@
 # kills the connection mid-stream (head closes the pipe after a few rows)
 # and resumes from the last received row's cursor. The union of sequence
 # numbers from the partial and resumed streams must be exactly the full
-# expansion range, each index once — no gaps, no duplicates. Finally
-# checks the sweep progress registry.
+# expansion range, each index once — no gaps, no duplicates. Then checks
+# the sweep progress registry, and streams a materialized points list
+# with one repeated point: its rows must arrive in input order, and the
+# repeat must be served by the cache.
 #
 # Part 2 (multi-replica scale-out): starts two replicas sharing one
 # -cache-dir, streams disjoint shards of the full paper grammar to each,
@@ -117,6 +119,18 @@ HASHES=$(grep -o '"space_hash":"[^"]*"' "$TMP/sweeps.json" | sort | uniq -c | se
 echo "   registry: $HASHES"
 [ "$(echo "$HASHES" | wc -l)" -eq 1 ] || fail "registry has sweeps for more than one space"
 [ "$(echo "$HASHES" | sed 's/ .*//')" -eq 3 ] || fail "registry does not list all three sweeps"
+
+echo "== points form: rows in input order, the repeated point a cache hit"
+# The two copies of the repeated point may run concurrently, so which of
+# them is the cached one is not fixed; exactly one is.
+POINTS='[{"app":"BV@8","topology":"L4","capacity":14},{"app":"BV@8","topology":"L4","capacity":18},{"app":"BV@8","topology":"L4","capacity":14},{"app":"BV@12","topology":"L4","capacity":14}]'
+curl -sN -X POST "$BASE/v1/sweep" -d "{\"points\":$POINTS}" > "$TMP/points.ndjson"
+SEQS=$(grep -o '"seq":[0-9]*' "$TMP/points.ndjson" | sed 's/"seq"://' | tr '\n' ' ')
+[ "$SEQS" = "0 1 2 3 " ] || { cat "$TMP/points.ndjson" >&2; fail "points rows arrived as seq $SEQS, want 0 1 2 3 in order"; }
+SUMMARY=$(tail -n 1 "$TMP/points.ndjson")
+echo "$SUMMARY" | grep -q '"done":true' || fail "points stream: no summary line"
+echo "$SUMMARY" | grep -q '"total":4,' || fail "points summary $SUMMARY: want total 4"
+echo "$SUMMARY" | grep -q '"cache_hits":1,' || fail "points summary $SUMMARY: want cache_hits 1"
 
 kill "$DAEMON_PID" 2>/dev/null || true
 wait "$DAEMON_PID" 2>/dev/null || true
