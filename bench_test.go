@@ -610,3 +610,39 @@ func BenchmarkSimulateLarge(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTitanPoint times the two layers of the largest design point the
+// repository runs: QFT@512 on Mod3:G2x5 at capacity 22 (FM, GS,
+// baseline), a point of the -titan study with about 0.8 M ISA ops. The
+// circuit, and for simulate the program, are built outside the timer.
+func BenchmarkTitanPoint(b *testing.B) {
+	circ, err := Benchmark("QFT@512")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := ParseDevice("Mod3:G2x5", 22)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultCompileOptions()
+	b.Run("compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Compile(circ, dev, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("simulate", func(b *testing.B) {
+		prog, err := Compile(circ, dev, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		params := DefaultParams()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Run(prog, dev, params); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -112,9 +112,10 @@ func (d *DAG) TopoOrder() ([]int, bool) {
 
 // MinScheduler yields a topological order one gate at a time, always
 // releasing the lowest-indexed ready gate next — the incremental form of
-// TopoOrder, kept as a separate type so consumers that interleave gate
-// emission with scheduling (the compiler's baseline gate-order policy) pay
-// no precomputed-order pass and no extra allocation per gate.
+// TopoOrder. Over a DAG built by BuildDAG every edge runs from a lower
+// gate index to a higher one, so the order is program order; the
+// compiler's baseline gate order therefore counts through the gates
+// instead, and the compiler tests pin the two orders to each other.
 type MinScheduler struct {
 	d     *DAG
 	indeg []int

@@ -49,7 +49,8 @@ const lookaheadAffinity = 2.0
 // therefore the whole compilation — is deterministic.
 type lookaheadOrder struct{ k int }
 
-func (p lookaheadOrder) NewSchedule(c *circuit.Circuit, dag *circuit.DAG, st State) GateSchedule {
+func (p lookaheadOrder) NewSchedule(c *circuit.Circuit, st State) GateSchedule {
+	dag := circuit.BuildDAG(c)
 	s := &lookaheadSchedule{c: c, dag: dag, st: st, k: p.k, indeg: make([]int, dag.Len())}
 	copy(s.indeg, dag.InDegree)
 	for i, deg := range s.indeg {

@@ -25,12 +25,25 @@ func init() {
 
 // baselineOrder issues gates earliest-ready-first over the dependency DAG
 // ("prioritize earlier gates", §IV): among ready gates, the lowest index
-// fires next. This is exactly circuit.DAG.TopoOrder, consumed
-// incrementally.
+// fires next. Every DAG edge runs from a lower gate index to a higher one,
+// so once gates 0..i-1 have fired gate i is ready, and it is the lowest
+// unfired index: the order is program order, circuit.DAG.TopoOrder
+// without building the DAG.
 type baselineOrder struct{}
 
-func (baselineOrder) NewSchedule(c *circuit.Circuit, dag *circuit.DAG, st State) GateSchedule {
-	return dag.NewMinScheduler()
+func (baselineOrder) NewSchedule(c *circuit.Circuit, st State) GateSchedule {
+	return &programOrder{n: len(c.Gates)}
+}
+
+// programOrder yields gate indices 0, 1, ..., n-1.
+type programOrder struct{ next, n int }
+
+func (s *programOrder) Next() int {
+	if s.next >= s.n {
+		return -1
+	}
+	s.next++
+	return s.next - 1
 }
 
 // baselinePlace maps qubits into traps in first-use order, filling each

@@ -1,9 +1,10 @@
 // Package compiler implements the QCCD backend compiler of §VI. It maps
 // program qubits onto traps with a greedy first-use-order heuristic
 // (leaving buffer slots for incoming shuttles), schedules gates earliest-
-// ready-first over the dependency DAG, routes shuttles along shortest
-// device paths (inserting the extra merge/reorder/split sequences that
-// linear topologies require at intermediate traps, Figure 4), inserts
+// ready-first (over a circuit's dependency DAG that is program order, so
+// the baseline builds no DAG), routes shuttles along shortest device
+// paths (inserting the extra merge/reorder/split sequences that linear
+// topologies require at intermediate traps, Figure 4), inserts
 // chain-reordering operations for the configured method (GS or IS), and
 // emits a dependency-annotated isa.Program.
 //
@@ -22,8 +23,10 @@
 // with an incremental qubit→slot index, so qubit positions, end
 // insertions and end removals are O(1) instead of copying slices, and op
 // dependency sets are deduplicated through a three-entry scratch instead
-// of a per-op map. Qubit and dependency slices are carved from chunked
-// arenas, so emitting an op costs amortized zero allocations.
+// of a per-op map. An op holds its operands and dependencies inline (see
+// isa.Op), so emitting one allocates nothing beyond the op list's
+// amortized growth, and the list holds no pointers for the collector to
+// scan.
 //
 // The three decision heuristics — gate issue order, initial placement,
 // and shuttle routing/eviction — are policy seams (see policy.go): the
@@ -172,37 +175,6 @@ type compilation struct {
 
 	useLists  [][]int // qubit -> sorted gate indices of its IR gates
 	useCounts []int   // qubit -> IR gates already emitted (cursor into useLists)
-
-	intArena []int // chunked backing store for op Qubits/Deps slices
-}
-
-// arenaInts carves an n-int slice from the chunked arena. Returned slices
-// have cap == len, so appends by callers can never alias a neighbor.
-func (cc *compilation) arenaInts(n int) []int {
-	const chunk = 4096
-	if len(cc.intArena)+n > cap(cc.intArena) {
-		size := chunk
-		if n > size {
-			size = n
-		}
-		cc.intArena = make([]int, 0, size)
-	}
-	s := cc.intArena[len(cc.intArena) : len(cc.intArena)+n : len(cc.intArena)+n]
-	cc.intArena = cc.intArena[:len(cc.intArena)+n]
-	return s
-}
-
-// qubits1 and qubits2 build arena-backed operand slices.
-func (cc *compilation) qubits1(q int) []int {
-	s := cc.arenaInts(1)
-	s[0] = q
-	return s
-}
-
-func (cc *compilation) qubits2(a, b int) []int {
-	s := cc.arenaInts(2)
-	s[0], s[1] = a, b
-	return s
 }
 
 // mapQubits asks the placement policy for the initial qubit→trap layout,
@@ -302,11 +274,11 @@ func (cc *compilation) mapQubits(place PlacementPolicy) error {
 }
 
 // run emits ops gate by gate in the order the gate-order policy yields
-// (the baseline is earliest-ready-first). The schedule is consumed
-// incrementally so the policy sees the placement as it evolves.
+// (the baseline is earliest-ready-first, which is program order). The
+// schedule is consumed incrementally so the policy sees the placement as
+// it evolves.
 func (cc *compilation) run() error {
-	dag := circuit.BuildDAG(cc.circ)
-	sched := cc.order.NewSchedule(cc.circ, dag, cc)
+	sched := cc.order.NewSchedule(cc.circ, cc)
 	emitted := 0
 	for gi := sched.Next(); gi >= 0; gi = sched.Next() {
 		if gi >= len(cc.circ.Gates) {
@@ -316,20 +288,20 @@ func (cc *compilation) run() error {
 		g := cc.circ.Gates[gi]
 		switch {
 		case g.Kind == circuit.GateBarrier:
-			// Barriers only constrain the IR schedule; the DAG already
-			// encodes their ordering, so they emit nothing.
+			// Barriers only constrain the IR schedule; the schedule
+			// already respects their ordering, so they emit nothing.
 		case g.Kind == circuit.GateMeasure:
 			q := g.Qubits[0]
 			cc.addOp(isa.Op{
-				Kind: isa.OpMeasure, Qubits: cc.qubits1(q), Trap: cc.trapOf[q],
-				Gate: g.Kind, GateIndex: gi,
-			}, false)
+				Kind: isa.OpMeasure, Trap: int32(cc.trapOf[q]),
+				Gate: g.Kind, GateIndex: int32(gi),
+			}, false, q)
 		case g.Kind.IsSingleQubit():
 			q := g.Qubits[0]
 			cc.addOp(isa.Op{
-				Kind: isa.OpGate1, Qubits: cc.qubits1(q), Trap: cc.trapOf[q],
-				Gate: g.Kind, Param: g.Param, GateIndex: gi,
-			}, false)
+				Kind: isa.OpGate1, Trap: int32(cc.trapOf[q]),
+				Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
+			}, false, q)
 		case g.Kind.IsTwoQubit():
 			if err := cc.twoQubit(gi, g); err != nil {
 				return err
@@ -360,9 +332,9 @@ func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
 		}
 	}
 	cc.addOp(isa.Op{
-		Kind: isa.OpGate2, Qubits: cc.qubits2(a, b), Trap: cc.trapOf[a],
-		Gate: g.Kind, Param: g.Param, GateIndex: gi,
-	}, false)
+		Kind: isa.OpGate2, Trap: int32(cc.trapOf[a]),
+		Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
+	}, false, a, b)
 	return nil
 }
 
@@ -413,8 +385,8 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 
 	cc.reorderToEnd(q, src, route.SrcEnd, gi)
 	cc.addOp(isa.Op{
-		Kind: isa.OpSplit, Qubits: cc.qubits1(q), Trap: src, End: route.SrcEnd, GateIndex: gi,
-	}, true)
+		Kind: isa.OpSplit, Trap: int32(src), End: route.SrcEnd, GateIndex: int32(gi),
+	}, true, q)
 	cc.removeFromChain(q, src)
 
 	for _, hop := range route.Hops {
@@ -426,14 +398,14 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 			moveKind = isa.OpLinkTransit
 		}
 		cc.addOp(isa.Op{
-			Kind: moveKind, Qubits: cc.qubits1(q), Trap: -1, Segment: hop.Segment, GateIndex: gi,
-		}, false)
+			Kind: moveKind, Trap: -1, Segment: int32(hop.Segment), GateIndex: int32(gi),
+		}, false, q)
 		switch hop.Node.Kind {
 		case device.NodeJunction:
 			cc.addOp(isa.Op{
-				Kind: isa.OpJunctionCross, Qubits: cc.qubits1(q), Trap: -1,
-				Junction: hop.Node.Index, GateIndex: gi,
-			}, false)
+				Kind: isa.OpJunctionCross, Trap: -1,
+				Junction: int32(hop.Node.Index), GateIndex: int32(gi),
+			}, false, q)
 		case device.NodeTrap:
 			t := hop.Node.Index
 			for cc.chains[t].n >= cc.dev.Capacity {
@@ -442,8 +414,8 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				}
 			}
 			cc.addOp(isa.Op{
-				Kind: isa.OpMerge, Qubits: cc.qubits1(q), Trap: t, End: hop.EnterEnd, GateIndex: gi,
-			}, true)
+				Kind: isa.OpMerge, Trap: int32(t), End: hop.EnterEnd, GateIndex: int32(gi),
+			}, true, q)
 			cc.insertIntoChain(q, t, hop.EnterEnd)
 			if t != dst {
 				// Pass-through: reposition to the far end and split back
@@ -451,8 +423,8 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				exit := hop.EnterEnd.Opposite()
 				cc.reorderToEnd(q, t, exit, gi)
 				cc.addOp(isa.Op{
-					Kind: isa.OpSplit, Qubits: cc.qubits1(q), Trap: t, End: exit, GateIndex: gi,
-				}, true)
+					Kind: isa.OpSplit, Trap: int32(t), End: exit, GateIndex: int32(gi),
+				}, true, q)
 				cc.removeFromChain(q, t)
 			}
 		}
@@ -520,8 +492,8 @@ func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
 	case models.GS:
 		other := ch.at(target)
 		cc.addOp(isa.Op{
-			Kind: isa.OpSwapGS, Qubits: cc.qubits2(q, other), Trap: t, GateIndex: gi,
-		}, true)
+			Kind: isa.OpSwapGS, Trap: int32(t), GateIndex: int32(gi),
+		}, true, q, other)
 		cc.swapInChain(t, q, other)
 	case models.IS:
 		step := 1
@@ -531,8 +503,8 @@ func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
 		for p := pos; p != target; p += step {
 			neighbor := ch.at(p + step)
 			cc.addOp(isa.Op{
-				Kind: isa.OpIonSwap, Qubits: cc.qubits2(q, neighbor), Trap: t, GateIndex: gi,
-			}, true)
+				Kind: isa.OpIonSwap, Trap: int32(t), GateIndex: int32(gi),
+			}, true, q, neighbor)
 			cc.swapInChain(t, q, neighbor)
 		}
 	}
@@ -585,60 +557,61 @@ func (cc *compilation) insertIntoChain(q, t int, end device.End) {
 	cc.qSlot[q] = slot
 }
 
-// addOp finalizes an op: assigns its ID, derives its dependencies, updates
-// the per-qubit and per-trap bookkeeping, and appends it.
+// addOp finalizes an op on the given operand qubits: assigns its ID,
+// derives its dependencies, updates the per-qubit and per-trap
+// bookkeeping, and appends it.
 //
 // An op has at most three dependency sources (two operand qubits plus its
 // trap's structural predecessor), so dedup runs over a three-entry
-// scratch and emits an already-sorted arena-backed slice — no map, no
+// scratch and stores an already-sorted list inline in the op — no map, no
 // per-op allocation.
-func (cc *compilation) addOp(op isa.Op, structural bool) int {
+func (cc *compilation) addOp(op isa.Op, structural bool, qubits ...int) int {
 	id := len(cc.ops)
-	op.ID = id
+	op.ID = int32(id)
 	if op.Kind != isa.OpMove && op.Kind != isa.OpLinkTransit {
 		op.Segment = -1
 	}
 	if op.Kind != isa.OpJunctionCross {
 		op.Junction = -1
 	}
-	var scratch [3]int
+	var scratch [isa.MaxDeps]int32
 	nd := 0
 	addDep := func(d int) {
 		if d < 0 {
 			return
 		}
 		for i := 0; i < nd; i++ {
-			if scratch[i] == d {
+			if scratch[i] == int32(d) {
 				return
 			}
 		}
-		scratch[nd] = d
+		scratch[nd] = int32(d)
 		nd++
 	}
-	for _, q := range op.Qubits {
+	var operands [isa.MaxQubits]int32
+	for i, q := range qubits {
+		operands[i] = int32(q)
 		addDep(cc.lastOfQubit[q])
 	}
+	op.SetQubits(operands[:len(qubits)]...)
 	if structural {
 		addDep(cc.lastStructure[op.Trap])
 	}
-	if nd > 0 {
-		// Insertion sort over at most three entries.
-		for i := 1; i < nd; i++ {
-			for j := i; j > 0 && scratch[j] < scratch[j-1]; j-- {
-				scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
-			}
+	// Insertion sort over at most three entries.
+	for i := 1; i < nd; i++ {
+		for j := i; j > 0 && scratch[j] < scratch[j-1]; j-- {
+			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
 		}
-		op.Deps = cc.arenaInts(nd)
-		copy(op.Deps, scratch[:nd])
 	}
-	for _, q := range op.Qubits {
+	op.SetDeps(scratch[:nd]...)
+	for _, q := range qubits {
 		cc.lastOfQubit[q] = id
 	}
 	if structural {
 		cc.lastStructure[op.Trap] = id
 	}
 	if op.Kind.Category() == isa.CatCompute && op.GateIndex >= 0 {
-		for _, q := range op.Qubits {
+		for _, q := range qubits {
 			cc.useCounts[q]++
 		}
 	}

@@ -54,57 +54,60 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 		}
 		return -1
 	}
-	for _, op := range p.Ops {
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		trap := int(op.Trap)
+		qs := op.Qubits()
 		switch op.Kind {
 		case isa.OpSplit:
-			q := op.Qubits[0]
-			chain := chains[op.Trap]
+			q := int(qs[0])
+			chain := chains[trap]
 			want := 0
 			if op.End == device.Right {
 				want = len(chain) - 1
 			}
-			if pos(q, op.Trap) != want {
-				t.Fatalf("op %d: split q%d not at %s end of T%d (%v)", op.ID, q, op.End, op.Trap, chain)
+			if pos(q, trap) != want {
+				t.Fatalf("op %d: split q%d not at %s end of T%d (%v)", op.ID, q, op.End, trap, chain)
 			}
 			if op.End == device.Left {
-				chains[op.Trap] = chain[1:]
+				chains[trap] = chain[1:]
 			} else {
-				chains[op.Trap] = chain[:len(chain)-1]
+				chains[trap] = chain[:len(chain)-1]
 			}
 			delete(trapOf, q)
 		case isa.OpMerge:
-			q := op.Qubits[0]
-			if len(chains[op.Trap]) >= d.Capacity {
-				t.Fatalf("op %d: merge overflows trap %d (cap %d)", op.ID, op.Trap, d.Capacity)
+			q := int(qs[0])
+			if len(chains[trap]) >= d.Capacity {
+				t.Fatalf("op %d: merge overflows trap %d (cap %d)", op.ID, trap, d.Capacity)
 			}
 			if op.End == device.Left {
-				chains[op.Trap] = append([]int{q}, chains[op.Trap]...)
+				chains[trap] = append([]int{q}, chains[trap]...)
 			} else {
-				chains[op.Trap] = append(append([]int(nil), chains[op.Trap]...), q)
+				chains[trap] = append(append([]int(nil), chains[trap]...), q)
 			}
-			trapOf[q] = op.Trap
+			trapOf[q] = trap
 		case isa.OpSwapGS:
-			a, b := op.Qubits[0], op.Qubits[1]
-			pa, pb := pos(a, op.Trap), pos(b, op.Trap)
+			a, b := int(qs[0]), int(qs[1])
+			pa, pb := pos(a, trap), pos(b, trap)
 			if pa < 0 || pb < 0 {
-				t.Fatalf("op %d: swapgs operands not co-located in T%d", op.ID, op.Trap)
+				t.Fatalf("op %d: swapgs operands not co-located in T%d", op.ID, trap)
 			}
-			chains[op.Trap][pa], chains[op.Trap][pb] = chains[op.Trap][pb], chains[op.Trap][pa]
+			chains[trap][pa], chains[trap][pb] = chains[trap][pb], chains[trap][pa]
 		case isa.OpIonSwap:
-			a, b := op.Qubits[0], op.Qubits[1]
-			pa, pb := pos(a, op.Trap), pos(b, op.Trap)
+			a, b := int(qs[0]), int(qs[1])
+			pa, pb := pos(a, trap), pos(b, trap)
 			if pa < 0 || pb < 0 || pa-pb != 1 && pb-pa != 1 {
-				t.Fatalf("op %d: ionswap operands not adjacent in T%d (%d,%d)", op.ID, pa, pb, op.Trap)
+				t.Fatalf("op %d: ionswap operands not adjacent in T%d (%d,%d)", op.ID, pa, pb, trap)
 			}
-			chains[op.Trap][pa], chains[op.Trap][pb] = chains[op.Trap][pb], chains[op.Trap][pa]
+			chains[trap][pa], chains[trap][pb] = chains[trap][pb], chains[trap][pa]
 		case isa.OpGate2:
-			a, b := op.Qubits[0], op.Qubits[1]
-			if trapOf[a] != op.Trap || trapOf[b] != op.Trap {
-				t.Fatalf("op %d: gate2 operands q%d,q%d not in trap %d", op.ID, a, b, op.Trap)
+			a, b := int(qs[0]), int(qs[1])
+			if trapOf[a] != trap || trapOf[b] != trap {
+				t.Fatalf("op %d: gate2 operands q%d,q%d not in trap %d", op.ID, a, b, trap)
 			}
 		case isa.OpGate1, isa.OpMeasure:
-			if trapOf[op.Qubits[0]] != op.Trap {
-				t.Fatalf("op %d: %s qubit not in trap %d", op.ID, op.Kind, op.Trap)
+			if trapOf[int(qs[0])] != trap {
+				t.Fatalf("op %d: %s qubit not in trap %d", op.ID, op.Kind, trap)
 			}
 		}
 	}

@@ -59,10 +59,13 @@ type State interface {
 }
 
 // GateOrderPolicy decides the gate issue order. NewSchedule is called once
-// per compilation; the returned schedule owns its dependency bookkeeping.
+// per compilation; the returned schedule owns its dependency bookkeeping,
+// so a policy that needs the dependency DAG builds it (circuit.BuildDAG)
+// and one that does not, like the baseline's program order, pays nothing.
 type GateOrderPolicy interface {
-	// NewSchedule starts a traversal of the circuit's dependency DAG.
-	NewSchedule(c *circuit.Circuit, dag *circuit.DAG, st State) GateSchedule
+	// NewSchedule starts a traversal of the circuit's gates in an order
+	// that respects their dependencies.
+	NewSchedule(c *circuit.Circuit, st State) GateSchedule
 }
 
 // GateSchedule yields gate indices in a topological execution order, one

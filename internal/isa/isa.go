@@ -4,6 +4,15 @@
 // reordering primitives (gate-based SWAP and physical ion swap). A Program
 // is an executable: an initial qubit layout plus a dependency-annotated
 // operation list that the simulator schedules onto device resources.
+//
+// An Op is a fixed-size 56-byte record with no pointers: its operands
+// (at most two qubits) and its dependencies (at most three earlier ops)
+// are held inline, and IDs, gate indices, resources and qubits are
+// 32-bit. A
+// program of hundreds of thousands of ops is then one flat allocation
+// that the garbage collector never scans. The 32-bit fields bound a
+// program below 2^31 ops and qubits, far beyond any that fits in memory:
+// 2^31 ops would take more than 100 GiB.
 package isa
 
 import (
@@ -98,32 +107,67 @@ func (k OpKind) Category() Category {
 	}
 }
 
+// MaxQubits and MaxDeps bound an op's inline operand and dependency
+// lists. The compiler never needs more: an op names at most two qubits,
+// and it depends on the previous op of each operand plus, for a
+// structural op, its trap's previous structural op.
+const (
+	MaxQubits = 2
+	MaxDeps   = 3
+)
+
 // Op is one primitive instruction. Unused resource fields hold -1.
 type Op struct {
 	// ID is the op's index in Program.Ops; also its scheduling priority.
-	ID int
+	ID int32
+	// GateIndex is the IR gate index this op realizes, or -1 for
+	// compiler-inserted communication ops.
+	GateIndex int32
+	// Trap is the trap operated on, for all kinds except move/junction.
+	Trap int32
+	// Segment is the segment traversed by a move.
+	Segment int32
+	// Junction is the junction crossed by a junction-cross.
+	Junction int32
+	// qubits and deps back Qubits and Deps; nQubits and nDeps are their
+	// lengths.
+	qubits [MaxQubits]int32
+	deps   [MaxDeps]int32
+	// Param is the IR gate parameter.
+	Param float64
 	// Kind selects the primitive.
 	Kind OpKind
-	// Qubits are the program qubits involved (two for gate2/swap kinds).
-	Qubits []int
-	// Trap is the trap operated on, for all kinds except move/junction.
-	Trap int
-	// Segment is the segment traversed by a move.
-	Segment int
-	// Junction is the junction crossed by a junction-cross.
-	Junction int
 	// End is the chain end for split/merge.
 	End device.End
 	// Gate carries the original IR gate kind for gate1/gate2/measure.
-	Gate circuit.Kind
-	// Param is the IR gate parameter.
-	Param float64
-	// GateIndex is the IR gate index this op realizes, or -1 for
-	// compiler-inserted communication ops.
-	GateIndex int
-	// Deps lists op IDs that must complete before this op starts. All
-	// deps reference earlier IDs.
-	Deps []int
+	Gate    circuit.Kind
+	nQubits uint8
+	nDeps   uint8
+}
+
+// Qubits returns the program qubits involved (two for gate2/swap kinds).
+// The slice aliases the op: it is valid while the op is, and writes
+// through it change the op.
+func (o *Op) Qubits() []int32 { return o.qubits[:o.nQubits] }
+
+// Deps returns the op IDs that must complete before this op starts. All
+// deps reference earlier IDs. The slice aliases the op, like Qubits.
+func (o *Op) Deps() []int32 { return o.deps[:o.nDeps] }
+
+// SetQubits replaces the op's operands. It panics on more than MaxQubits.
+func (o *Op) SetQubits(qs ...int32) {
+	if len(qs) > MaxQubits {
+		panic(fmt.Sprintf("isa: op %d: %d qubits, at most %d fit", o.ID, len(qs), MaxQubits))
+	}
+	o.nQubits = uint8(copy(o.qubits[:], qs))
+}
+
+// SetDeps replaces the op's dependencies. It panics on more than MaxDeps.
+func (o *Op) SetDeps(ds ...int32) {
+	if len(ds) > MaxDeps {
+		panic(fmt.Sprintf("isa: op %d: %d deps, at most %d fit", o.ID, len(ds), MaxDeps))
+	}
+	o.nDeps = uint8(copy(o.deps[:], ds))
 }
 
 // String renders one op, e.g. "12: gate2 cx q5,q9 @T2 <- [10 11]".
@@ -133,7 +177,7 @@ func (o Op) String() string {
 	if o.Kind == OpGate1 || o.Kind == OpGate2 || o.Kind == OpMeasure {
 		fmt.Fprintf(&b, " %s", o.Gate)
 	}
-	for i, q := range o.Qubits {
+	for i, q := range o.Qubits() {
 		if i == 0 {
 			b.WriteByte(' ')
 		} else {
@@ -151,8 +195,8 @@ func (o Op) String() string {
 	default:
 		fmt.Fprintf(&b, " @T%d", o.Trap)
 	}
-	if len(o.Deps) > 0 {
-		fmt.Fprintf(&b, " <- %v", o.Deps)
+	if deps := o.Deps(); len(deps) > 0 {
+		fmt.Fprintf(&b, " <- %v", deps)
 	}
 	return b.String()
 }
@@ -175,8 +219,8 @@ type Program struct {
 // CountKind returns the number of ops of kind k.
 func (p *Program) CountKind(k OpKind) int {
 	n := 0
-	for _, op := range p.Ops {
-		if op.Kind == k {
+	for i := range p.Ops {
+		if p.Ops[i].Kind == k {
 			n++
 		}
 	}
@@ -186,8 +230,8 @@ func (p *Program) CountKind(k OpKind) int {
 // CommOps returns the number of communication-category ops.
 func (p *Program) CommOps() int {
 	n := 0
-	for _, op := range p.Ops {
-		if op.Kind.Category() == CatComm {
+	for i := range p.Ops {
+		if p.Ops[i].Kind.Category() == CatComm {
 			n++
 		}
 	}
@@ -215,17 +259,18 @@ func (p *Program) Validate() error {
 	if nPlaced != p.NumQubits {
 		return fmt.Errorf("isa: layout places %d of %d qubits", nPlaced, p.NumQubits)
 	}
-	for i, op := range p.Ops {
-		if op.ID != i {
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if int(op.ID) != i {
 			return fmt.Errorf("isa: op %d has ID %d", i, op.ID)
 		}
-		for _, d := range op.Deps {
-			if d < 0 || d >= i {
+		for _, d := range op.Deps() {
+			if d < 0 || int(d) >= i {
 				return fmt.Errorf("isa: op %d depends on non-earlier op %d", i, d)
 			}
 		}
-		for _, q := range op.Qubits {
-			if q < 0 || q >= p.NumQubits {
+		for _, q := range op.Qubits() {
+			if q < 0 || int(q) >= p.NumQubits {
 				return fmt.Errorf("isa: op %d qubit %d out of range", i, q)
 			}
 		}
@@ -234,8 +279,8 @@ func (p *Program) Validate() error {
 		case OpGate2, OpSwapGS, OpIonSwap:
 			wantQubits = 2
 		}
-		if len(op.Qubits) != wantQubits {
-			return fmt.Errorf("isa: op %d (%s) has %d qubits, want %d", i, op.Kind, len(op.Qubits), wantQubits)
+		if len(op.Qubits()) != wantQubits {
+			return fmt.Errorf("isa: op %d (%s) has %d qubits, want %d", i, op.Kind, len(op.Qubits()), wantQubits)
 		}
 		switch op.Kind {
 		case OpMove, OpLinkTransit:
@@ -263,8 +308,8 @@ func (p *Program) String() string {
 	for t, chain := range p.InitialLayout {
 		fmt.Fprintf(&b, "  T%d: %v\n", t, chain)
 	}
-	for _, op := range p.Ops {
-		fmt.Fprintf(&b, "  %s\n", op)
+	for i := range p.Ops {
+		fmt.Fprintf(&b, "  %s\n", &p.Ops[i])
 	}
 	return b.String()
 }

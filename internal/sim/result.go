@@ -134,10 +134,13 @@ func (r *Result) String() string {
 // result assembles the Result after the event loop has drained.
 func (e *engine) result() *Result {
 	r := &Result{
-		Name:               e.prog.Name,
-		DeviceName:         e.prog.DeviceName,
-		LogFidelity:        e.logFidelity,
-		Fidelity:           math.Exp(e.logFidelity),
+		Name:        e.prog.Name,
+		DeviceName:  e.prog.DeviceName,
+		LogFidelity: e.logFidelity,
+		Fidelity:    math.Exp(e.logFidelity),
+		// Completions pop in time order, so the final clock is the
+		// makespan.
+		TotalTime:          e.now,
 		MSGates:            e.msGates,
 		OneQGates:          e.oneQGates,
 		Measurements:       e.measures,
@@ -145,10 +148,10 @@ func (e *engine) result() *Result {
 		MaxMotionalPerTrap: e.tracker.MaxEnergyPerTrap(),
 		BusyCompute:        e.categoryBusy[isa.CatCompute],
 		BusyComm:           e.categoryBusy[isa.CatComm],
+		LinkTransits:       e.linkTransits,
+		GSSwaps:            e.gsSwaps,
 	}
 	r.Splits, r.Merges, r.Moves, r.JunctionCrossings, r.IonSwaps = e.tracker.Counts()
-	r.LinkTransits = e.linkTransits
-	r.GSSwaps = e.prog.CountKind(isa.OpSwapGS)
 	if e.msGates > 0 {
 		r.MeanMotionalError = e.sumMotional / float64(e.msGates)
 		r.MeanBackgroundError = e.sumBackground / float64(e.msGates)
@@ -156,74 +159,18 @@ func (e *engine) result() *Result {
 	if e.oneQGates > 0 {
 		r.MeanOneQError = e.sumOneQError / float64(e.oneQGates)
 	}
-	for i := range e.prog.Ops {
-		if e.endTime[i] > r.TotalTime {
-			r.TotalTime = e.endTime[i]
-		}
-		wait := e.startTime[i] - e.readyTime[i]
+	// Summed in op-ID order: a different order would change the sum's
+	// low bits.
+	for i, start := range e.startTime {
+		wait := start - e.readyTime[i]
 		r.TotalWaitTime += wait
 		if wait > r.MaxWaitTime {
 			r.MaxWaitTime = wait
 		}
 	}
-	r.ComputeTime, r.CommTime, r.IdleTime = e.attributeTime(r.TotalTime)
+	// Nothing runs after the last completion, so the rest of the makespan
+	// (if any) is idle.
+	e.advance()
+	r.ComputeTime, r.CommTime, r.IdleTime = e.computeT, e.commT, e.idleT
 	return r
-}
-
-// attributeTime sweeps op intervals, attributing each instant to compute
-// when any compute op is live, else to communication when any comm op is
-// live, else to idle. The engine records op start and completion order
-// during the run, and the event-loop clock never runs backwards, so both
-// sequences are already time-sorted: the sweep is a linear merge of the
-// two, with no sorting or boundary materialization.
-func (e *engine) attributeTime(makespan float64) (compute, comm, idle float64) {
-	var activeCompute, activeComm int
-	prev := 0.0
-	advance := func(t float64) {
-		if t > prev {
-			dt := t - prev
-			switch {
-			case activeCompute > 0:
-				compute += dt
-			case activeComm > 0:
-				comm += dt
-			default:
-				idle += dt
-			}
-			prev = t
-		}
-	}
-	si, ei := 0, 0
-	for si < len(e.startOrder) || ei < len(e.endOrder) {
-		takeStart := ei >= len(e.endOrder)
-		if !takeStart && si < len(e.startOrder) {
-			takeStart = e.startTime[e.startOrder[si]] <= e.endTime[e.endOrder[ei]]
-		}
-		var op int
-		var delta int
-		var t float64
-		if takeStart {
-			op = int(e.startOrder[si])
-			si++
-			t, delta = e.startTime[op], +1
-		} else {
-			op = int(e.endOrder[ei])
-			ei++
-			t, delta = e.endTime[op], -1
-		}
-		// Zero-duration and never-started ops carry no attributable time.
-		if e.startTime[op] < 0 || e.endTime[op] <= e.startTime[op] {
-			continue
-		}
-		advance(t)
-		if e.prog.Ops[op].Kind.Category() == isa.CatCompute {
-			activeCompute += delta
-		} else {
-			activeComm += delta
-		}
-	}
-	if makespan > prev {
-		idle += makespan - prev
-	}
-	return compute, comm, idle
 }

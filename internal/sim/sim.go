@@ -16,6 +16,11 @@
 // chains; the event queue and per-resource wait queues are typed binary
 // heaps over preallocated storage; and all per-run state is sized off the
 // program up front, so the event loop allocates nothing in steady state.
+//
+// Accounting is online: counts, fidelity terms and the compute/comm/idle
+// attribution of the makespan are all updated as ops start and complete,
+// so assembling the Result walks no op list. The only post-run pass sums
+// the per-op queueing delays, in op-ID order, over two float arrays.
 package sim
 
 import (
@@ -30,6 +35,17 @@ import (
 
 // Run simulates program p on device d under physical parameters params.
 func Run(p *isa.Program, d *device.Device, params models.Params) (*Result, error) {
+	e, err := simulate(p, d, params)
+	if err != nil {
+		return nil, err
+	}
+	return e.result(), nil
+}
+
+// simulate checks the inputs and runs the engine to completion. It is the
+// one path into the engine for Run and RunTraced, so a check added here
+// guards both.
+func simulate(p *isa.Program, d *device.Device, params models.Params) (*engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -47,7 +63,7 @@ func Run(p *isa.Program, d *device.Device, params models.Params) (*Result, error
 	if err := e.run(); err != nil {
 		return nil, err
 	}
-	return e.result(), nil
+	return e, nil
 }
 
 // chain is the live state of one trap's ion chain: a fixed-capacity ring
@@ -113,14 +129,17 @@ type engine struct {
 	startTime []float64
 	endTime   []float64
 	readyTime []float64 // when deps completed (resource-queue entry time)
-	// startOrder and endOrder record op IDs in the order they started and
-	// completed. The event loop's clock never runs backwards, so both are
-	// sorted by time — attributeTime merges them instead of sorting.
-	startOrder []int32
-	endOrder   []int32
+
+	// live counts the running ops of positive length per category, and
+	// attributed is the clock up to which the makespan has been split
+	// into compute, comm and idle time (see account).
+	live                   [2]int
+	attributed             float64
+	computeT, commT, idleT float64
 
 	logFidelity   float64
 	linkTransits  int
+	gsSwaps       int
 	msGates       int
 	sumMotional   float64
 	sumBackground float64
@@ -133,21 +152,19 @@ type engine struct {
 func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 	nOps := len(p.Ops)
 	e := &engine{
-		prog:       p,
-		dev:        d,
-		params:     params,
-		qTrap:      make([]int, p.NumQubits),
-		qSlot:      make([]int, p.NumQubits),
-		transitE:   make([]float64, p.NumQubits),
-		tracker:    heating.NewTracker(d.NumTraps()),
-		depsLeft:   make([]int32, nOps),
-		childOff:   make([]int32, nOps+1),
-		startTime:  make([]float64, nOps),
-		endTime:    make([]float64, nOps),
-		readyTime:  make([]float64, nOps),
-		startOrder: make([]int32, 0, nOps),
-		endOrder:   make([]int32, 0, nOps),
-		events:     make(eventQueue, 0, nOps),
+		prog:      p,
+		dev:       d,
+		params:    params,
+		qTrap:     make([]int, p.NumQubits),
+		qSlot:     make([]int, p.NumQubits),
+		transitE:  make([]float64, p.NumQubits),
+		tracker:   heating.NewTracker(d.NumTraps()),
+		depsLeft:  make([]int32, nOps),
+		childOff:  make([]int32, nOps+1),
+		startTime: make([]float64, nOps),
+		endTime:   make([]float64, nOps),
+		readyTime: make([]float64, nOps),
+		events:    make(eventQueue, 0, nOps),
 	}
 	e.chains = make([]chain, d.NumTraps())
 	for t := range e.chains {
@@ -168,9 +185,9 @@ func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 	// Flatten the dependency graph into a counted adjacency list so waking
 	// dependents allocates nothing.
 	for i := range p.Ops {
-		op := &p.Ops[i]
-		e.depsLeft[i] = int32(len(op.Deps))
-		for _, dep := range op.Deps {
+		deps := p.Ops[i].Deps()
+		e.depsLeft[i] = int32(len(deps))
+		for _, dep := range deps {
 			e.childOff[dep+1]++
 		}
 		e.startTime[i] = -1
@@ -183,7 +200,7 @@ func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 	fill := make([]int32, nOps)
 	copy(fill, e.childOff[:nOps])
 	for i := range p.Ops {
-		for _, dep := range p.Ops[i].Deps {
+		for _, dep := range p.Ops[i].Deps() {
 			e.childList[fill[dep]] = int32(i)
 			fill[dep]++
 		}
@@ -195,11 +212,11 @@ func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 func (e *engine) resourceIndex(op *isa.Op) int {
 	switch op.Kind {
 	case isa.OpMove, isa.OpLinkTransit:
-		return e.dev.NumTraps() + op.Segment
+		return e.dev.NumTraps() + int(op.Segment)
 	case isa.OpJunctionCross:
-		return e.dev.NumTraps() + len(e.dev.Segments) + op.Junction
+		return e.dev.NumTraps() + len(e.dev.Segments) + int(op.Junction)
 	default:
-		return op.Trap
+		return int(op.Trap)
 	}
 }
 
@@ -251,14 +268,47 @@ func (e *engine) start(i int) {
 	res.busy = true
 	res.holder = i
 	e.startTime[i] = e.now
-	e.startOrder = append(e.startOrder, int32(i))
-	dur := e.duration(op)
-	e.events.push(event{time: e.now + dur, op: i})
+	end := e.now + e.duration(op)
+	// Only ops that end after they start carry attributable time; the
+	// completion handler applies the same test to the same two clocks.
+	if end > e.now {
+		e.account(op.Kind.Category(), +1)
+	}
+	e.events.push(event{time: end, op: i})
+}
+
+// account attributes the time since the last attributed instant to
+// compute when any compute op of positive length is running, else to
+// communication when any comm op is, else to idle (Figure 6b), then adds
+// delta to category cat's running count. The event loop's clock never
+// runs backwards, so calling it at every start and completion of a
+// positive-length op splits the makespan exactly as a sweep over the
+// sorted op intervals would, adding the same intervals in the same order.
+func (e *engine) account(cat isa.Category, delta int) {
+	e.advance()
+	e.live[cat] += delta
+}
+
+// advance attributes [attributed, now) by the running counts.
+func (e *engine) advance() {
+	if e.now <= e.attributed {
+		return
+	}
+	dt := e.now - e.attributed
+	switch {
+	case e.live[isa.CatCompute] > 0:
+		e.computeT += dt
+	case e.live[isa.CatComm] > 0:
+		e.commT += dt
+	default:
+		e.idleT += dt
+	}
+	e.attributed = e.now
 }
 
 // duration evaluates the §VII.A / Table I time models against live state.
 func (e *engine) duration(op *isa.Op) float64 {
-	p := e.params
+	p := &e.params
 	switch op.Kind {
 	case isa.OpGate1:
 		return p.OneQubitTime
@@ -266,11 +316,11 @@ func (e *engine) duration(op *isa.Op) float64 {
 		return p.MeasureTime
 	case isa.OpGate2:
 		c := &e.chains[op.Trap]
-		d := e.gateDistance(c, op)
+		d := e.gateDistance(op)
 		return p.TwoQubitTime(d, c.n)
 	case isa.OpSwapGS:
 		c := &e.chains[op.Trap]
-		d := e.gateDistance(c, op)
+		d := e.gateDistance(op)
 		return float64(p.SwapMSGates)*p.TwoQubitTime(d, c.n) +
 			float64(p.SwapOneQGates)*p.OneQubitTime
 	case isa.OpIonSwap:
@@ -292,17 +342,18 @@ func (e *engine) duration(op *isa.Op) float64 {
 }
 
 // positionIn returns q's chain position in trap t, or -1 if not resident.
-func (e *engine) positionIn(q, t int) int {
-	if e.qTrap[q] != t {
+func (e *engine) positionIn(q, t int32) int {
+	if e.qTrap[q] != int(t) {
 		return -1
 	}
 	return e.chains[t].posOf(e.qSlot[q])
 }
 
 // gateDistance returns the in-chain position separation of a 2-qubit op.
-func (e *engine) gateDistance(c *chain, op *isa.Op) int {
-	pa := e.positionIn(op.Qubits[0], op.Trap)
-	pb := e.positionIn(op.Qubits[1], op.Trap)
+func (e *engine) gateDistance(op *isa.Op) int {
+	qs := op.Qubits()
+	pa := e.positionIn(qs[0], op.Trap)
+	pb := e.positionIn(qs[1], op.Trap)
 	if pa < 0 || pb < 0 {
 		// Recorded as an invariant violation by the completion handler.
 		return 1
@@ -318,12 +369,15 @@ func (e *engine) gateDistance(c *chain, op *isa.Op) int {
 func (e *engine) complete(i int) error {
 	op := &e.prog.Ops[i]
 	e.endTime[i] = e.now
-	e.endOrder = append(e.endOrder, int32(i))
 	if err := e.apply(op); err != nil {
 		return fmt.Errorf("sim: op %s at t=%.1fµs: %w", op, e.now, err)
 	}
 	e.done++
-	e.categoryBusy[op.Kind.Category()] += e.endTime[i] - e.startTime[i]
+	cat := op.Kind.Category()
+	e.categoryBusy[cat] += e.endTime[i] - e.startTime[i]
+	if e.endTime[i] > e.startTime[i] {
+		e.account(cat, -1)
+	}
 
 	res := &e.resources[e.resourceIndex(op)]
 	res.busy = false
@@ -341,14 +395,14 @@ func (e *engine) complete(i int) error {
 }
 
 // swapInChain exchanges the chain slots of two resident qubits.
-func (e *engine) swapInChain(c *chain, a, b int) {
+func (e *engine) swapInChain(c *chain, a, b int32) {
 	sa, sb := e.qSlot[a], e.qSlot[b]
-	c.buf[sa], c.buf[sb] = b, a
+	c.buf[sa], c.buf[sb] = int(b), int(a)
 	e.qSlot[a], e.qSlot[b] = sb, sa
 }
 
 // detach removes qubit q from an end of its chain, putting it in transit.
-func (e *engine) detach(c *chain, q int, left bool) {
+func (e *engine) detach(c *chain, q int32, left bool) {
 	if left {
 		c.head = c.slotAt(1)
 	}
@@ -357,7 +411,7 @@ func (e *engine) detach(c *chain, q int, left bool) {
 }
 
 // attach inserts in-transit qubit q at an end of trap t's chain.
-func (e *engine) attach(c *chain, q, t int, left bool) {
+func (e *engine) attach(c *chain, q, t int32, left bool) {
 	var slot int
 	if left {
 		slot = c.head - 1
@@ -368,19 +422,21 @@ func (e *engine) attach(c *chain, q, t int, left bool) {
 	} else {
 		slot = c.slotAt(c.n)
 	}
-	c.buf[slot] = q
+	c.buf[slot] = int(q)
 	c.n++
-	e.qTrap[q] = t
+	e.qTrap[q] = int(t)
 	e.qSlot[q] = slot
 }
 
 // apply mutates machine state and fidelity accounting for a finished op.
 func (e *engine) apply(op *isa.Op) error {
-	p := e.params
+	p := &e.params
+	t := int(op.Trap)
+	qs := op.Qubits()
 	switch op.Kind {
 	case isa.OpGate1:
-		c := &e.chains[op.Trap]
-		if e.qTrap[op.Qubits[0]] != op.Trap {
+		c := &e.chains[t]
+		if e.qTrap[qs[0]] != t {
 			return fmt.Errorf("qubit not in trap")
 		}
 		terms := p.OneQubitError(c.nbar())
@@ -389,41 +445,43 @@ func (e *engine) apply(op *isa.Op) error {
 		e.logFidelity += math.Log(terms.Fidelity())
 
 	case isa.OpMeasure:
-		if e.qTrap[op.Qubits[0]] != op.Trap {
+		if e.qTrap[qs[0]] != t {
 			return fmt.Errorf("qubit not in trap")
 		}
 		e.measures++
 		e.logFidelity += math.Log(p.MeasureFidelity)
 
 	case isa.OpGate2:
-		c := &e.chains[op.Trap]
-		if e.qTrap[op.Qubits[0]] != op.Trap || e.qTrap[op.Qubits[1]] != op.Trap {
+		c := &e.chains[t]
+		if e.qTrap[qs[0]] != t || e.qTrap[qs[1]] != t {
 			return fmt.Errorf("gate operands not co-located")
 		}
-		d := e.gateDistance(c, op)
+		d := e.gateDistance(op)
 		tau := p.TwoQubitTime(d, c.n)
 		e.recordMS(p.TwoQubitError(tau, c.n, c.nbar()), 1)
 
 	case isa.OpSwapGS:
-		c := &e.chains[op.Trap]
-		a, b := op.Qubits[0], op.Qubits[1]
-		if e.qTrap[a] != op.Trap || e.qTrap[b] != op.Trap {
+		c := &e.chains[t]
+		a, b := qs[0], qs[1]
+		if e.qTrap[a] != t || e.qTrap[b] != t {
 			return fmt.Errorf("swap operands not co-located")
 		}
-		d := e.gateDistance(c, op)
+		d := e.gateDistance(op)
 		tau := p.TwoQubitTime(d, c.n)
 		e.recordMS(p.TwoQubitError(tau, c.n, c.nbar()), p.SwapMSGates)
 		one := p.OneQubitError(c.nbar())
+		oneErr, oneLog := one.Error(), math.Log(one.Fidelity())
 		for k := 0; k < p.SwapOneQGates; k++ {
 			e.oneQGates++
-			e.sumOneQError += one.Error()
-			e.logFidelity += math.Log(one.Fidelity())
+			e.sumOneQError += oneErr
+			e.logFidelity += oneLog
 		}
 		e.swapInChain(c, a, b)
+		e.gsSwaps++
 
 	case isa.OpIonSwap:
-		c := &e.chains[op.Trap]
-		a, b := op.Qubits[0], op.Qubits[1]
+		c := &e.chains[t]
+		a, b := qs[0], qs[1]
 		pa, pb := e.positionIn(a, op.Trap), e.positionIn(b, op.Trap)
 		if pa < 0 || pb < 0 {
 			return fmt.Errorf("ion-swap operands not co-located")
@@ -434,19 +492,19 @@ func (e *engine) apply(op *isa.Op) error {
 		c.energy = heating.IonSwapHop(c.energy, p.K1)
 		e.swapInChain(c, a, b)
 		e.tracker.CountIonSwap()
-		e.tracker.Observe(op.Trap, c.energy)
+		e.tracker.Observe(t, c.energy)
 
 	case isa.OpSplit:
-		c := &e.chains[op.Trap]
-		q := op.Qubits[0]
+		c := &e.chains[t]
+		q := qs[0]
 		n := c.n
 		if n == 0 {
 			return fmt.Errorf("split from empty trap")
 		}
-		atLeft := c.buf[c.head] == q && e.qTrap[q] == op.Trap
-		atRight := c.buf[c.slotAt(n-1)] == q && e.qTrap[q] == op.Trap
+		atLeft := c.buf[c.head] == int(q) && e.qTrap[q] == t
+		atRight := c.buf[c.slotAt(n-1)] == int(q) && e.qTrap[q] == t
 		if op.End == device.Left && !atLeft || op.End == device.Right && !atRight {
-			return fmt.Errorf("split qubit q%d not at %s end of trap %d", q, op.End, op.Trap)
+			return fmt.Errorf("split qubit q%d not at %s end of trap %d", q, op.End, t)
 		}
 		if n == 1 {
 			// Departing ion empties the trap; it carries the chain energy
@@ -460,11 +518,11 @@ func (e *engine) apply(op *isa.Op) error {
 		}
 		e.detach(c, q, op.End == device.Left)
 		e.tracker.CountSplit()
-		e.tracker.Observe(op.Trap, c.energy)
+		e.tracker.Observe(t, c.energy)
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpMove:
-		q := op.Qubits[0]
+		q := qs[0]
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("move of qubit q%d that is not in transit", q)
 		}
@@ -473,7 +531,7 @@ func (e *engine) apply(op *isa.Op) error {
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpLinkTransit:
-		q := op.Qubits[0]
+		q := qs[0]
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("link transit of qubit q%d that is not in transit", q)
 		}
@@ -486,7 +544,7 @@ func (e *engine) apply(op *isa.Op) error {
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpJunctionCross:
-		q := op.Qubits[0]
+		q := qs[0]
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("junction crossing of qubit q%d not in transit", q)
 		}
@@ -495,18 +553,18 @@ func (e *engine) apply(op *isa.Op) error {
 		e.tracker.ObserveTransit(e.transitE[q])
 
 	case isa.OpMerge:
-		c := &e.chains[op.Trap]
-		q := op.Qubits[0]
+		c := &e.chains[t]
+		q := qs[0]
 		if e.qTrap[q] != -1 {
 			return fmt.Errorf("merge of qubit q%d that is not in transit", q)
 		}
 		if c.n >= e.dev.Capacity {
-			return fmt.Errorf("merge overflows trap %d (cap %d)", op.Trap, e.dev.Capacity)
+			return fmt.Errorf("merge overflows trap %d (cap %d)", t, e.dev.Capacity)
 		}
 		c.energy = heating.Merge(c.energy, e.transitE[q], p.K1)
 		e.attach(c, q, op.Trap, op.End == device.Left)
 		e.tracker.CountMerge()
-		e.tracker.Observe(op.Trap, c.energy)
+		e.tracker.Observe(t, c.energy)
 
 	default:
 		return fmt.Errorf("unknown op kind %s", op.Kind)
@@ -515,12 +573,15 @@ func (e *engine) apply(op *isa.Op) error {
 }
 
 // recordMS accounts count MS-gate executions with identical error terms.
+// The log is taken once: adding one value count times gives the same bits
+// as adding count equal logs.
 func (e *engine) recordMS(terms models.ErrorTerms, count int) {
+	logF := math.Log(terms.Fidelity())
 	for k := 0; k < count; k++ {
 		e.msGates++
 		e.sumMotional += terms.Motional
 		e.sumBackground += terms.Background
-		e.logFidelity += math.Log(terms.Fidelity())
+		e.logFidelity += logF
 	}
 }
 

@@ -264,31 +264,68 @@ func TestDeterministicSimulation(t *testing.T) {
 	}
 }
 
+// withOperands returns o with the given operands and dependencies.
+func withOperands(o isa.Op, qubits []int32, deps ...int32) isa.Op {
+	o.SetQubits(qubits...)
+	o.SetDeps(deps...)
+	return o
+}
+
 func TestRunRejectsCorruptProgram(t *testing.T) {
 	d, _ := device.NewLinear(2, 4)
 	params := models.Default()
-
-	// Invalid program: bad dep.
-	p := &isa.Program{
-		Name: "bad", NumQubits: 1, DeviceName: "L2",
+	valid := &isa.Program{
+		Name: "ok", NumQubits: 1, DeviceName: "L2",
 		InitialLayout: [][]int{{0}, {}},
-		Ops: []isa.Op{{
-			ID: 0, Kind: isa.OpGate1, Qubits: []int{0}, Trap: 0,
-			Gate: circuit.GateH, Deps: []int{3}, Segment: -1, Junction: -1,
+	}
+	badParams := params
+	badParams.OneQubitTime = 0
+	badDevice := *d
+	badDevice.Capacity = 1
+
+	cases := []struct {
+		name   string
+		prog   *isa.Program
+		dev    *device.Device
+		params models.Params
+	}{
+		{"invalid deps", &isa.Program{
+			Name: "bad", NumQubits: 1, DeviceName: "L2",
+			InitialLayout: [][]int{{0}, {}},
+			Ops: []isa.Op{withOperands(isa.Op{
+				ID: 0, Kind: isa.OpGate1, Trap: 0,
+				Gate: circuit.GateH, Segment: -1, Junction: -1,
+			}, []int32{0}, 3)},
+		}, d, params},
+		{"layout/device mismatch", &isa.Program{
+			Name: "bad2", NumQubits: 1, DeviceName: "L9",
+			InitialLayout: [][]int{{0}},
+		}, d, params},
+		{"invalid params", valid, d, badParams},
+		{"invalid device", valid, &badDevice, params},
+	}
+	entries := []struct {
+		name string
+		run  func(*isa.Program, *device.Device, models.Params) error
+	}{
+		{"Run", func(p *isa.Program, d *device.Device, params models.Params) error {
+			_, err := Run(p, d, params)
+			return err
+		}},
+		{"RunTraced", func(p *isa.Program, d *device.Device, params models.Params) error {
+			_, _, err := RunTraced(p, d, params)
+			return err
 		}},
 	}
-	if _, err := Run(p, d, params); err == nil {
-		t.Error("invalid deps should fail")
-	}
-
-	// Valid structure, wrong trap count.
-	p2 := &isa.Program{
-		Name: "bad2", NumQubits: 1, DeviceName: "L9",
-		InitialLayout: [][]int{{0}},
-		Ops:           nil,
-	}
-	if _, err := Run(p2, d, params); err == nil {
-		t.Error("layout/device mismatch should fail")
+	for _, entry := range entries {
+		if err := entry.run(valid, d, params); err != nil {
+			t.Fatalf("%s rejects the valid baseline program: %v", entry.name, err)
+		}
+		for _, c := range cases {
+			if err := entry.run(c.prog, c.dev, c.params); err == nil {
+				t.Errorf("%s: %s should fail", entry.name, c.name)
+			}
+		}
 	}
 }
 
@@ -299,10 +336,10 @@ func TestRunDetectsInvariantViolation(t *testing.T) {
 	p := &isa.Program{
 		Name: "viol", NumQubits: 3, DeviceName: "L2",
 		InitialLayout: [][]int{{0, 1, 2}, {}},
-		Ops: []isa.Op{{
-			ID: 0, Kind: isa.OpSplit, Qubits: []int{1}, Trap: 0,
+		Ops: []isa.Op{withOperands(isa.Op{
+			ID: 0, Kind: isa.OpSplit, Trap: 0,
 			End: device.Left, Segment: -1, Junction: -1, GateIndex: -1,
-		}},
+		}, []int32{1})},
 	}
 	_, err := Run(p, d, models.Default())
 	if err == nil || !strings.Contains(err.Error(), "split") {
@@ -316,9 +353,9 @@ func TestRunDetectsMergeOverflow(t *testing.T) {
 		Name: "overflow", NumQubits: 3, DeviceName: "L2",
 		InitialLayout: [][]int{{0}, {1, 2}},
 		Ops: []isa.Op{
-			{ID: 0, Kind: isa.OpSplit, Qubits: []int{0}, Trap: 0, End: device.Right, Segment: -1, Junction: -1, GateIndex: -1},
-			{ID: 1, Kind: isa.OpMove, Qubits: []int{0}, Trap: -1, Segment: 0, Junction: -1, GateIndex: -1, Deps: []int{0}},
-			{ID: 2, Kind: isa.OpMerge, Qubits: []int{0}, Trap: 1, End: device.Left, Segment: -1, Junction: -1, GateIndex: -1, Deps: []int{1}},
+			withOperands(isa.Op{ID: 0, Kind: isa.OpSplit, Trap: 0, End: device.Right, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}),
+			withOperands(isa.Op{ID: 1, Kind: isa.OpMove, Trap: -1, Segment: 0, Junction: -1, GateIndex: -1}, []int32{0}, 0),
+			withOperands(isa.Op{ID: 2, Kind: isa.OpMerge, Trap: 1, End: device.Left, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}, 1),
 		},
 	}
 	_, err := Run(p, d, models.Default())
@@ -454,21 +491,21 @@ func TestTransitEnergyObserved(t *testing.T) {
 
 	layout := make([][]int, d.NumTraps())
 	layout[src] = []int{0}
-	ops := []isa.Op{{
-		Kind: isa.OpSplit, Qubits: []int{0}, Trap: src, End: route.SrcEnd,
+	ops := []isa.Op{withOperands(isa.Op{
+		Kind: isa.OpSplit, Trap: int32(src), End: route.SrcEnd,
 		Segment: -1, Junction: -1, GateIndex: -1,
-	}}
+	}, []int32{0})}
 	for _, hop := range route.Hops {
-		prev := len(ops) - 1
-		ops = append(ops, isa.Op{
-			ID: len(ops), Kind: isa.OpMove, Qubits: []int{0}, Trap: -1,
-			Segment: hop.Segment, Junction: -1, GateIndex: -1, Deps: []int{prev},
-		})
+		prev := int32(len(ops) - 1)
+		ops = append(ops, withOperands(isa.Op{
+			ID: int32(len(ops)), Kind: isa.OpMove, Trap: -1,
+			Segment: int32(hop.Segment), Junction: -1, GateIndex: -1,
+		}, []int32{0}, prev))
 		if hop.Node.Kind == device.NodeJunction {
-			ops = append(ops, isa.Op{
-				ID: len(ops), Kind: isa.OpJunctionCross, Qubits: []int{0}, Trap: -1,
-				Segment: -1, Junction: hop.Node.Index, GateIndex: -1, Deps: []int{len(ops) - 1},
-			})
+			ops = append(ops, withOperands(isa.Op{
+				ID: int32(len(ops)), Kind: isa.OpJunctionCross, Trap: -1,
+				Segment: -1, Junction: int32(hop.Node.Index), GateIndex: -1,
+			}, []int32{0}, int32(len(ops)-1)))
 		}
 	}
 	// Deliberately no merge: the ion ends the program in transit.

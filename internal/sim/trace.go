@@ -72,21 +72,8 @@ func (tr Trace) Validate() error {
 // RunTraced simulates like Run and additionally returns the execution
 // timeline with per-op queueing delays.
 func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result, Trace, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := params.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-	if len(p.InitialLayout) != d.NumTraps() {
-		return nil, nil, fmt.Errorf("sim: program laid out for %d traps, device %s has %d",
-			len(p.InitialLayout), d.Name, d.NumTraps())
-	}
-	e := newEngine(p, d, params)
-	if err := e.run(); err != nil {
+	e, err := simulate(p, d, params)
+	if err != nil {
 		return nil, nil, err
 	}
 	trace := make(Trace, 0, len(p.Ops))
