@@ -4,11 +4,12 @@
 // multi-module devices. With no selection flags it runs everything. With
 // -csv DIR it additionally writes the raw figure data as CSV files.
 //
-// Every figure runs on one shared toolflow with a content-addressed
-// outcome cache, so design points that recur across figures (Figure 8's
-// grid contains Figure 6 and the L6 half of Figure 7) are computed once.
-// Failed design points render as NaN in the affected series; they are
-// summarized on stderr and make the command exit nonzero.
+// Every study, TITAN's three link-latency calibrations included, runs on
+// one shared toolflow with a content-addressed outcome cache, so design
+// points that recur across studies (Figure 8's grid contains Figure 6 and
+// the L6 half of Figure 7) are computed once. Failed design points render
+// as NaN in the affected series; they are summarized on stderr and make
+// the command exit nonzero.
 //
 // Usage:
 //
@@ -26,6 +27,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/models"
 	"repro/internal/sweep"
@@ -78,7 +80,7 @@ func realMain() int {
 			log.Fatalf("csv dir: %v", err)
 		}
 	}
-	runner := experiments.NewCachedRunner(params, 0)
+	tf := core.NewCached(params, 0)
 
 	if all || *table1 {
 		fmt.Println(experiments.Table1(params))
@@ -92,29 +94,27 @@ func realMain() int {
 	}
 	failed := 0
 	if all || *fig6 {
-		failed += run("fig6", *csvDir, func() (artifact, error) { return experiments.RunFig6With(runner) })
+		failed += run("fig6", *csvDir, func() (artifact, error) { return experiments.RunFig6(tf) })
 	}
 	if all || *fig7 {
-		failed += run("fig7", *csvDir, func() (artifact, error) { return experiments.RunFig7With(runner) })
+		failed += run("fig7", *csvDir, func() (artifact, error) { return experiments.RunFig7(tf) })
 	}
 	if all || *fig8 {
-		failed += run("fig8", *csvDir, func() (artifact, error) { return experiments.RunFig8With(runner) })
+		failed += run("fig8", *csvDir, func() (artifact, error) { return experiments.RunFig8(tf) })
 	}
 	if all || *scaling {
-		failed += run("scaling", *csvDir, func() (artifact, error) { return experiments.RunScalingWith(runner) })
+		failed += run("scaling", *csvDir, func() (artifact, error) { return experiments.RunScaling(tf) })
 	}
 	if all || *qec {
-		failed += run("qec", *csvDir, func() (artifact, error) { return experiments.RunQECWith(runner) })
+		failed += run("qec", *csvDir, func() (artifact, error) { return experiments.RunQEC(tf) })
 	}
 	if all || *policies {
-		failed += run("policies", *csvDir, func() (artifact, error) { return experiments.RunPolicyComparisonWith(runner) })
+		failed += run("policies", *csvDir, func() (artifact, error) { return experiments.RunPolicyComparison(tf) })
 	}
 	if all || *titan {
-		// The link latency is a physical parameter, so the study manages
-		// its own per-latency runners instead of sharing the cached one.
-		failed += run("titan", *csvDir, func() (artifact, error) { return experiments.RunTitan(params) })
+		failed += run("titan", *csvDir, func() (artifact, error) { return experiments.RunTitan(tf) })
 	}
-	if st := runner.CacheStats(); st.Misses > 0 {
+	if st := tf.CacheStats(); st.Misses > 0 {
 		// Misses includes retries of failed points (errors are never
 		// stored), so it only equals the unique point count on clean runs.
 		fmt.Printf("[toolflow cache: %d design points computed, %d reused]\n",
@@ -131,7 +131,7 @@ func realMain() int {
 type artifact interface {
 	Render() string
 	WriteCSV(io.Writer) error
-	Failures() []experiments.Outcome
+	Failures() []core.Outcome
 }
 
 // run renders one study, writes its CSV, summarizes failed design points
@@ -164,9 +164,12 @@ func run(name, csvDir string, f func() (artifact, error)) int {
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
-	defer file.Close()
-	if err := a.WriteCSV(file); err != nil {
-		log.Fatalf("%s csv: %v", name, err)
+	err = a.WriteCSV(file)
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatalf("%s csv: %s: %v", name, path, err)
 	}
 	fmt.Printf("[wrote %s]\n\n", path)
 	return len(fails)

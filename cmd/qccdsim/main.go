@@ -107,9 +107,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer f.Close()
-			if err := trace.WriteCSV(f); err != nil {
-				log.Fatal(err)
+			err = trace.WriteCSV(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				log.Fatalf("%s: %v", *traceOut, err)
 			}
 			fmt.Printf("wrote execution trace to %s (%d ops)\n", *traceOut, len(trace))
 		}

@@ -14,6 +14,7 @@ package qccd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/models"
@@ -275,23 +277,45 @@ func TestPaperSpaceMatchesGoldenGrid(t *testing.T) {
 	}
 }
 
+// refuse is an outcome cache tier that fails every design point without
+// computing it: a study run through it simulates nothing and reports,
+// through Failures, every point it evaluates.
+type refuse struct{}
+
+func (refuse) Do(string, func() (core.Outcome, error)) (core.Outcome, error, bool) {
+	return core.Outcome{}, errors.New("refused"), false
+}
+func (refuse) Get(string) (core.Outcome, bool) { return core.Outcome{}, false }
+func (refuse) Stats() cache.Stats              { return cache.Stats{} }
+
 // TestGoldenGridCoversFigures guards the grid definition itself: every
-// point any figure sweep evaluates must be inside the golden grid, so the
-// determinism pin cannot silently rot when a figure grows.
+// point the Figure 6-8 studies evaluate, and every baseline point of the
+// policy study, must be inside the golden grid, so the determinism pin
+// cannot silently rot when a figure grows. The studies run through
+// refuse, so the points are the ones their own grammars expand to.
 func TestGoldenGridCoversFigures(t *testing.T) {
 	grid := make(map[string]bool)
 	for _, pt := range goldenGrid() {
 		grid[pt.String()] = true
 	}
+	tf := core.NewWithCache(DefaultParams(), refuse{})
 	var figPts []core.Point
-	for _, app := range experiments.PaperApps {
-		figPts = append(figPts, experiments.CapacitySweep(app, "L6", models.FM, models.GS, experiments.PaperCapacities)...)
-		figPts = append(figPts, experiments.CapacitySweep(app, "G2x3", models.FM, models.GS, experiments.PaperCapacities)...)
-		for _, g := range models.GateImpls() {
-			for _, r := range models.ReorderMethods() {
-				figPts = append(figPts, experiments.CapacitySweep(app, "L6", g, r, experiments.PaperCapacities)...)
+	collect := func(study interface{ Failures() []core.Outcome }, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range study.Failures() {
+			if o.Point.Policy.IsBaseline() {
+				figPts = append(figPts, o.Point)
 			}
 		}
+	}
+	collect(experiments.RunFig6(tf))
+	collect(experiments.RunFig7(tf))
+	collect(experiments.RunFig8(tf))
+	collect(experiments.RunPolicyComparison(tf))
+	if want := 36 + 72 + 288 + 72; len(figPts) != want {
+		t.Errorf("studies evaluated %d baseline points, want %d", len(figPts), want)
 	}
 	for _, pt := range figPts {
 		if !grid[pt.String()] {

@@ -277,13 +277,3 @@ func (tf *Toolflow) Sweep(points []Point) []Outcome {
 	})
 	return out
 }
-
-// CapacitySweep builds points for one app/topology/microarch across a
-// trap-capacity grid.
-func CapacitySweep(app, topology string, gate models.GateImpl, reorder models.ReorderMethod, capacities []int) []Point {
-	var pts []Point
-	for _, cap := range capacities {
-		pts = append(pts, Point{App: app, Topology: topology, Capacity: cap, Gate: gate, Reorder: reorder})
-	}
-	return pts
-}

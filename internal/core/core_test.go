@@ -64,7 +64,7 @@ func TestCircuitCacheSharedAcrossPoints(t *testing.T) {
 
 func TestSweepMatchesSerialRuns(t *testing.T) {
 	tf := New(models.Default())
-	pts := CapacitySweep("BV", "L6", models.FM, models.GS, []int{14, 22, 30})
+	pts := bvOnL6(14, 22, 30)
 	parallel := tf.Sweep(pts)
 	for i, pt := range pts {
 		serial := tf.Run(pt)
@@ -98,14 +98,14 @@ func TestSweepEmptyAndConcurrentSafety(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCapacitySweepShape(t *testing.T) {
-	pts := CapacitySweep("QFT", "G2x3", models.PM, models.IS, []int{10, 20})
-	if len(pts) != 2 || pts[0].Capacity != 10 || pts[1].Capacity != 20 {
-		t.Errorf("points = %v", pts)
+// bvOnL6 returns BV design points on L6 with FM gates and GS reordering,
+// one per capacity.
+func bvOnL6(capacities ...int) []Point {
+	var pts []Point
+	for _, c := range capacities {
+		pts = append(pts, Point{App: "BV", Topology: "L6", Capacity: c, Gate: models.FM, Reorder: models.GS})
 	}
-	if pts[0].Gate != models.PM || pts[0].Reorder != models.IS {
-		t.Error("microarchitecture not propagated")
-	}
+	return pts
 }
 
 // TestQECMetricAttachment runs a Surface@d design point end-to-end and

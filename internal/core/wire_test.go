@@ -254,7 +254,7 @@ func TestToolflowCacheReusesOutcomes(t *testing.T) {
 
 func TestSweepWithSharedCacheComputesUniquePointsOnce(t *testing.T) {
 	tf := NewCached(models.Default(), 0)
-	pts := CapacitySweep("BV", "L6", models.FM, models.GS, []int{14, 18, 22})
+	pts := bvOnL6(14, 18, 22)
 	// Duplicate the whole grid: 6 submissions, 3 unique points.
 	outs := tf.Sweep(append(append([]Point{}, pts...), pts...))
 	for i, o := range outs {

@@ -3,14 +3,16 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/sweep"
 )
 
 // TestCachedRunnerDedupsAcrossSweeps reruns a small sweep on one cached
 // runner and checks each unique design point is computed exactly once.
 func TestCachedRunnerDedupsAcrossSweeps(t *testing.T) {
-	r := NewCachedRunner(models.Default(), 0)
-	pts := CapacitySweep("BV", "L6", models.FM, models.GS, []int{14, 18, 22})
+	r := core.NewCached(models.Default(), 0)
+	pts := expand(t, sweep.Space{Apps: []string{"BV"}, Topologies: []string{"L6"}, Capacities: []int{14, 18, 22}})
 	for run := 0; run < 3; run++ {
 		outs := r.Sweep(pts)
 		for i, o := range outs {
@@ -29,14 +31,14 @@ func TestCachedRunnerDedupsAcrossSweeps(t *testing.T) {
 }
 
 // TestFigureRerunsHitCache regenerates Figure 6 twice on one cached
-// runner — the second pass must not compute any design point, which is
+// toolflow — the second pass must not compute any design point, which is
 // what makes rerunning the full cmd/experiments evaluation cheap.
 func TestFigureRerunsHitCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	r := NewCachedRunner(models.Default(), 0)
-	if _, err := RunFig6With(r); err != nil {
+	r := core.NewCached(models.Default(), 0)
+	if _, err := RunFig6(r); err != nil {
 		t.Fatal(err)
 	}
 	first := r.CacheStats()
@@ -44,7 +46,7 @@ func TestFigureRerunsHitCache(t *testing.T) {
 	if first.Misses != want {
 		t.Fatalf("first pass computes = %d, want %d", first.Misses, want)
 	}
-	f, err := RunFig6With(r)
+	f, err := RunFig6(r)
 	if err != nil {
 		t.Fatal(err)
 	}

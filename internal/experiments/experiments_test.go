@@ -2,16 +2,48 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/models"
+	"repro/internal/sweep"
 )
 
+// checkStudy fails t on a study's error or on any of its failed design
+// points.
+func checkStudy(t *testing.T, s interface{ Failures() []core.Outcome }, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fails := s.Failures(); len(fails) > 0 {
+		t.Fatalf("%d design points failed; first %s: %v", len(fails), fails[0].Point, fails[0].Err)
+	}
+}
+
+// errRefused is the error of every point evaluated through refuse.
+var errRefused = errors.New("refused")
+
+// refuse is an outcome cache tier that fails every design point without
+// computing it. A study run through it simulates nothing and reports
+// every point it evaluates as a failure.
+type refuse struct{}
+
+func (refuse) Do(string, func() (core.Outcome, error)) (core.Outcome, error, bool) {
+	return core.Outcome{}, errRefused, false
+}
+func (refuse) Get(string) (core.Outcome, bool) { return core.Outcome{}, false }
+func (refuse) Stats() cache.Stats              { return cache.Stats{} }
+
 func TestRunnerSinglePoint(t *testing.T) {
-	r := NewRunner(models.Default())
-	o := r.Run(Point{App: "BV", Topology: "L6", Capacity: 20, Gate: models.FM, Reorder: models.GS})
+	r := core.New(models.Default())
+	o := r.Run(core.Point{App: "BV", Topology: "L6", Capacity: 20, Gate: models.FM, Reorder: models.GS})
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
@@ -24,21 +56,21 @@ func TestRunnerSinglePoint(t *testing.T) {
 }
 
 func TestRunnerBadPoints(t *testing.T) {
-	r := NewRunner(models.Default())
-	if o := r.Run(Point{App: "nope", Topology: "L6", Capacity: 20}); o.Err == nil {
+	r := core.New(models.Default())
+	if o := r.Run(core.Point{App: "nope", Topology: "L6", Capacity: 20}); o.Err == nil {
 		t.Error("unknown app should fail")
 	}
-	if o := r.Run(Point{App: "BV", Topology: "Z9", Capacity: 20}); o.Err == nil {
+	if o := r.Run(core.Point{App: "BV", Topology: "Z9", Capacity: 20}); o.Err == nil {
 		t.Error("bad topology should fail")
 	}
-	if o := r.Run(Point{App: "QFT", Topology: "L6", Capacity: 5}); o.Err == nil {
+	if o := r.Run(core.Point{App: "QFT", Topology: "L6", Capacity: 5}); o.Err == nil {
 		t.Error("undersized device should fail")
 	}
 }
 
 func TestSweepPreservesOrderAndParallelism(t *testing.T) {
-	r := NewRunner(models.Default())
-	pts := CapacitySweep("BV", "L6", models.FM, models.GS, []int{14, 18, 22})
+	r := core.New(models.Default())
+	pts := expand(t, sweep.Space{Apps: []string{"BV"}, Topologies: []string{"L6"}, Capacities: []int{14, 18, 22}})
 	outs := r.Sweep(pts)
 	if len(outs) != 3 {
 		t.Fatalf("outcomes = %d", len(outs))
@@ -90,10 +122,8 @@ func TestFig6PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	f, err := RunFig6(models.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, err := RunFig6(core.New(models.Default()))
+	checkStudy(t, f, err)
 	// Claim: trap sizing matters — Supremacy best/worst fidelity ratio is
 	// large (paper: ~15x; we accept >= 3x as shape agreement).
 	if ratio := maxOver(f.Fidelity["Supremacy"]) / minOver(f.Fidelity["Supremacy"]); ratio < 3 {
@@ -141,10 +171,8 @@ func TestFig7PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	f, err := RunFig7(models.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, err := RunFig7(core.New(models.Default()))
+	checkStudy(t, f, err)
 	// Claim: grid boosts SquareRoot by orders of magnitude (paper: up to
 	// 7000x; we require >= 50x somewhere in the sweep).
 	if gain := bestFidelityGain(f.Fidelity["G2x3"]["SquareRoot"], f.Fidelity["L6"]["SquareRoot"]); gain < 50 {
@@ -168,14 +196,18 @@ func TestFig7PaperShape(t *testing.T) {
 	}
 }
 
-// TestFig8PaperShape regenerates Figure 8 and asserts the §X claims.
+// TestFig8PaperShape regenerates Figure 8 and asserts the §X claims. The
+// figure's rows differ in gate implementation four at a time, so a fresh
+// toolflow compiles one program per four rows.
 func TestFig8PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	f, err := RunFig8(models.Default())
-	if err != nil {
-		t.Fatal(err)
+	tf := core.New(models.Default())
+	f, err := RunFig8(tf)
+	checkStudy(t, f, err)
+	if rows, compiles := len(f.evaluated), tf.Compiles(); rows != 288 || compiles != 72 {
+		t.Errorf("figure 8 compiled %d programs for %d rows, want 72 for 288", compiles, rows)
 	}
 	mean := func(xs []float64) float64 {
 		s := 0.0
@@ -256,7 +288,7 @@ func TestScalingStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scaling sweep")
 	}
-	s, err := RunScaling(models.Default())
+	s, err := RunScaling(core.New(models.Default()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +337,8 @@ func TestFigureCSVExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	f6, err := RunFig6(models.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6, err := RunFig6(core.New(models.Default()))
+	checkStudy(t, f6, err)
 	var b strings.Builder
 	if err := f6.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -319,10 +349,8 @@ func TestFigureCSVExports(t *testing.T) {
 			t.Errorf("fig6 csv missing %q", want)
 		}
 	}
-	f7, err := RunFig7(models.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f7, err := RunFig7(core.New(models.Default()))
+	checkStudy(t, f7, err)
 	b.Reset()
 	if err := f7.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -330,10 +358,8 @@ func TestFigureCSVExports(t *testing.T) {
 	if !strings.Contains(b.String(), "G2x3/SquareRoot") {
 		t.Error("fig7 csv series")
 	}
-	f8, err := RunFig8(models.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8, err := RunFig8(core.New(models.Default()))
+	checkStudy(t, f8, err)
 	b.Reset()
 	if err := f8.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -347,14 +373,13 @@ func TestFigureCSVExports(t *testing.T) {
 // scaling study: failed points surface through Failures() and render as
 // NaN, never aborting the study.
 func TestScalingFailureContract(t *testing.T) {
-	s := &Scaling{Rows: []ScalingRow{
-		{App: "QFT", Qubits: 64, Topology: "L4", Traps: 4, Capacity: 22,
-			Outcome: Outcome{Point: Point{App: "QFT@64", Topology: "L4", Capacity: 22},
-				Err: errors.New("synthetic failure")}},
-	}}
+	s, err := RunScaling(core.NewWithCache(models.Default(), refuse{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fails := s.Failures()
-	if len(fails) != 1 || fails[0].Err == nil {
-		t.Fatalf("Failures() = %v, want the one failed outcome", fails)
+	if len(fails) != len(s.Rows) || !errors.Is(fails[0].Err, errRefused) {
+		t.Fatalf("Failures() = %d outcomes, want all %d rows refused", len(fails), len(s.Rows))
 	}
 	var csv strings.Builder
 	if err := s.WriteCSV(&csv); err != nil {
@@ -369,24 +394,91 @@ func TestScalingFailureContract(t *testing.T) {
 }
 
 // TestScalingSharesRunnerCache verifies the study flows through the
-// shared outcome cache: a second run on the same runner recomputes
+// shared outcome cache: a second run on the same toolflow recomputes
 // nothing.
 func TestScalingSharesRunnerCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scaling sweep")
 	}
-	r := NewCachedRunner(models.Default(), 0)
-	if _, err := RunScalingWith(r); err != nil {
+	r := core.NewCached(models.Default(), 0)
+	if _, err := RunScaling(r); err != nil {
 		t.Fatal(err)
 	}
 	misses := r.CacheStats().Misses
 	if misses == 0 {
 		t.Fatal("first run should compute points")
 	}
-	if _, err := RunScalingWith(r); err != nil {
+	if _, err := RunScaling(r); err != nil {
 		t.Fatal(err)
 	}
 	if again := r.CacheStats().Misses; again != misses {
 		t.Errorf("second run recomputed %d points, want 0", again-misses)
+	}
+}
+
+// TestSizedStudyDevices pins the devices the scaling, QEC and TITAN
+// studies grow to hold their workloads at capacity 22, and checks that
+// every row describes the design point its grammar evaluates there. The
+// studies run through refuse, so nothing is simulated.
+func TestSizedStudyDevices(t *testing.T) {
+	tf := core.NewWithCache(models.Default(), refuse{})
+	got := map[string][]string{}
+	// add records a row as "<app> <topology>" after checking it against
+	// the point evaluated for it.
+	add := func(study, app, topology string, traps int, o core.Outcome) {
+		if pt := o.Point; pt.App != app || pt.Topology != topology || pt.Capacity != studyCapacity {
+			t.Errorf("%s: row %s on %s evaluated %s", study, app, topology, pt)
+		}
+		if d, err := device.Parse(topology, studyCapacity); err != nil || d.NumTraps() != traps {
+			t.Errorf("%s: %s claims %d traps (parse error: %v)", study, topology, traps, err)
+		}
+		got[study] = append(got[study], app+" "+topology)
+	}
+	s, err := RunScaling(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range s.Rows {
+		add("scaling", fmt.Sprintf("%s@%d", r.App, r.Qubits), r.Topology, r.Traps, r.Outcome)
+	}
+	q, err := RunQEC(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range q.Rows {
+		add("qec", fmt.Sprintf("Surface@%d", r.Distance), r.Topology, r.Traps, r.Outcome)
+	}
+	ti, err := RunTitan(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ti.Rows {
+		add("titan", fmt.Sprintf("%s@%d", ti.App, ti.Qubits), r.Topology, r.Traps, r.Outcome)
+	}
+
+	titan := []string{"QFT@512 Mod2:G2x7", "QFT@512 Mod3:G2x5", "QFT@512 Mod4:G2x4"}
+	want := map[string][]string{
+		"scaling": {
+			"QAOA@64 L4", "QAOA@64 G2x2", "QFT@64 L4", "QFT@64 G2x2",
+			"QAOA@96 L5", "QAOA@96 G2x3", "QFT@96 L5", "QFT@96 G2x3",
+			"QAOA@128 L7", "QAOA@128 G2x4", "QFT@128 L7", "QFT@128 G2x4",
+			"QAOA@160 L8", "QAOA@160 G2x4", "QFT@160 L8", "QFT@160 G2x4",
+			"QAOA@200 L10", "QAOA@200 G2x5", "QFT@200 L10", "QFT@200 G2x5",
+			"QAOA@256 L13", "QAOA@256 G2x7", "QFT@256 L13", "QFT@256 G2x7",
+			"QAOA@384 L20", "QAOA@384 G2x10", "QFT@384 L20", "QFT@384 G2x10",
+			"QAOA@512 L26", "QAOA@512 G2x13", "QAOA@512 Mod2:G2x7",
+			"QFT@512 L26", "QFT@512 G2x13", "QFT@512 Mod2:G2x7",
+		},
+		"qec": {
+			"Surface@3 L2", "Surface@3 G2x2", "Surface@5 L3", "Surface@5 G2x2",
+			"Surface@7 L5", "Surface@7 G2x3", "Surface@9 L9", "Surface@9 G2x5",
+		},
+		// The same three devices under each of the three link latencies.
+		"titan": slices.Concat(titan, titan, titan),
+	}
+	for _, study := range []string{"scaling", "qec", "titan"} {
+		if g, w := strings.Join(got[study], ", "), strings.Join(want[study], ", "); g != w {
+			t.Errorf("%s rows:\n got %s\nwant %s", study, g, w)
+		}
 	}
 }

@@ -7,15 +7,17 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/models"
+	"repro/internal/sweep"
 )
 
 // PaperApps lists the Table II applications in the order the figures use.
 var PaperApps = []string{"Supremacy", "QAOA", "SquareRoot", "QFT", "Adder", "BV"}
 
 // seriesOf extracts one float per outcome via f, NaN for failed points.
-func seriesOf(outs []Outcome, f func(*Outcome) float64) []float64 {
+func seriesOf(outs []core.Outcome, f func(*core.Outcome) float64) []float64 {
 	vals := make([]float64, len(outs))
 	for i := range outs {
 		if outs[i].Err != nil {
@@ -25,20 +27,6 @@ func seriesOf(outs []Outcome, f func(*Outcome) float64) []float64 {
 		vals[i] = f(&outs[i])
 	}
 	return vals
-}
-
-// appendFailures collects the failed outcomes among outs. The RunFigXWith
-// entry points do not abort on a failed design point: failed points render
-// as NaN in every series and are reported through each figure's Failures
-// method so callers can summarize them and exit nonzero. The plain RunFigX
-// wrappers keep the old contract and surface failures as an error.
-func appendFailures(dst []Outcome, outs []Outcome) []Outcome {
-	for i := range outs {
-		if outs[i].Err != nil {
-			dst = append(dst, outs[i])
-		}
-	}
-	return dst
 }
 
 // Fig6 holds the trap-sizing study of §IX.A: all apps on the linear L6
@@ -59,62 +47,50 @@ type Fig6 struct {
 	// Eq. 1 error contributions for Supremacy: panel (g).
 	SupremacyMotional, SupremacyBackground []float64
 	// Outcomes holds every raw design point, app-major.
-	Outcomes map[string][]Outcome
+	Outcomes map[string][]core.Outcome
+	evaluated
 }
 
-// failuresError flattens failed design points into one error, so the
-// plain RunFigX wrappers keep their pre-cache contract of reporting
-// failures through the error return (alongside the NaN-marked figure).
-func failuresError(name string, fails []Outcome) error {
-	if len(fails) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: %d design points failed; first %s: %w",
-		name, len(fails), fails[0].Point, fails[0].Err)
+// fig7Space is the Figure 7 grammar: PaperSpace at the paper's FM gates
+// and GS reordering, the grammar defaults.
+func fig7Space() sweep.Space {
+	s := PaperSpace()
+	s.Gates, s.Reorders = nil, nil
+	return s
 }
 
-// RunFig6 executes the Figure 6 sweep on a fresh runner. Failed design
-// points are reported as a summarizing error; the returned figure is
-// still populated, with NaN at the failed points.
-func RunFig6(base models.Params) (*Fig6, error) {
-	f, err := RunFig6With(NewRunner(base))
+// RunFig6 executes the Figure 6 sweep on tf, reusing any outcomes its
+// cache already holds. Failed design points hold NaN in every series and
+// are reported by Failures.
+func RunFig6(tf *core.Toolflow) (*Fig6, error) {
+	space := fig7Space()
+	space.Topologies = []string{"L6"}
+	outs, err := evaluate(tf, space)
 	if err != nil {
 		return nil, err
 	}
-	return f, failuresError("fig6", f.Failures())
-}
-
-// RunFig6With executes the Figure 6 sweep on r, reusing any outcomes its
-// cache already holds.
-func RunFig6With(r *Runner) (*Fig6, error) {
 	f := &Fig6{
-		Capacities:  PaperCapacities,
+		Capacities:  space.Capacities,
 		Time:        map[string][]float64{},
 		Fidelity:    map[string][]float64{},
 		MaxMotional: map[string][]float64{},
-		Outcomes:    map[string][]Outcome{},
+		Outcomes:    map[string][]core.Outcome{},
+		evaluated:   outs,
 	}
-	for _, app := range PaperApps {
-		outs := r.Sweep(CapacitySweep(app, "L6", models.FM, models.GS, f.Capacities))
-		f.Outcomes[app] = outs
-		f.Time[app] = seriesOf(outs, func(o *Outcome) float64 { return o.Result.TotalSeconds() })
-		f.Fidelity[app] = seriesOf(outs, func(o *Outcome) float64 { return o.Result.Fidelity })
-		f.MaxMotional[app] = seriesOf(outs, func(o *Outcome) float64 { return o.Result.MaxMotionalEnergy })
+	for _, o := range outs {
+		f.Outcomes[o.Point.App] = append(f.Outcomes[o.Point.App], o)
 	}
-	f.QFTCompute = seriesOf(f.Outcomes["QFT"], func(o *Outcome) float64 { return o.Result.BusyCompute * 1e-6 })
-	f.QFTComm = seriesOf(f.Outcomes["QFT"], func(o *Outcome) float64 { return o.Result.BusyComm * 1e-6 })
-	f.SupremacyMotional = seriesOf(f.Outcomes["Supremacy"], func(o *Outcome) float64 { return o.Result.MeanMotionalError })
-	f.SupremacyBackground = seriesOf(f.Outcomes["Supremacy"], func(o *Outcome) float64 { return o.Result.MeanBackgroundError })
+	for _, app := range space.Apps {
+		outs := f.Outcomes[app]
+		f.Time[app] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.TotalSeconds() })
+		f.Fidelity[app] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.Fidelity })
+		f.MaxMotional[app] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.MaxMotionalEnergy })
+	}
+	f.QFTCompute = seriesOf(f.Outcomes["QFT"], func(o *core.Outcome) float64 { return o.Result.BusyCompute * 1e-6 })
+	f.QFTComm = seriesOf(f.Outcomes["QFT"], func(o *core.Outcome) float64 { return o.Result.BusyComm * 1e-6 })
+	f.SupremacyMotional = seriesOf(f.Outcomes["Supremacy"], func(o *core.Outcome) float64 { return o.Result.MeanMotionalError })
+	f.SupremacyBackground = seriesOf(f.Outcomes["Supremacy"], func(o *core.Outcome) float64 { return o.Result.MeanBackgroundError })
 	return f, nil
-}
-
-// Failures returns the failed design points, in app-major sweep order.
-func (f *Fig6) Failures() []Outcome {
-	var fails []Outcome
-	for _, app := range PaperApps {
-		fails = appendFailures(fails, f.Outcomes[app])
-	}
-	return fails
 }
 
 // Render prints all Figure 6 panels as text tables.
@@ -159,56 +135,47 @@ type Fig7 struct {
 	// SqrtMotional maps topology to SquareRoot's max motional energy:
 	// panel (g).
 	SqrtMotional map[string][]float64
-	Outcomes     map[string]map[string][]Outcome
+	Outcomes     map[string]map[string][]core.Outcome
+	evaluated
 }
 
-// RunFig7 executes the Figure 7 sweep on a fresh runner. Failed design
-// points are reported as a summarizing error; the returned figure is
-// still populated, with NaN at the failed points.
-func RunFig7(base models.Params) (*Fig7, error) {
-	f, err := RunFig7With(NewRunner(base))
+// RunFig7 executes the Figure 7 sweep on tf, reusing any outcomes its
+// cache already holds. Failed design points hold NaN in every series and
+// are reported by Failures.
+func RunFig7(tf *core.Toolflow) (*Fig7, error) {
+	space := fig7Space()
+	outs, err := evaluate(tf, space)
 	if err != nil {
 		return nil, err
 	}
-	return f, failuresError("fig7", f.Failures())
-}
-
-// RunFig7With executes the Figure 7 sweep on r, reusing any outcomes its
-// cache already holds.
-func RunFig7With(r *Runner) (*Fig7, error) {
 	f := &Fig7{
-		Capacities:   PaperCapacities,
-		Topologies:   []string{"L6", "G2x3"},
+		Capacities:   space.Capacities,
+		Topologies:   space.Topologies,
 		Time:         map[string]map[string][]float64{},
 		Fidelity:     map[string]map[string][]float64{},
 		SqrtMotional: map[string][]float64{},
-		Outcomes:     map[string]map[string][]Outcome{},
+		Outcomes:     map[string]map[string][]core.Outcome{},
+		evaluated:    outs,
 	}
 	for _, topo := range f.Topologies {
 		f.Time[topo] = map[string][]float64{}
 		f.Fidelity[topo] = map[string][]float64{}
-		f.Outcomes[topo] = map[string][]Outcome{}
-		for _, app := range PaperApps {
-			outs := r.Sweep(CapacitySweep(app, topo, models.FM, models.GS, f.Capacities))
-			f.Outcomes[topo][app] = outs
-			f.Time[topo][app] = seriesOf(outs, func(o *Outcome) float64 { return o.Result.TotalSeconds() })
-			f.Fidelity[topo][app] = seriesOf(outs, func(o *Outcome) float64 { return o.Result.Fidelity })
+		f.Outcomes[topo] = map[string][]core.Outcome{}
+	}
+	for _, o := range outs {
+		byApp := f.Outcomes[o.Point.Topology]
+		byApp[o.Point.App] = append(byApp[o.Point.App], o)
+	}
+	for _, topo := range f.Topologies {
+		for _, app := range space.Apps {
+			outs := f.Outcomes[topo][app]
+			f.Time[topo][app] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.TotalSeconds() })
+			f.Fidelity[topo][app] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.Fidelity })
 		}
 		f.SqrtMotional[topo] = seriesOf(f.Outcomes[topo]["SquareRoot"],
-			func(o *Outcome) float64 { return o.Result.MaxMotionalEnergy })
+			func(o *core.Outcome) float64 { return o.Result.MaxMotionalEnergy })
 	}
 	return f, nil
-}
-
-// Failures returns the failed design points, topology-major.
-func (f *Fig7) Failures() []Outcome {
-	var fails []Outcome
-	for _, topo := range f.Topologies {
-		for _, app := range PaperApps {
-			fails = appendFailures(fails, f.Outcomes[topo][app])
-		}
-	}
-	return fails
 }
 
 // Render prints all Figure 7 panels as text tables.
@@ -277,63 +244,48 @@ type Fig8 struct {
 	// panels (a)-(f) and (g)-(l).
 	Fidelity map[string]map[string][]float64
 	Time     map[string]map[string][]float64
-	Outcomes map[string]map[string][]Outcome
+	Outcomes map[string]map[string][]core.Outcome
+	evaluated
 }
 
-// RunFig8 executes the Figure 8 sweep (48 series: 6 apps x 8 combos) on a
-// fresh runner. Failed design points are reported as a summarizing error;
-// the returned figure is still populated, with NaN at the failed points.
-func RunFig8(base models.Params) (*Fig8, error) {
-	f, err := RunFig8With(NewRunner(base))
+// RunFig8 executes the Figure 8 sweep (48 series: 6 apps x 8 combos) on
+// tf, reusing any outcomes its cache already holds. Each (app, capacity,
+// reorder) program is compiled once for its four gate implementations.
+// Failed design points hold NaN in every series and are reported by
+// Failures.
+func RunFig8(tf *core.Toolflow) (*Fig8, error) {
+	space := PaperSpace()
+	space.Topologies = []string{"L6"}
+	outs, err := evaluate(tf, space)
 	if err != nil {
 		return nil, err
 	}
-	return f, failuresError("fig8", f.Failures())
-}
-
-// RunFig8With executes the Figure 8 sweep on r, reusing any outcomes its
-// cache already holds.
-func RunFig8With(r *Runner) (*Fig8, error) {
 	f := &Fig8{
-		Capacities: PaperCapacities,
+		Capacities: space.Capacities,
 		Combos:     PaperCombos(),
 		Fidelity:   map[string]map[string][]float64{},
 		Time:       map[string]map[string][]float64{},
-		Outcomes:   map[string]map[string][]Outcome{},
+		Outcomes:   map[string]map[string][]core.Outcome{},
+		evaluated:  outs,
 	}
-	// Flatten all points into one sweep for maximum parallelism.
-	var points []Point
-	for _, app := range PaperApps {
-		for _, combo := range f.Combos {
-			points = append(points, CapacitySweep(app, "L6", combo.Gate, combo.Reorder, f.Capacities)...)
-		}
-	}
-	outs := r.Sweep(points)
-	i := 0
-	for _, app := range PaperApps {
+	for _, app := range space.Apps {
 		f.Fidelity[app] = map[string][]float64{}
 		f.Time[app] = map[string][]float64{}
-		f.Outcomes[app] = map[string][]Outcome{}
+		f.Outcomes[app] = map[string][]core.Outcome{}
+	}
+	for _, o := range outs {
+		label := Combo{Gate: o.Point.Gate, Reorder: o.Point.Reorder}.Label()
+		byCombo := f.Outcomes[o.Point.App]
+		byCombo[label] = append(byCombo[label], o)
+	}
+	for _, app := range space.Apps {
 		for _, combo := range f.Combos {
-			chunk := outs[i : i+len(f.Capacities)]
-			i += len(f.Capacities)
-			f.Outcomes[app][combo.Label()] = chunk
-			f.Fidelity[app][combo.Label()] = seriesOf(chunk, func(o *Outcome) float64 { return o.Result.Fidelity })
-			f.Time[app][combo.Label()] = seriesOf(chunk, func(o *Outcome) float64 { return o.Result.TotalSeconds() })
+			outs := f.Outcomes[app][combo.Label()]
+			f.Fidelity[app][combo.Label()] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.Fidelity })
+			f.Time[app][combo.Label()] = seriesOf(outs, func(o *core.Outcome) float64 { return o.Result.TotalSeconds() })
 		}
 	}
 	return f, nil
-}
-
-// Failures returns the failed design points, app-major then combo order.
-func (f *Fig8) Failures() []Outcome {
-	var fails []Outcome
-	for _, app := range PaperApps {
-		for _, combo := range f.Combos {
-			fails = appendFailures(fails, f.Outcomes[app][combo.Label()])
-		}
-	}
-	return fails
 }
 
 // Render prints all Figure 8 panels as text tables.

@@ -4,27 +4,41 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/sweep"
 )
 
-// paperGridPoints expands PaperSpace into the materialized 576-point
-// golden grid.
-func paperGridPoints(t testing.TB) []Point {
-	t.Helper()
-	grid, err := PaperSpace().Compile()
+// expand materializes every point of a grammar, in expansion order.
+func expand(tb testing.TB, s sweep.Space) []core.Point {
+	tb.Helper()
+	grid, err := s.Compile()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	pts := make([]Point, grid.Size())
+	pts := make([]core.Point, grid.Size())
 	for i := range pts {
 		pts[i] = grid.PointAt(int64(i))
 	}
 	return pts
 }
 
+// persistentToolflow returns a toolflow backed by a two-level outcome
+// store, an unbounded memory front over a disk tier on dir, and the store.
+func persistentToolflow(tb testing.TB, dir string) (*core.Toolflow, *cache.Store[core.Outcome]) {
+	tb.Helper()
+	disk, err := cache.OpenDisk(dir, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	store := cache.NewStore[core.Outcome](0, disk)
+	return core.NewWithCache(models.Default(), store), store
+}
+
 // TestWarmStartPaperGridZeroComputes is the ISSUE's warm-start acceptance
 // proof at paper scale: after one full 576-point evaluation sweeps into a
-// cache directory, a fresh runner (fresh process stand-in: cold memory
+// cache directory, a fresh toolflow (fresh process stand-in: cold memory
 // tier, same directory) re-serves the entire grid with zero simulator
 // computations.
 func TestWarmStartPaperGridZeroComputes(t *testing.T) {
@@ -32,17 +46,11 @@ func TestWarmStartPaperGridZeroComputes(t *testing.T) {
 		t.Skip("full paper grid; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	pts := paperGridPoints(t)
+	pts := expand(t, PaperSpace())
 
-	cold, err := NewPersistentRunner(models.Default(), 0, dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, coldStore := persistentToolflow(t, dir)
 	coldOuts := cold.Sweep(pts)
-	st, ok := StoreStats(cold)
-	if !ok {
-		t.Fatal("persistent runner has no store")
-	}
+	st := coldStore.StoreStats()
 	if st.Computes != uint64(len(pts)) {
 		t.Fatalf("cold computes = %d, want %d", st.Computes, len(pts))
 	}
@@ -50,12 +58,9 @@ func TestWarmStartPaperGridZeroComputes(t *testing.T) {
 		t.Fatalf("cold disk stats = %+v, want %d writes", st.Disk, len(pts))
 	}
 
-	warm, err := NewPersistentRunner(models.Default(), 0, dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, warmStore := persistentToolflow(t, dir)
 	warmOuts := warm.Sweep(pts)
-	st, _ = StoreStats(warm)
+	st = warmStore.StoreStats()
 	if st.Computes != 0 {
 		t.Fatalf("warm computes = %d, want 0", st.Computes)
 	}
@@ -82,41 +87,26 @@ func TestWarmStartPaperGridZeroComputes(t *testing.T) {
 	}
 }
 
-// TestStoreStatsOnPlainRunner pins that StoreStats declines non-persistent
-// runners instead of inventing counters.
-func TestStoreStatsOnPlainRunner(t *testing.T) {
-	if _, ok := StoreStats(NewCachedRunner(models.Default(), 0)); ok {
-		t.Error("StoreStats claimed a memory-only runner has a store")
-	}
-	if _, ok := StoreStats(NewRunner(models.Default())); ok {
-		t.Error("StoreStats claimed an uncached runner has a store")
-	}
-}
-
 // benchPoints is a representative 12-point slice of the paper grid, big
 // enough that the warm/cold ratio reflects simulation cost rather than
 // fixed overheads.
-func benchPoints() []Point {
-	pts := CapacitySweep("BV", "L6", models.FM, models.GS, PaperCapacities)
-	return append(pts, CapacitySweep("QFT", "L6", models.FM, models.GS, PaperCapacities)...)
+func benchPoints(b *testing.B) []core.Point {
+	return expand(b, sweep.Space{Apps: []string{"BV", "QFT"}, Topologies: []string{"L6"}, Capacities: PaperCapacities})
 }
 
 // BenchmarkSweepWarmVsCold compares a cold sweep (empty cache directory,
-// every point compiled and simulated) against a warm start (fresh runner
-// on a pre-seeded directory — the restarted-replica path, where every
-// point is a disk read). A warm iteration that computes any point fails.
-// CI's bench-smoke job runs it; qccdbench's paper-grid-cold and
+// every point compiled and simulated) against a warm start (fresh
+// toolflow on a pre-seeded directory — the restarted-replica path, where
+// every point is a disk read). A warm iteration that computes any point
+// fails. CI's bench-smoke job runs it; qccdbench's paper-grid-cold and
 // grid-disk-warm workloads measure the same two paths against qccdd.
 func BenchmarkSweepWarmVsCold(b *testing.B) {
-	pts := benchPoints()
+	pts := benchPoints(b)
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			r, err := NewPersistentRunner(models.Default(), 0, b.TempDir(), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			r, _ := persistentToolflow(b, b.TempDir())
 			b.StartTimer()
 			for _, o := range r.Sweep(pts) {
 				if o.Err != nil {
@@ -128,10 +118,7 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 
 	b.Run("warm", func(b *testing.B) {
 		dir := b.TempDir()
-		seed, err := NewPersistentRunner(models.Default(), 0, dir, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		seed, _ := persistentToolflow(b, dir)
 		for _, o := range seed.Sweep(pts) {
 			if o.Err != nil {
 				b.Fatal(o.Err)
@@ -140,18 +127,14 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			r, err := NewPersistentRunner(models.Default(), 0, dir, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			r, store := persistentToolflow(b, dir)
 			b.StartTimer()
 			for _, o := range r.Sweep(pts) {
 				if o.Err != nil {
 					b.Fatal(o.Err)
 				}
 			}
-			st, _ := StoreStats(r)
-			if st.Computes != 0 {
+			if st := store.StoreStats(); st.Computes != 0 {
 				b.Fatalf("warm iteration computed %d points", st.Computes)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/models"
 )
@@ -23,6 +24,7 @@ type PolicyComparison struct {
 	Policies []models.PolicyName
 	// Rows holds one entry per (app, topology, capacity) configuration.
 	Rows []PolicyRow
+	evaluated
 }
 
 // PolicyRow is one grid configuration evaluated under every policy.
@@ -31,7 +33,7 @@ type PolicyRow struct {
 	Topology string
 	Capacity int
 	// Outcomes is parallel to PolicyComparison.Policies.
-	Outcomes []Outcome
+	Outcomes []core.Outcome
 }
 
 // PolicyCell aggregates one (app, topology) cell across the capacity
@@ -51,65 +53,34 @@ type PolicyCell struct {
 	BestMakespan int
 }
 
-// policyPoints builds the study grid with the policy axis innermost, the
-// same nesting as the sweep grammar.
-func policyPoints(policies []models.PolicyName) ([]Point, []PolicyRow) {
-	var pts []Point
-	var rows []PolicyRow
-	for _, app := range PaperApps {
-		for _, topo := range PaperTopologies {
-			for _, capacity := range PaperCapacities {
-				rows = append(rows, PolicyRow{App: app, Topology: topo, Capacity: capacity})
-				for _, pol := range policies {
-					pts = append(pts, Point{
-						App: app, Topology: topo, Capacity: capacity,
-						Gate: models.FM, Reorder: models.GS, Policy: pol,
-					})
-				}
-			}
-		}
-	}
-	return pts, rows
-}
-
-// RunPolicyComparison executes the policy study on a fresh uncached runner.
-func RunPolicyComparison(base models.Params) (*PolicyComparison, error) {
-	return RunPolicyComparisonWith(NewRunner(base))
-}
-
-// RunPolicyComparisonWith executes the policy study on r. Failed points
-// are recorded in their rows and reported via Failures, never aborting
-// the rest of the sweep. Baseline points are shared with the other paper
-// figures through r's outcome cache (their cache keys are identical to
-// pre-policy points).
-func RunPolicyComparisonWith(r *Runner) (*PolicyComparison, error) {
-	var policies []models.PolicyName
+// RunPolicyComparison executes the policy study on tf: Figure 7's
+// grammar with every registered policy bundle as its innermost axis.
+// Failed points are recorded in their rows and reported via Failures,
+// never aborting the rest of the sweep. Baseline points are shared with
+// the other paper figures through tf's outcome cache (their cache keys
+// are identical to pre-policy points).
+func RunPolicyComparison(tf *core.Toolflow) (*PolicyComparison, error) {
+	space := fig7Space()
 	for _, info := range models.Policies() {
-		pol, err := models.ParsePolicy(info.Name)
-		if err != nil {
-			return nil, err
-		}
-		policies = append(policies, pol)
+		space.Policies = append(space.Policies, info.Name)
 	}
-	pts, rows := policyPoints(policies)
-	outs := r.Sweep(pts)
-	for i := range rows {
-		rows[i].Outcomes = outs[i*len(policies) : (i+1)*len(policies)]
+	outs, err := evaluate(tf, space)
+	if err != nil {
+		return nil, err
 	}
-	return &PolicyComparison{Policies: policies, Rows: rows}, nil
-}
-
-// Failures returns the failed design points, in sweep order.
-func (p *PolicyComparison) Failures() []Outcome {
-	var fails []Outcome
-	for _, row := range p.Rows {
-		for _, o := range row.Outcomes {
-			if o.Err != nil {
-				fails = append(fails, o)
-			}
-		}
+	p := &PolicyComparison{evaluated: outs}
+	n := len(space.Policies)
+	for _, o := range outs[:n] {
+		p.Policies = append(p.Policies, o.Point.Policy)
 	}
-	return fails
+	for i := 0; i < len(outs); i += n {
+		pt := outs[i].Point
+		p.Rows = append(p.Rows, PolicyRow{
+			App: pt.App, Topology: pt.Topology, Capacity: pt.Capacity,
+			Outcomes: outs[i : i+n],
+		})
+	}
+	return p, nil
 }
 
 // Cells aggregates the rows into (app, topology) cells, averaging each

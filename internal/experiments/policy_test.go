@@ -5,11 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/models"
 )
 
 func TestPolicyComparisonShapeAndWins(t *testing.T) {
-	pc, err := RunPolicyComparisonWith(NewCachedRunner(models.Default(), 0))
+	pc, err := RunPolicyComparison(core.NewCached(models.Default(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

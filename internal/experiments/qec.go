@@ -6,9 +6,11 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // QEC is the surface-code workload study, the figure family the ROADMAP's
@@ -22,6 +24,7 @@ import (
 // together make evaluable.
 type QEC struct {
 	Rows []QECRow
+	evaluated
 }
 
 // QECRow is one surface-code design point.
@@ -32,7 +35,7 @@ type QECRow struct {
 	Topology string
 	Traps    int
 	Capacity int
-	Outcome  Outcome
+	Outcome  core.Outcome
 }
 
 // Result returns the simulation result, or nil for a failed point.
@@ -41,73 +44,38 @@ func (r QECRow) Result() *sim.Result { return r.Outcome.Result }
 // qecDistances is the code-distance grid of the study.
 var qecDistances = []int{3, 5, 7, 9}
 
-// qecPoints builds the study's design points: Surface@d on linear and
-// 2-row grid devices at the paper's recommended ~22-ion capacity, sized
-// with the mapper's two buffer slots per trap like the scaling study.
-func qecPoints(gate models.GateImpl) ([]Point, []QECRow) {
-	var pts []Point
+// qecStudy returns the study's grammars, one per distance: Surface@d on
+// linear and 2-row grid devices grown to hold it. It also returns the
+// rows, in grammar order, with their outcomes still empty.
+func qecStudy(gate models.GateImpl) ([]sweep.Space, []QECRow) {
+	var spaces []sweep.Space
 	var rows []QECRow
 	for _, d := range qecDistances {
 		n := 2*d*d - 1
-		traps := (n + scalingCapacity - 3) / (scalingCapacity - 2)
-		if traps < 2 {
-			traps = 2
-		}
-		cols := (traps + 1) / 2
-		if cols < 2 {
-			cols = 2
-		}
-		topologies := []struct {
-			spec  string
-			traps int
-		}{
-			{fmt.Sprintf("L%d", traps), traps},
-			{fmt.Sprintf("G2x%d", cols), 2 * cols},
-		}
-		for _, topo := range topologies {
-			pts = append(pts, Point{
-				App:      fmt.Sprintf("Surface@%d", d),
-				Topology: topo.spec,
-				Capacity: scalingCapacity,
-				Gate:     gate,
-				Reorder:  models.GS,
-			})
+		devs := []sized{grow(n, 1, 1), grow(n, 2, 1)}
+		spaces = append(spaces, sizedSpace(gate, []string{fmt.Sprintf("Surface@%d", d)}, devs))
+		for _, dev := range devs {
 			rows = append(rows, QECRow{
 				Distance: d, Qubits: n, Rounds: d,
-				Topology: topo.spec, Traps: topo.traps, Capacity: scalingCapacity,
+				Topology: dev.spec, Traps: dev.traps, Capacity: studyCapacity,
 			})
 		}
 	}
-	return pts, rows
+	return spaces, rows
 }
 
-// RunQEC executes the surface-code study on a fresh uncached runner.
-func RunQEC(base models.Params) (*QEC, error) {
-	return RunQECWith(NewRunner(base))
-}
-
-// RunQECWith executes the surface-code study on r, evaluating points in
-// parallel through the shared toolflow (and its outcome cache, when r
-// has one). Failed points are recorded in their rows and reported via
-// Failures, never aborting the rest of the sweep.
-func RunQECWith(r *Runner) (*QEC, error) {
-	pts, rows := qecPoints(r.Params().Gate)
-	outs := r.Sweep(pts)
+// RunQEC executes the surface-code study on tf. All distances stream
+// through one worker pool.
+func RunQEC(tf *core.Toolflow) (*QEC, error) {
+	spaces, rows := qecStudy(tf.Params().Gate)
+	outs, err := evaluate(tf, spaces...)
+	if err != nil {
+		return nil, err
+	}
 	for i := range rows {
 		rows[i].Outcome = outs[i]
 	}
-	return &QEC{Rows: rows}, nil
-}
-
-// Failures returns the failed design points, in sweep order.
-func (q *QEC) Failures() []Outcome {
-	var fails []Outcome
-	for _, r := range q.Rows {
-		if r.Outcome.Err != nil {
-			fails = append(fails, r.Outcome)
-		}
-	}
-	return fails
+	return &QEC{Rows: rows, evaluated: outs}, nil
 }
 
 // qecRowMetrics extracts the rendered metrics, NaN for a failed row.

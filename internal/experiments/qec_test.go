@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/models"
 )
 
 func TestRunQEC(t *testing.T) {
-	r := NewCachedRunner(models.Default(), 0)
-	q, err := RunQECWith(r)
+	q, err := RunQEC(core.NewCached(models.Default(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,11 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // ScalingRow is one point of the beyond-the-paper scaling study: a
@@ -22,7 +24,7 @@ type ScalingRow struct {
 	Capacity int
 	// Outcome is the raw design-point outcome; a failed point carries its
 	// error and renders as NaN, like the figure sweeps.
-	Outcome Outcome
+	Outcome core.Outcome
 }
 
 // Result returns the simulation result, or nil for a failed point.
@@ -34,6 +36,7 @@ func (r ScalingRow) Result() *sim.Result { return r.Outcome.Result }
 // recommendation to grow trap count rather than trap size).
 type Scaling struct {
 	Rows []ScalingRow
+	evaluated
 }
 
 // scalingSizes is the qubit grid for the scaling study. The sizes past
@@ -42,84 +45,47 @@ type Scaling struct {
 // linked two-module device (see RunTitan for the full module study).
 var scalingSizes = []int{64, 96, 128, 160, 200, 256, 384, 512}
 
-// scalingCapacity is the fixed per-trap ion limit of the study.
-const scalingCapacity = 22
-
-// scalingPoints builds the study's design points: sized QAOA and QFT
-// instances ("QAOA@n", "QFT@n") on linear and 2-row grid devices sized to
-// hold them with the mapper's two buffer slots per trap.
-func scalingPoints(gate models.GateImpl) ([]Point, []ScalingRow) {
-	var pts []Point
+// scalingStudy returns the study's grammars, one per size: sized QAOA and
+// QFT instances ("QAOA@n", "QFT@n") on linear and 2-row grid devices
+// grown to hold them. It also returns the rows, in grammar order, with
+// their outcomes still empty.
+func scalingStudy(gate models.GateImpl) ([]sweep.Space, []ScalingRow) {
+	var spaces []sweep.Space
 	var rows []ScalingRow
 	for _, n := range scalingSizes {
-		traps := (n + scalingCapacity - 3) / (scalingCapacity - 2) // room for 2 buffer slots
-		if traps < 2 {
-			traps = 2
-		}
-		cols := (traps + 1) / 2
-		topologies := []struct {
-			spec  string
-			traps int
-		}{
-			{fmt.Sprintf("L%d", traps), traps},
-			{fmt.Sprintf("G2x%d", cols), 2 * cols},
-		}
+		devs := []sized{grow(n, 1, 1), grow(n, 2, 1)}
 		if n == scalingSizes[len(scalingSizes)-1] {
-			// At the largest size, also split the machine into two
-			// photonically linked grid modules of half the columns each.
-			half := (cols + 1) / 2
-			topologies = append(topologies, struct {
-				spec  string
-				traps int
-			}{fmt.Sprintf("Mod2:G2x%d", half), 2 * 2 * half})
+			// At the largest size, also split the grid into two
+			// photonically linked modules.
+			devs = append(devs, grow(n, 2, 2))
 		}
+		apps := []string{fmt.Sprintf("QAOA@%d", n), fmt.Sprintf("QFT@%d", n)}
+		spaces = append(spaces, sizedSpace(gate, apps, devs))
 		for _, app := range []string{"QAOA", "QFT"} {
-			for _, topo := range topologies {
-				pts = append(pts, Point{
-					App:      fmt.Sprintf("%s@%d", app, n),
-					Topology: topo.spec,
-					Capacity: scalingCapacity,
-					Gate:     gate,
-					Reorder:  models.GS,
-				})
+			for _, d := range devs {
 				rows = append(rows, ScalingRow{
-					App: app, Qubits: n, Topology: topo.spec,
-					Traps: topo.traps, Capacity: scalingCapacity,
+					App: app, Qubits: n, Topology: d.spec,
+					Traps: d.traps, Capacity: studyCapacity,
 				})
 			}
 		}
 	}
-	return pts, rows
+	return spaces, rows
 }
 
 // RunScaling executes the scaling study for QAOA and QFT on linear and
-// grid devices sized at 22 ions per trap, on a fresh uncached runner.
-func RunScaling(base models.Params) (*Scaling, error) {
-	return RunScalingWith(NewRunner(base))
-}
-
-// RunScalingWith executes the scaling study on r, evaluating points in
-// parallel through the shared toolflow (and its outcome cache, when r has
-// one). Failed points are recorded in their rows and reported via
-// Failures, never aborting the rest of the sweep.
-func RunScalingWith(r *Runner) (*Scaling, error) {
-	pts, rows := scalingPoints(r.Params().Gate)
-	outs := r.Sweep(pts)
+// grid devices sized at 22 ions per trap, on tf. All sizes stream through
+// one worker pool.
+func RunScaling(tf *core.Toolflow) (*Scaling, error) {
+	spaces, rows := scalingStudy(tf.Params().Gate)
+	outs, err := evaluate(tf, spaces...)
+	if err != nil {
+		return nil, err
+	}
 	for i := range rows {
 		rows[i].Outcome = outs[i]
 	}
-	return &Scaling{Rows: rows}, nil
-}
-
-// Failures returns the failed design points, in sweep order.
-func (s *Scaling) Failures() []Outcome {
-	var fails []Outcome
-	for _, r := range s.Rows {
-		if r.Outcome.Err != nil {
-			fails = append(fails, r.Outcome)
-		}
-	}
-	return fails
+	return &Scaling{Rows: rows, evaluated: outs}, nil
 }
 
 // rowMetrics extracts the rendered metrics, NaN for a failed row.

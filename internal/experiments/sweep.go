@@ -2,13 +2,17 @@
 // evaluation (§VIII-§X): Table I (operation times), Table II (workload
 // characteristics), Figure 6 (trap sizing on L6), Figure 7 (linear vs grid
 // topology) and Figure 8 (gate implementation × chain reordering
-// microarchitecture study), plus a beyond-the-paper device scaling study.
-// Each figure function drives the core design toolflow over the paper's
-// parameter grid and renders the series the paper plots.
+// microarchitecture study), plus beyond-the-paper studies of device
+// scaling, surface-code QEC, compiler policies and multi-module devices.
+// Each study declares its design points as sweep grammars, streams them
+// through the caller's toolflow and renders the series the paper plots.
 package experiments
 
 import (
-	"repro/internal/cache"
+	"context"
+	"fmt"
+	"runtime"
+
 	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/sweep"
@@ -44,54 +48,96 @@ func PaperSpace() sweep.Space {
 	}
 }
 
-// Point, Outcome and Runner alias the core toolflow types; the experiment
-// harness is a thin orchestration layer over them.
-type (
-	Point   = core.Point
-	Outcome = core.Outcome
-	Runner  = core.Toolflow
-)
+// evaluated is every design point a study evaluated, in grammar order.
+// Each study embeds it. A failed point does not abort the study: it
+// renders as NaN and is reported by Failures, so callers can summarize
+// failures and exit nonzero.
+type evaluated []core.Outcome
 
-// NewRunner returns a toolflow whose physical parameters default to base
-// (the per-point gate implementation overrides base.Gate).
-func NewRunner(base models.Params) *Runner { return core.New(base) }
-
-// NewCachedRunner returns a toolflow backed by a content-addressed outcome
-// cache of at most entries results (entries <= 0 means unbounded). The
-// figure sweeps overlap heavily — Figure 8's microarchitecture grid
-// contains both Figure 6 and the L6 half of Figure 7 — so running the full
-// evaluation on one cached runner computes each unique design point once.
-func NewCachedRunner(base models.Params, entries int) *Runner {
-	return core.NewCached(base, entries)
-}
-
-// NewPersistentRunner returns a toolflow backed by a two-level outcome
-// store: an in-memory LRU front of at most entries results (entries <= 0
-// means unbounded) plus a persistent disk tier on dir, which survives the
-// process and may be shared concurrently with other runners and qccdd
-// replicas. diskMax caps the disk tier in bytes (0 = unbounded). A second
-// run of the paper evaluation against a populated directory computes
-// nothing (see TestWarmStartPaperGridZeroComputes).
-func NewPersistentRunner(base models.Params, entries int, dir string, diskMax int64) (*Runner, error) {
-	disk, err := cache.OpenDisk(dir, diskMax)
-	if err != nil {
-		return nil, err
+// Failures returns the failed design points, in grammar order.
+func (e evaluated) Failures() []core.Outcome {
+	var fails []core.Outcome
+	for _, o := range e {
+		if o.Err != nil {
+			fails = append(fails, o)
+		}
 	}
-	return core.NewWithCache(base, cache.NewStore[Outcome](entries, disk)), nil
+	return fails
 }
 
-// StoreStats reports the two-level cache counters of a runner built by
-// NewPersistentRunner; ok is false for any other runner.
-func StoreStats(r *Runner) (stats cache.StoreStats, ok bool) {
-	s, isStore := r.Cache().(*cache.Store[Outcome])
-	if !isStore {
-		return cache.StoreStats{}, false
+// evaluate compiles a study's grammars and streams them all through tf in
+// one worker pool, returning every outcome in grammar order, one grammar
+// after another. Gate siblings share one compiled program (see
+// sweep.Grid.Group), and small grammars, such as the scaling study's one
+// per size, run side by side.
+func evaluate(tf *core.Toolflow, spaces ...sweep.Space) (evaluated, error) {
+	var points []core.Point
+	var groups [][]int64
+	width := 1
+	for _, s := range spaces {
+		g, err := s.Compile()
+		if err != nil {
+			return nil, err
+		}
+		src := g.Source(g.FullWindow())
+		offset := int64(len(points))
+		for i := src.Start; i < src.End; i++ {
+			points = append(points, src.Point(i))
+			group := src.Group(i)
+			for j := range group {
+				group[j] += offset
+			}
+			groups = append(groups, group)
+		}
+		width = max(width, src.Width)
 	}
-	return s.StoreStats(), true
+	joint := core.Source{
+		End:   int64(len(points)),
+		Point: func(i int64) core.Point { return points[i] },
+		Group: func(i int64) []int64 { return groups[i] },
+		Width: width,
+	}
+	outs := make(evaluated, 0, len(points))
+	tf.Stream(context.TODO(), joint, runtime.GOMAXPROCS(0), func(r core.Row) bool {
+		outs = append(outs, r.Outcome)
+		return true
+	})
+	return outs, nil
 }
 
-// CapacitySweep builds points for one app/topology/microarch across the
-// paper's capacity grid.
-func CapacitySweep(app, topology string, gate models.GateImpl, reorder models.ReorderMethod, capacities []int) []Point {
-	return core.CapacitySweep(app, topology, gate, reorder, capacities)
+// studyCapacity is the per-trap ion limit of the sized studies (scaling,
+// QEC and TITAN): the paper's recommended ~20-25 ions (§IX.A).
+const studyCapacity = 22
+
+// sized is a device grown to hold a workload at studyCapacity.
+type sized struct {
+	spec  string
+	traps int
+}
+
+// grow returns the device with rows rows of traps per module, in modules
+// photonically linked modules, whose rows are just long enough to hold n
+// qubits at studyCapacity with the mapper's two buffer slots per trap,
+// and at least two traps long. One row is a linear device, more a grid.
+func grow(n, rows, modules int) sized {
+	perCol := rows * modules * (studyCapacity - 2) // qubits per trap column
+	cols := max(2, (n+perCol-1)/perCol)
+	spec := fmt.Sprintf("G%dx%d", rows, cols)
+	if rows == 1 {
+		spec = fmt.Sprintf("L%d", cols)
+	}
+	if modules > 1 {
+		spec = fmt.Sprintf("Mod%d:%s", modules, spec)
+	}
+	return sized{spec, rows * modules * cols}
+}
+
+// sizedSpace is the grammar of apps on devs at studyCapacity with gate
+// and GS reordering.
+func sizedSpace(gate models.GateImpl, apps []string, devs []sized) sweep.Space {
+	s := sweep.Space{Apps: apps, Capacities: []int{studyCapacity}, Gates: []string{gate.String()}}
+	for _, d := range devs {
+		s.Topologies = append(s.Topologies, d.spec)
+	}
+	return s
 }

@@ -6,9 +6,11 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Titan is the TITAN-scale multi-module study: one large workload run on
@@ -26,6 +28,7 @@ type Titan struct {
 	Latencies []float64
 	// Rows holds one entry per (module count, latency) cell.
 	Rows []TitanRow
+	evaluated
 }
 
 // TitanRow is one (module count, link latency) cell of the study.
@@ -38,7 +41,7 @@ type TitanRow struct {
 	LinkLatencyUS float64
 	// Outcome is the raw design-point outcome; a failed point carries its
 	// error and renders as NaN, like the figure sweeps.
-	Outcome Outcome
+	Outcome core.Outcome
 }
 
 // Result returns the simulation result, or nil for a failed point.
@@ -59,63 +62,40 @@ var (
 	titanLatencies = []float64{100, 300, 1000}
 )
 
-// titanTopology sizes a k-module device for the study workload: grid
-// modules at the fixed scaling capacity, with enough columns that k
-// modules hold titanQubits with two buffer slots per trap.
-func titanTopology(k int) (spec string, traps int) {
-	perTrap := scalingCapacity - 2
-	perModule := (titanQubits + k*perTrap - 1) / (k * perTrap) // traps per module
-	cols := (perModule + 1) / 2
-	if cols < 2 {
-		cols = 2
+// titanStudy returns the study's grammar: the workload on grid modules
+// grown to hold it, one device per module count. It also returns the
+// devices, in grammar order.
+func titanStudy(gate models.GateImpl) (sweep.Space, []sized) {
+	var devs []sized
+	for _, k := range titanModules {
+		devs = append(devs, grow(titanQubits, 2, k))
 	}
-	return fmt.Sprintf("Mod%d:G2x%d", k, cols), k * 2 * cols
+	return sizedSpace(gate, []string{fmt.Sprintf("%s@%d", titanApp, titanQubits)}, devs), devs
 }
 
-// RunTitan executes the TITAN-scale study. Unlike the other studies it
-// cannot share one runner: the link latency is a physical parameter, not
-// a design-point axis, so each latency value gets its own runner seeded
-// from base.
-func RunTitan(base models.Params) (*Titan, error) {
+// RunTitan executes the TITAN-scale study on tf. The link latency is a
+// physical parameter, not a design-point axis, so the study runs its
+// grammar once per latency under that calibration of tf (see
+// core.Toolflow.WithParams), which shares tf's outcome cache and circuits.
+func RunTitan(tf *core.Toolflow) (*Titan, error) {
+	space, devs := titanStudy(tf.Params().Gate)
 	t := &Titan{App: titanApp, Qubits: titanQubits, Latencies: titanLatencies}
 	for _, lat := range titanLatencies {
-		params := base
+		params := tf.Params()
 		params.PhotonicLinkLatency = lat
-		r := NewRunner(params)
-		var pts []Point
-		var rows []TitanRow
-		for _, k := range titanModules {
-			spec, traps := titanTopology(k)
-			pts = append(pts, Point{
-				App:      fmt.Sprintf("%s@%d", titanApp, titanQubits),
-				Topology: spec,
-				Capacity: scalingCapacity,
-				Gate:     params.Gate,
-				Reorder:  models.GS,
-			})
-			rows = append(rows, TitanRow{
-				Modules: k, Topology: spec, Traps: traps,
-				Capacity: scalingCapacity, LinkLatencyUS: lat,
+		outs, err := evaluate(tf.WithParams(params), space)
+		if err != nil {
+			return nil, err
+		}
+		for i, d := range devs {
+			t.Rows = append(t.Rows, TitanRow{
+				Modules: titanModules[i], Topology: d.spec, Traps: d.traps,
+				Capacity: studyCapacity, LinkLatencyUS: lat, Outcome: outs[i],
 			})
 		}
-		outs := r.Sweep(pts)
-		for i := range rows {
-			rows[i].Outcome = outs[i]
-		}
-		t.Rows = append(t.Rows, rows...)
+		t.evaluated = append(t.evaluated, outs...)
 	}
 	return t, nil
-}
-
-// Failures returns the failed design points, in sweep order.
-func (t *Titan) Failures() []Outcome {
-	var fails []Outcome
-	for _, r := range t.Rows {
-		if r.Outcome.Err != nil {
-			fails = append(fails, r.Outcome)
-		}
-	}
-	return fails
 }
 
 // titanMetrics extracts the rendered metrics, NaN for a failed row.
@@ -131,7 +111,7 @@ func titanMetrics(r TitanRow) (timeS, fid, logFid float64, links int) {
 func (t *Titan) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: TITAN-scale multi-module study (%s@%d, capacity %d)\n",
-		t.App, t.Qubits, scalingCapacity)
+		t.App, t.Qubits, studyCapacity)
 	fmt.Fprintf(&b, "%-8s %-10s %6s %12s %10s %12s %12s %7s\n",
 		"modules", "device", "traps", "link(µs)", "time(s)", "fidelity", "log-fid", "links")
 	for _, r := range t.Rows {

@@ -30,9 +30,12 @@
 package qccd
 
 import (
+	"fmt"
+
 	"repro/internal/apps"
 	"repro/internal/circuit"
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -219,11 +222,11 @@ func Run(c *Circuit, d *Device, opts CompileOptions, params Params) (*Result, er
 type (
 	// DesignPoint identifies one app/topology/capacity/microarchitecture
 	// combination.
-	DesignPoint = experiments.Point
+	DesignPoint = core.Point
 	// Outcome pairs a design point with its result.
-	Outcome = experiments.Outcome
+	Outcome = core.Outcome
 	// Explorer runs design points concurrently with cached circuits.
-	Explorer = experiments.Runner
+	Explorer = core.Toolflow
 	// Figure6, Figure7 and Figure8 hold the regenerated evaluation data.
 	Figure6 = experiments.Fig6
 	Figure7 = experiments.Fig7
@@ -231,7 +234,7 @@ type (
 )
 
 // NewExplorer returns a design-space explorer over the benchmark suite.
-func NewExplorer(base Params) *Explorer { return experiments.NewRunner(base) }
+func NewExplorer(base Params) *Explorer { return core.New(base) }
 
 // NewCachedExplorer returns an explorer backed by a content-addressed
 // outcome cache of at most entries results (entries <= 0 means
@@ -239,17 +242,35 @@ func NewExplorer(base Params) *Explorer { return experiments.NewRunner(base) }
 // sweeps — are computed once and identical in-flight points are
 // deduplicated (cmd/qccdd serves this over HTTP).
 func NewCachedExplorer(base Params, entries int) *Explorer {
-	return experiments.NewCachedRunner(base, entries)
+	return core.NewCached(base, entries)
 }
 
 // RunFigure6 regenerates the paper's Figure 6 (trap sizing, §IX.A).
-func RunFigure6(base Params) (*Figure6, error) { return experiments.RunFig6(base) }
+// Failed design points are reported as one error; the figure is still
+// returned, with NaN at those points.
+func RunFigure6(base Params) (*Figure6, error) { return figure("fig6", experiments.RunFig6, base) }
 
-// RunFigure7 regenerates the paper's Figure 7 (topology, §IX.B).
-func RunFigure7(base Params) (*Figure7, error) { return experiments.RunFig7(base) }
+// RunFigure7 regenerates the paper's Figure 7 (topology, §IX.B),
+// reporting failed design points as RunFigure6 does.
+func RunFigure7(base Params) (*Figure7, error) { return figure("fig7", experiments.RunFig7, base) }
 
-// RunFigure8 regenerates the paper's Figure 8 (microarchitecture, §X).
-func RunFigure8(base Params) (*Figure8, error) { return experiments.RunFig8(base) }
+// RunFigure8 regenerates the paper's Figure 8 (microarchitecture, §X),
+// reporting failed design points as RunFigure6 does.
+func RunFigure8(base Params) (*Figure8, error) { return figure("fig8", experiments.RunFig8, base) }
+
+// figure runs a figure on a fresh toolflow and reports its failed design
+// points as one error.
+func figure[F interface{ Failures() []Outcome }](name string, run func(*core.Toolflow) (F, error), base Params) (F, error) {
+	f, err := run(core.New(base))
+	if err != nil {
+		return f, err
+	}
+	if fails := f.Failures(); len(fails) > 0 {
+		return f, fmt.Errorf("%s: %d design points failed; first %s: %w",
+			name, len(fails), fails[0].Point, fails[0].Err)
+	}
+	return f, nil
+}
 
 // Table1 renders the paper's Table I from model constants.
 func Table1(p Params) string { return experiments.Table1(p) }
