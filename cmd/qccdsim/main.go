@@ -28,9 +28,6 @@ func main() {
 		qasmFile = flag.String("qasm", "", "OpenQASM 2.0 file to run instead of -app")
 		devSpec  = flag.String("device", "L6", "device topology: L<n> or G<r>x<c>")
 		capacity = flag.Int("capacity", 20, "maximum ions per trap")
-		gateName = flag.String("gate", "FM", "two-qubit gate implementation: AM1|AM2|PM|FM")
-		reorder  = flag.String("reorder", "GS", "chain reordering method: GS|IS")
-		policy   = flag.String("policy", "baseline", "compiler policy bundle: baseline|lookahead|congestion|...")
 		buffer   = flag.Int("buffer", 2, "mapper buffer slots per trap")
 		dump     = flag.Bool("dump", false, "print the compiled executable")
 		stats    = flag.Bool("stats", false, "print workload statistics and exit")
@@ -38,7 +35,13 @@ func main() {
 		traceOut = flag.String("trace", "", "write the per-op execution timeline CSV to this file")
 		gantt    = flag.Bool("gantt", false, "print an ASCII timeline of device resource usage")
 		paramsIn = flag.String("params", "", "JSON file overriding the physical model parameters")
+		gate     = qccd.FM
+		reorder  = qccd.GS
+		policy   qccd.PolicyName
 	)
+	flag.TextVar(&gate, "gate", gate, "two-qubit gate implementation: AM1|AM2|PM|FM")
+	flag.TextVar(&reorder, "reorder", reorder, "chain reordering method: GS|IS")
+	flag.TextVar(&policy, "policy", policy, "compiler policy bundle: baseline|lookahead|congestion|...")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
@@ -72,20 +75,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	params.Gate, err = parseGate(*gateName)
-	if err != nil {
-		log.Fatal(err)
-	}
+	params.Gate = gate
 	opts := qccd.DefaultCompileOptions()
 	opts.BufferSlots = *buffer
-	opts.Reorder, err = parseReorder(*reorder)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts.Policy, err = qccd.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
+	opts.Reorder = reorder
+	opts.Policy = policy
 
 	prog, err := qccd.Compile(circ, dev, opts)
 	if err != nil {
@@ -135,25 +129,6 @@ func loadCircuit(app, qasmFile string) (*qccd.Circuit, error) {
 		return nil, err
 	}
 	return qccd.ParseQASM(qasmFile, string(src))
-}
-
-func parseGate(name string) (qccd.GateImpl, error) {
-	for _, g := range []qccd.GateImpl{qccd.AM1, qccd.AM2, qccd.PM, qccd.FM} {
-		if g.String() == name {
-			return g, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown gate implementation %q (want AM1|AM2|PM|FM)", name)
-}
-
-func parseReorder(name string) (qccd.ReorderMethod, error) {
-	switch name {
-	case "GS":
-		return qccd.GS, nil
-	case "IS":
-		return qccd.IS, nil
-	}
-	return 0, fmt.Errorf("unknown reorder method %q (want GS|IS)", name)
 }
 
 func report(r *qccd.Result, params qccd.Params) {

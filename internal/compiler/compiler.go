@@ -54,8 +54,6 @@ type Options struct {
 	BufferSlots int
 	// RouteCosts weights the shuttle router's shortest-path search.
 	RouteCosts device.RouteCosts
-	// MaxEvictionDepth bounds recursive trap-overflow rebalancing.
-	MaxEvictionDepth int
 	// BalancedMapping spreads qubits over all traps in equal contiguous
 	// blocks instead of the paper's sequential fill-to-capacity. Shorter
 	// chains speed up FM gates but use more inter-trap communication; the
@@ -70,12 +68,14 @@ type Options struct {
 // buffer slots per trap.
 func DefaultOptions() Options {
 	return Options{
-		Reorder:          models.GS,
-		BufferSlots:      2,
-		RouteCosts:       device.DefaultRouteCosts(),
-		MaxEvictionDepth: 16,
+		Reorder:     models.GS,
+		BufferSlots: 2,
+		RouteCosts:  device.DefaultRouteCosts(),
 	}
 }
+
+// maxEvictionDepth bounds recursive trap-overflow rebalancing.
+const maxEvictionDepth = 16
 
 // Compile lowers circuit c onto device d, producing an executable program.
 func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, error) {
@@ -84,9 +84,6 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
-	}
-	if opts.MaxEvictionDepth <= 0 {
-		opts.MaxEvictionDepth = 16
 	}
 	if c.NumQubits > d.MaxIons() {
 		return nil, fmt.Errorf("compiler: %d qubits exceed device capacity %d (%s)",
@@ -359,8 +356,8 @@ func (cc *compilation) reorderSteps(q, t int, end device.End) int {
 // slot, so a nearest-space eviction can always make progress. Eviction
 // destinations prefer traps off the remaining route to limit churn.
 func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
-	if depth > cc.opts.MaxEvictionDepth {
-		return fmt.Errorf("eviction recursion exceeded depth %d", cc.opts.MaxEvictionDepth)
+	if depth > maxEvictionDepth {
+		return fmt.Errorf("eviction recursion exceeded depth %d", maxEvictionDepth)
 	}
 	route, err := cc.router.Route(src, dst)
 	if err != nil {

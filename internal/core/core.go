@@ -28,23 +28,24 @@ import (
 )
 
 // Point identifies one design point: an application on a device
-// configuration under one microarchitecture.
+// configuration under one microarchitecture. On the wire, enums travel as
+// their paper names so requests are hand-writable.
 type Point struct {
 	// App names a Table II benchmark (see internal/apps).
-	App string
+	App string `json:"app"`
 	// Topology is a device spec such as "L6" or "G2x3".
-	Topology string
+	Topology string `json:"topology"`
 	// Capacity is the per-trap ion limit.
-	Capacity int
+	Capacity int `json:"capacity"`
 	// Gate selects the two-qubit MS implementation.
-	Gate models.GateImpl
+	Gate models.GateImpl `json:"gate"`
 	// Reorder selects the chain reordering method.
-	Reorder models.ReorderMethod
+	Reorder models.ReorderMethod `json:"reorder"`
 	// Policy selects the compiler policy bundle. The zero value is the
 	// baseline (the paper's heuristics): a zero-policy Point is identical
 	// — in struct equality, String, wire format and cache key — to a Point
 	// from before the policy axis existed.
-	Policy models.PolicyName
+	Policy models.PolicyName `json:"policy,omitempty"`
 }
 
 // String renders the point compactly, e.g. "QFT/L6/cap22/FM-GS"; a

@@ -13,64 +13,19 @@ import (
 	"repro/internal/sim"
 )
 
-// pointJSON is the wire shape of a design point: enums travel as their
-// paper names so requests are hand-writable.
-type pointJSON struct {
-	App      string `json:"app"`
-	Topology string `json:"topology"`
-	Capacity int    `json:"capacity"`
-	Gate     string `json:"gate,omitempty"`
-	Reorder  string `json:"reorder,omitempty"`
-	Policy   string `json:"policy,omitempty"`
-}
-
-// MarshalJSON encodes the point with gate and reorder as paper names. The
-// baseline policy is omitted entirely, keeping pre-policy wire output
-// byte-identical.
-func (p Point) MarshalJSON() ([]byte, error) {
-	j := pointJSON{
-		App:      p.App,
-		Topology: p.Topology,
-		Capacity: p.Capacity,
-		Gate:     p.Gate.String(),
-		Reorder:  p.Reorder.String(),
-	}
-	if !p.Policy.IsBaseline() {
-		j.Policy = p.Policy.String()
-	}
-	return json.Marshal(j)
-}
-
 // UnmarshalJSON decodes a point, rejecting unknown fields so a typo'd
-// key fails loudly instead of silently running a default. Omitted gate
-// and reorder fields default to the paper's FM / GS microarchitecture; an
-// omitted policy is the baseline.
+// key fails loudly instead of silently running a default. Omitted or
+// empty gate and reorder fields default to the paper's FM / GS
+// microarchitecture; an omitted or empty policy is the baseline.
 func (p *Point) UnmarshalJSON(data []byte) error {
-	var raw pointJSON
+	type point Point // sheds this method, so decoding does not recurse
+	doc := point{Gate: models.FM, Reorder: models.GS}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return fmt.Errorf("core: point: %w", err)
 	}
-	gate := models.FM
-	if raw.Gate != "" {
-		var err error
-		if gate, err = models.ParseGateImpl(raw.Gate); err != nil {
-			return err
-		}
-	}
-	reorder := models.GS
-	if raw.Reorder != "" {
-		var err error
-		if reorder, err = models.ParseReorderMethod(raw.Reorder); err != nil {
-			return err
-		}
-	}
-	policy, err := models.ParsePolicy(raw.Policy)
-	if err != nil {
-		return err
-	}
-	*p = Point{App: raw.App, Topology: raw.Topology, Capacity: raw.Capacity, Gate: gate, Reorder: reorder, Policy: policy}
+	*p = Point(doc)
 	return nil
 }
 

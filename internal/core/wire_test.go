@@ -271,3 +271,27 @@ func TestSweepWithSharedCacheComputesUniquePointsOnce(t *testing.T) {
 		t.Errorf("hits+shared = %d, want 6 (stats %+v)", st.Hits+st.Shared, st)
 	}
 }
+
+// TestCacheKeysPinned pins cache keys that disk caches already hold: a
+// plain paper point, a non-baseline policy, and a TITAN-study calibration
+// of a multi-module point.
+func TestCacheKeysPinned(t *testing.T) {
+	titan := models.Default()
+	titan.PhotonicLinkLatency = 100
+	for _, tc := range []struct {
+		pt     Point
+		params models.Params
+		want   string
+	}{
+		{Point{App: "QFT", Topology: "L6", Capacity: 22, Gate: models.FM, Reorder: models.GS}, models.Default(),
+			"adc2e770bad92131a524d2acea7850fb29664bb9f036f0c8f6c37ba1d6b9b6fc"},
+		{Point{App: "BV", Topology: "G2x3", Capacity: 14, Gate: models.AM1, Reorder: models.IS, Policy: "lookahead"}, models.Default(),
+			"4f72901741b923d5fbb9c40b375af851bb1c81f3fc7380603898ea05c83e2745"},
+		{Point{App: "QFT@512", Topology: "Mod2:G2x7", Capacity: 22, Gate: models.FM, Reorder: models.GS}, titan,
+			"8c6042cca175db03fc7bdefb825a866fecd5634d761cd66e42d1bfb04027bbe9"},
+	} {
+		if got := CacheKey(tc.pt, tc.params); got != tc.want {
+			t.Errorf("CacheKey(%s) = %s, want %s", tc.pt, got, tc.want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 )
 
 // Canon accumulates a canonical, self-delimiting byte encoding of a value
@@ -51,31 +52,22 @@ func (c *Canon) Sum() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// AppendCanonical writes every parameter field into c in a fixed order.
-// The leading version tag guards against silent key reuse if the encoding
-// ever changes shape.
+// AppendCanonical writes every parameter field into c under its canon
+// tag, in declaration order. The leading version tag guards against
+// silent key reuse if the encoding ever changes shape.
 func (p Params) AppendCanonical(c *Canon) {
 	c.Str("params", "v1")
-	c.Str("gate", p.Gate.String())
-	c.Float("one_qubit_time", p.OneQubitTime)
-	c.Float("measure_time", p.MeasureTime)
-	c.Float("move_time", p.MoveTime)
-	c.Float("split_time", p.SplitTime)
-	c.Float("merge_time", p.MergeTime)
-	c.Float("y_junction_time", p.YJunctionTime)
-	c.Float("x_junction_time", p.XJunctionTime)
-	c.Float("ion_swap_rotate_time", p.IonSwapRotateTime)
-	c.Float("k1", p.K1)
-	c.Float("k2", p.K2)
-	c.Float("junction_heating", p.JunctionHeating)
-	c.Float("background_rate", p.BackgroundRate)
-	c.Float("a0", p.A0)
-	c.Float("a1q", p.A1Q)
-	c.Float("measure_fidelity", p.MeasureFidelity)
-	c.Int("swap_ms_gates", p.SwapMSGates)
-	c.Int("swap_one_q_gates", p.SwapOneQGates)
-	c.Float("photonic_link_latency", p.PhotonicLinkLatency)
-	c.Float("photonic_link_infidelity", p.PhotonicLinkInfidelity)
+	v := reflect.ValueOf(&p).Elem()
+	for i, f := range paramFields {
+		switch x := v.Field(i); x.Kind() {
+		case reflect.Float64:
+			c.Float(f.canon, x.Float())
+		case reflect.Int:
+			c.Int(f.canon, int(x.Int()))
+		default: // GateImpl
+			c.Str(f.canon, GateImpl(x.Uint()).String())
+		}
+	}
 }
 
 // Canonical returns the deterministic byte encoding of the parameters.

@@ -57,3 +57,14 @@ func TestCanonDistinguishesFieldBoundaries(t *testing.T) {
 		t.Error("field sequences must be unambiguous")
 	}
 }
+
+// TestDefaultHashPinned pins the content hash of the default calibration.
+// Every disk cache written so far is keyed under it, so a change to field
+// order, names or encoding must fail here rather than silently orphan
+// those caches.
+func TestDefaultHashPinned(t *testing.T) {
+	const want = "db217820a3d7b12e16b4394e29744501a2d809a3070afb84b09a6b3db7c6932d"
+	if got := Default().Hash(); got != want {
+		t.Errorf("Default().Hash() = %s, want %s", got, want)
+	}
+}

@@ -6,104 +6,36 @@ import (
 	"fmt"
 )
 
-// MarshalText is not provided: Params round-trips through JSON with the
-// standard library field names plus a string Gate field, so calibration
-// configurations can live in version-controlled files (see LoadJSON).
-
-// paramsJSON mirrors Params with the gate implementation as a string.
-type paramsJSON struct {
-	Gate              string  `json:"gate"`
-	OneQubitTime      float64 `json:"one_qubit_time_us"`
-	MeasureTime       float64 `json:"measure_time_us"`
-	MoveTime          float64 `json:"move_time_us"`
-	SplitTime         float64 `json:"split_time_us"`
-	MergeTime         float64 `json:"merge_time_us"`
-	YJunctionTime     float64 `json:"y_junction_time_us"`
-	XJunctionTime     float64 `json:"x_junction_time_us"`
-	IonSwapRotateTime float64 `json:"ion_swap_rotate_time_us"`
-	K1                float64 `json:"k1_quanta"`
-	K2                float64 `json:"k2_quanta"`
-	JunctionHeating   float64 `json:"junction_heating_quanta"`
-	BackgroundRate    float64 `json:"background_rate_per_s"`
-	A0                float64 `json:"a0"`
-	A1Q               float64 `json:"a1q"`
-	MeasureFidelity   float64 `json:"measure_fidelity"`
-	SwapMSGates       int     `json:"swap_ms_gates"`
-	SwapOneQGates     int     `json:"swap_one_q_gates"`
-	// Photonic link fields decode to zero from documents that predate
-	// them; Validate accepts that, and single-module devices ignore it.
-	PhotonicLinkLatency    float64 `json:"photonic_link_latency_us"`
-	PhotonicLinkInfidelity float64 `json:"photonic_link_infidelity"`
-}
-
-// MarshalJSON encodes the parameters with descriptive, unit-suffixed keys.
-func (p Params) MarshalJSON() ([]byte, error) {
-	return json.Marshal(paramsJSON{
-		Gate:                   p.Gate.String(),
-		OneQubitTime:           p.OneQubitTime,
-		MeasureTime:            p.MeasureTime,
-		MoveTime:               p.MoveTime,
-		SplitTime:              p.SplitTime,
-		MergeTime:              p.MergeTime,
-		YJunctionTime:          p.YJunctionTime,
-		XJunctionTime:          p.XJunctionTime,
-		IonSwapRotateTime:      p.IonSwapRotateTime,
-		K1:                     p.K1,
-		K2:                     p.K2,
-		JunctionHeating:        p.JunctionHeating,
-		BackgroundRate:         p.BackgroundRate,
-		A0:                     p.A0,
-		A1Q:                    p.A1Q,
-		MeasureFidelity:        p.MeasureFidelity,
-		SwapMSGates:            p.SwapMSGates,
-		SwapOneQGates:          p.SwapOneQGates,
-		PhotonicLinkLatency:    p.PhotonicLinkLatency,
-		PhotonicLinkInfidelity: p.PhotonicLinkInfidelity,
-	})
-}
-
-// UnmarshalJSON decodes parameters written by MarshalJSON. Unknown
-// fields are rejected, so a typo'd key in a calibration file or request
-// fails loudly instead of silently leaving the field at zero.
+// UnmarshalJSON decodes a params document keyed by Params' json tags.
+// Unknown keys are rejected, so a typo'd key in a calibration file or
+// request fails loudly instead of silently leaving the field at zero. The
+// gate has no default: a document without one is rejected.
 func (p *Params) UnmarshalJSON(data []byte) error {
-	var raw paramsJSON
+	type params Params // sheds this method, so decoding does not recurse
+	// paramsDoc's string Gate shadows the embedded one, so a missing,
+	// empty or null gate reaches ParseGateImpl as "".
+	type paramsDoc struct {
+		params
+		Gate string `json:"gate"`
+	}
+	var doc paramsDoc
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return fmt.Errorf("models: %w", err)
 	}
-	gate, err := ParseGateImpl(raw.Gate)
+	gate, err := ParseGateImpl(doc.Gate)
 	if err != nil {
 		return err
 	}
-	*p = Params{
-		Gate:                   gate,
-		OneQubitTime:           raw.OneQubitTime,
-		MeasureTime:            raw.MeasureTime,
-		MoveTime:               raw.MoveTime,
-		SplitTime:              raw.SplitTime,
-		MergeTime:              raw.MergeTime,
-		YJunctionTime:          raw.YJunctionTime,
-		XJunctionTime:          raw.XJunctionTime,
-		IonSwapRotateTime:      raw.IonSwapRotateTime,
-		K1:                     raw.K1,
-		K2:                     raw.K2,
-		JunctionHeating:        raw.JunctionHeating,
-		BackgroundRate:         raw.BackgroundRate,
-		A0:                     raw.A0,
-		A1Q:                    raw.A1Q,
-		MeasureFidelity:        raw.MeasureFidelity,
-		SwapMSGates:            raw.SwapMSGates,
-		SwapOneQGates:          raw.SwapOneQGates,
-		PhotonicLinkLatency:    raw.PhotonicLinkLatency,
-		PhotonicLinkInfidelity: raw.PhotonicLinkInfidelity,
-	}
+	*p = Params(doc.params)
+	p.Gate = gate
 	return nil
 }
 
-// LoadJSON parses a parameter file produced by MarshalJSON (or written by
-// hand) and validates it, so calibration variants can be swapped into the
-// CLI tools without recompiling.
+// LoadJSON parses a params document (as json.Marshal writes it, or
+// written by hand) and validates it, so calibration variants can be
+// swapped into the CLI tools without recompiling.
 func LoadJSON(data []byte) (Params, error) {
 	var p Params
 	if err := json.Unmarshal(data, &p); err != nil {

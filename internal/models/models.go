@@ -11,6 +11,7 @@ package models
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/device"
 )
@@ -56,6 +57,26 @@ func ParseGateImpl(s string) (GateImpl, error) {
 	return 0, fmt.Errorf("models: unknown gate implementation %q (want AM1|AM2|PM|FM)", s)
 }
 
+// MarshalText encodes the implementation by its paper name.
+func (g GateImpl) MarshalText() ([]byte, error) { return []byte(g.String()), nil }
+
+// UnmarshalText resolves a name as ParseGateImpl does. Empty text leaves g
+// unchanged, so a decoder's preset value is the default.
+func (g *GateImpl) UnmarshalText(text []byte) error { return unmarshalEnum(g, text, ParseGateImpl) }
+
+// unmarshalEnum sets *v to parse(text), leaving it unchanged for empty
+// text or a parse error.
+func unmarshalEnum[T any](v *T, text []byte, parse func(string) (T, error)) error {
+	if len(text) == 0 {
+		return nil
+	}
+	x, err := parse(string(text))
+	if err == nil {
+		*v = x
+	}
+	return err
+}
+
 // ReorderMethod selects how chains are reordered before splits (§IV.C).
 type ReorderMethod uint8
 
@@ -90,6 +111,15 @@ func ParseReorderMethod(s string) (ReorderMethod, error) {
 	return 0, fmt.Errorf("models: unknown reorder method %q (want GS|IS)", s)
 }
 
+// MarshalText encodes the method by its paper name.
+func (r ReorderMethod) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText resolves a name as ParseReorderMethod does. Empty text
+// leaves r unchanged, so a decoder's preset value is the default.
+func (r *ReorderMethod) UnmarshalText(text []byte) error {
+	return unmarshalEnum(r, text, ParseReorderMethod)
+}
+
 func equalFold(a, b string) bool {
 	if len(a) != len(b) {
 		return false
@@ -111,55 +141,65 @@ func equalFold(a, b string) bool {
 
 // Params bundles every physical constant of the simulation. The zero
 // value is not useful; start from Default.
+//
+// The struct is the parameter table. Each field's tags give its wire key
+// (json), the name it is hashed under (canon) and its range rule (valid,
+// a key of validRules); JSON encoding, AppendCanonical and Validate all
+// follow them in declaration order. A new parameter is one tagged field.
+// Adding one changes every Hash, so caches keyed by the old hashes go cold.
 type Params struct {
 	// Gate time model (§VII.A).
-	Gate GateImpl
+	Gate GateImpl `json:"gate" canon:"gate" valid:"one of AM1|AM2|PM|FM"`
 	// OneQubitTime is the duration of a single-qubit rotation (µs).
-	OneQubitTime float64
+	OneQubitTime float64 `json:"one_qubit_time_us" canon:"one_qubit_time" valid:"positive"`
 	// MeasureTime is the duration of a qubit readout (µs).
-	MeasureTime float64
+	MeasureTime float64 `json:"measure_time_us" canon:"measure_time" valid:"positive"`
 
-	// Shuttling times (Table I, µs).
-	MoveTime      float64 // per segment length unit
-	SplitTime     float64
-	MergeTime     float64
-	YJunctionTime float64
-	XJunctionTime float64
+	// Shuttling times (Table I, µs); MoveTime is per segment length unit.
+	MoveTime      float64 `json:"move_time_us" canon:"move_time" valid:"positive"`
+	SplitTime     float64 `json:"split_time_us" canon:"split_time" valid:"positive"`
+	MergeTime     float64 `json:"merge_time_us" canon:"merge_time" valid:"positive"`
+	YJunctionTime float64 `json:"y_junction_time_us" canon:"y_junction_time" valid:"positive"`
+	XJunctionTime float64 `json:"x_junction_time_us" canon:"x_junction_time" valid:"positive"`
 	// IonSwapRotateTime is the 180-degree physical rotation inside an IS
 	// hop (Kaufmann et al. [63]); the hop also pays one split + one merge.
-	IonSwapRotateTime float64
+	IonSwapRotateTime float64 `json:"ion_swap_rotate_time_us" canon:"ion_swap_rotate_time" valid:"positive"`
 
-	// Heating model (§VII.B), in quanta.
-	K1              float64 // added to each sub-chain on split, and on merge
-	K2              float64 // added per segment length unit moved
-	JunctionHeating float64 // added per junction crossing
+	// Heating model (§VII.B), in quanta: K1 is added to each sub-chain on
+	// split, and on merge; K2 per segment length unit moved;
+	// JunctionHeating per junction crossing.
+	K1              float64 `json:"k1_quanta" canon:"k1" valid:"non-negative"`
+	K2              float64 `json:"k2_quanta" canon:"k2" valid:"non-negative"`
+	JunctionHeating float64 `json:"junction_heating_quanta" canon:"junction_heating" valid:"non-negative"`
 
 	// Fidelity model (§VII.C, Eq. 1).
 	// BackgroundRate is Γ in quanta/s; the per-gate background error is
 	// Γ·τ with τ converted to seconds.
-	BackgroundRate float64
+	BackgroundRate float64 `json:"background_rate_per_s" canon:"background_rate" valid:"non-negative"`
 	// A0 scales the laser-instability term: A = A0 · N/ln(N).
-	A0 float64
+	A0 float64 `json:"a0" canon:"a0" valid:"non-negative"`
 	// A1Q is the motional sensitivity of single-qubit gates (they address
 	// one ion and couple far less to the chain motion).
-	A1Q float64
+	A1Q float64 `json:"a1q" canon:"a1q" valid:"non-negative"`
 	// MeasureFidelity is the per-qubit readout fidelity.
-	MeasureFidelity float64
+	MeasureFidelity float64 `json:"measure_fidelity" canon:"measure_fidelity" valid:"in (0,1]"`
 
 	// SwapMSGates and SwapOneQGates define the GS SWAP decomposition
 	// (3 MS + single-qubit corrections, §IV.C / Figure 5).
-	SwapMSGates   int
-	SwapOneQGates int
+	SwapMSGates   int `json:"swap_ms_gates" canon:"swap_ms_gates" valid:">= 1"`
+	SwapOneQGates int `json:"swap_one_q_gates" canon:"swap_one_q_gates" valid:"non-negative"`
 
 	// Photonic interconnect model for multi-module (Mod<k>:<inner>)
 	// devices. A link transit establishes remote entanglement over the
 	// optical link and teleports the detached ion's state onto a fresh
 	// cooled ion on the far side, so it pays one flat latency and one
 	// infidelity hit, and resets accumulated transit heating.
-	// PhotonicLinkLatency is that flat duration (µs).
-	PhotonicLinkLatency float64
+	// PhotonicLinkLatency is that flat duration (µs). Zero is valid: params
+	// documents that predate photonic links decode with the zero value,
+	// and single-module devices never exercise it.
+	PhotonicLinkLatency float64 `json:"photonic_link_latency_us" canon:"photonic_link_latency" valid:"non-negative"`
 	// PhotonicLinkInfidelity is the state error of one link transit.
-	PhotonicLinkInfidelity float64
+	PhotonicLinkInfidelity float64 `json:"photonic_link_infidelity" canon:"photonic_link_infidelity" valid:"in [0,1)"`
 }
 
 // Default returns the paper-faithful constants: Table I shuttle times, the
@@ -195,48 +235,65 @@ func Default() Params {
 	}
 }
 
-// Validate rejects non-physical parameter values.
+// validRules maps each valid tag to the condition a good value meets.
+// Every rule is written as that condition, so NaN fails them all.
+var validRules = map[string]func(float64) bool{
+	"positive":             func(v float64) bool { return v > 0 },
+	"non-negative":         func(v float64) bool { return v >= 0 },
+	">= 1":                 func(v float64) bool { return v >= 1 },
+	"in (0,1]":             func(v float64) bool { return v > 0 && v <= 1 },
+	"in [0,1)":             func(v float64) bool { return v >= 0 && v < 1 },
+	"one of AM1|AM2|PM|FM": func(v float64) bool { return v < float64(len(gateImplNames)) },
+}
+
+// paramField holds one Params field's tags.
+type paramField struct {
+	key   string // json: the wire key, which Validate names
+	canon string // canon: the name AppendCanonical hashes
+	rule  string // valid: a key of validRules, quoted in Validate errors
+	ok    func(float64) bool
+}
+
+// paramFields lists Params' fields in declaration order. A field with a
+// bad tag or type panics at package init, so it cannot ship.
+var paramFields = fieldsOf(reflect.TypeOf(Params{}))
+
+// fieldsOf reads the tags of struct type t's fields. It panics on a field
+// with a missing tag, an unknown rule or a type other than float64, int
+// or GateImpl.
+func fieldsOf(t reflect.Type) []paramField {
+	fs := make([]paramField, t.NumField())
+	for i := range fs {
+		sf := t.Field(i)
+		f := paramField{key: sf.Tag.Get("json"), canon: sf.Tag.Get("canon"), rule: sf.Tag.Get("valid")}
+		f.ok = validRules[f.rule]
+		typed := sf.Type == reflect.TypeOf(0.0) || sf.Type == reflect.TypeOf(0) || sf.Type == reflect.TypeOf(FM)
+		if f.key == "" || f.canon == "" || f.ok == nil || !typed {
+			panic(fmt.Sprintf("models: Params.%s needs json, canon and known valid tags and a float64, int or GateImpl type", sf.Name))
+		}
+		fs[i] = f
+	}
+	return fs
+}
+
+// Validate rejects non-physical parameter values. It checks the fields in
+// declaration order and names the first bad one by its wire key.
 func (p Params) Validate() error {
-	pos := map[string]float64{
-		"OneQubitTime": p.OneQubitTime, "MeasureTime": p.MeasureTime,
-		"MoveTime": p.MoveTime, "SplitTime": p.SplitTime, "MergeTime": p.MergeTime,
-		"YJunctionTime": p.YJunctionTime, "XJunctionTime": p.XJunctionTime,
-		"IonSwapRotateTime": p.IonSwapRotateTime,
-	}
-	for name, v := range pos {
-		if v <= 0 {
-			return fmt.Errorf("models: %s must be positive, got %g", name, v)
+	v := reflect.ValueOf(&p).Elem()
+	for i, f := range paramFields {
+		x := v.Field(i)
+		var n float64
+		switch x.Kind() {
+		case reflect.Float64:
+			n = x.Float()
+		case reflect.Int:
+			n = float64(x.Int())
+		default: // GateImpl
+			n = float64(x.Uint())
 		}
-	}
-	nonneg := map[string]float64{
-		"K1": p.K1, "K2": p.K2, "JunctionHeating": p.JunctionHeating,
-		"BackgroundRate": p.BackgroundRate, "A0": p.A0, "A1Q": p.A1Q,
-	}
-	for name, v := range nonneg {
-		if v < 0 {
-			return fmt.Errorf("models: %s must be non-negative, got %g", name, v)
+		if !f.ok(n) {
+			return fmt.Errorf("models: %s must be %s, got %v", f.key, f.rule, x)
 		}
-	}
-	if p.MeasureFidelity <= 0 || p.MeasureFidelity > 1 {
-		return fmt.Errorf("models: MeasureFidelity must be in (0,1], got %g", p.MeasureFidelity)
-	}
-	if p.SwapMSGates < 1 {
-		return fmt.Errorf("models: SwapMSGates must be >= 1, got %d", p.SwapMSGates)
-	}
-	if p.SwapOneQGates < 0 {
-		return fmt.Errorf("models: SwapOneQGates must be >= 0, got %d", p.SwapOneQGates)
-	}
-	if int(p.Gate) >= len(gateImplNames) {
-		return fmt.Errorf("models: bad gate implementation %d", p.Gate)
-	}
-	// Zero link latency is allowed (not merely an idealized link: params
-	// documents that predate photonic links decode with the zero value and
-	// must stay valid). Single-module devices never exercise it.
-	if p.PhotonicLinkLatency < 0 {
-		return fmt.Errorf("models: PhotonicLinkLatency must be non-negative, got %g", p.PhotonicLinkLatency)
-	}
-	if p.PhotonicLinkInfidelity < 0 || p.PhotonicLinkInfidelity >= 1 {
-		return fmt.Errorf("models: PhotonicLinkInfidelity must be in [0,1), got %g", p.PhotonicLinkInfidelity)
 	}
 	return nil
 }

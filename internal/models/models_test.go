@@ -1,7 +1,10 @@
 package models
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -114,31 +117,105 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+// TestValidateRejections sets each field in turn to one value outside its
+// range and, for float fields, to NaN. Each is rejected with an error
+// naming the field's wire key.
 func TestValidateRejections(t *testing.T) {
+	cases := []struct {
+		key   string
+		field func(*Params) any // a pointer to the field
+		bad   float64
+	}{
+		{"gate", func(p *Params) any { return &p.Gate }, 4},
+		{"one_qubit_time_us", func(p *Params) any { return &p.OneQubitTime }, 0},
+		{"measure_time_us", func(p *Params) any { return &p.MeasureTime }, -1},
+		{"move_time_us", func(p *Params) any { return &p.MoveTime }, 0},
+		{"split_time_us", func(p *Params) any { return &p.SplitTime }, 0},
+		{"merge_time_us", func(p *Params) any { return &p.MergeTime }, -80},
+		{"y_junction_time_us", func(p *Params) any { return &p.YJunctionTime }, 0},
+		{"x_junction_time_us", func(p *Params) any { return &p.XJunctionTime }, 0},
+		{"ion_swap_rotate_time_us", func(p *Params) any { return &p.IonSwapRotateTime }, 0},
+		{"k1_quanta", func(p *Params) any { return &p.K1 }, -1},
+		{"k2_quanta", func(p *Params) any { return &p.K2 }, -1e-9},
+		{"junction_heating_quanta", func(p *Params) any { return &p.JunctionHeating }, -1},
+		{"background_rate_per_s", func(p *Params) any { return &p.BackgroundRate }, -0.5},
+		{"a0", func(p *Params) any { return &p.A0 }, -1e-5},
+		{"a1q", func(p *Params) any { return &p.A1Q }, -1},
+		{"measure_fidelity", func(p *Params) any { return &p.MeasureFidelity }, 1.0001},
+		{"swap_ms_gates", func(p *Params) any { return &p.SwapMSGates }, 0},
+		{"swap_one_q_gates", func(p *Params) any { return &p.SwapOneQGates }, -1},
+		{"photonic_link_latency_us", func(p *Params) any { return &p.PhotonicLinkLatency }, -1},
+		{"photonic_link_infidelity", func(p *Params) any { return &p.PhotonicLinkInfidelity }, 1},
+	}
+	if n := reflect.TypeOf(Params{}).NumField(); len(cases) != n {
+		t.Fatalf("%d cases for %d Params fields", len(cases), n)
+	}
+	for _, tc := range cases {
+		vals := []float64{tc.bad}
+		if _, ok := tc.field(new(Params)).(*float64); ok {
+			vals = append(vals, math.NaN())
+		}
+		for _, v := range vals {
+			p := Default()
+			switch f := tc.field(&p).(type) {
+			case *float64:
+				*f = v
+			case *int:
+				*f = int(v)
+			case *GateImpl:
+				*f = GateImpl(v)
+			}
+			if err := p.Validate(); err == nil || !strings.HasPrefix(err.Error(), "models: "+tc.key+" must be ") {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming %s", tc.key, v, err, tc.key)
+			}
+		}
+	}
+
+	// Range edges are valid.
 	p := Default()
-	p.SplitTime = 0
-	if err := p.Validate(); err == nil {
-		t.Error("zero SplitTime should fail")
+	p.K1, p.MeasureFidelity, p.SwapMSGates, p.SwapOneQGates = 0, 1, 1, 0
+	p.PhotonicLinkLatency, p.PhotonicLinkInfidelity = 0, 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("range edges rejected: %v", err)
 	}
+
+	// With several bad fields, the first in declaration order is named,
+	// every time.
 	p = Default()
-	p.K1 = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative K1 should fail")
+	p.SplitTime, p.K1, p.MeasureFidelity, p.PhotonicLinkInfidelity = 0, -1, math.NaN(), 2
+	for i := 0; i < 50; i++ {
+		if err := p.Validate(); err == nil || err.Error() != "models: split_time_us must be positive, got 0" {
+			t.Fatalf("Validate() = %v, want the split_time_us error", err)
+		}
 	}
-	p = Default()
-	p.MeasureFidelity = 1.5
-	if err := p.Validate(); err == nil {
-		t.Error("fidelity > 1 should fail")
-	}
-	p = Default()
-	p.SwapMSGates = 0
-	if err := p.Validate(); err == nil {
-		t.Error("zero SwapMSGates should fail")
-	}
-	p = Default()
-	p.Gate = GateImpl(9)
-	if err := p.Validate(); err == nil {
-		t.Error("bad gate impl should fail")
+}
+
+// TestFieldsOfRejectsBadFields checks what keeps a half-declared
+// parameter from shipping: each of these fields panics the table builder,
+// which for Params runs at package init.
+func TestFieldsOfRejectsBadFields(t *testing.T) {
+	for name, typ := range map[string]reflect.Type{
+		"no valid tag": reflect.TypeOf(struct {
+			X float64 `json:"x" canon:"x"`
+		}{}),
+		"unknown rule": reflect.TypeOf(struct {
+			X float64 `json:"x" canon:"x" valid:"small"`
+		}{}),
+		"no canon tag": reflect.TypeOf(struct {
+			X float64 `json:"x" valid:"positive"`
+		}{}),
+		"unsupported type": reflect.TypeOf(struct {
+			X float32 `json:"x" canon:"x" valid:"positive"`
+		}{}),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: fieldsOf did not panic", name)
+				}
+			}()
+			fieldsOf(typ)
+		}()
 	}
 }
 
@@ -246,7 +323,7 @@ func TestParamsJSONRoundTrip(t *testing.T) {
 	orig := Default()
 	orig.Gate = AM2
 	orig.A0 = 7e-6
-	data, err := orig.MarshalJSON()
+	data, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +354,7 @@ func TestLoadJSONRejectsBadInput(t *testing.T) {
 }
 
 func TestLoadJSONKeyNames(t *testing.T) {
-	data, err := Default().MarshalJSON()
+	data, err := json.Marshal(Default())
 	if err != nil {
 		t.Fatal(err)
 	}

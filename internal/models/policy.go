@@ -34,6 +34,13 @@ func (n PolicyName) String() string {
 	return string(n)
 }
 
+// MarshalText encodes the display name, as String renders it.
+func (n PolicyName) MarshalText() ([]byte, error) { return []byte(n.String()), nil }
+
+// UnmarshalText resolves a spelling as ParsePolicy does. Empty text
+// leaves n unchanged, so a decoder's preset value is the default.
+func (n *PolicyName) UnmarshalText(text []byte) error { return unmarshalEnum(n, text, ParsePolicy) }
+
 // PolicyInfo describes one registered policy for discovery surfaces
 // (GET /v1/policies, qccdsim -policy usage, README tables).
 type PolicyInfo struct {

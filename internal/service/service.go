@@ -55,10 +55,8 @@ type Config struct {
 	// either form: a points list's length or a grammar window's size
 	// (default 10,000,000). Both forms stream with O(workers) residency,
 	// so this bound is about total compute; a list's memory is bounded by
-	// MaxBodyBytes.
+	// the 8 MiB request body cap.
 	MaxSpacePoints int64
-	// MaxBodyBytes caps request body size (default 8 MiB).
-	MaxBodyBytes int64
 	// CacheDir, when non-empty, mounts a persistent disk tier for the
 	// outcome cache on a directory that may be shared by many replicas:
 	// computed outcomes are written through and survive restarts, so a
@@ -83,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSpacePoints <= 0 {
 		c.MaxSpacePoints = 10_000_000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	return c
 }
@@ -160,16 +155,15 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a request body's size.
+const maxBodyBytes = 8 << 20
+
 // decode reads a bounded JSON body into v, rejecting unknown fields so
 // typos fail loudly instead of silently running defaults.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
+	return dec.Decode(v)
 }
 
 // params resolves a request's optional calibration override.
@@ -227,7 +221,7 @@ func runResponse(o core.Outcome, cached bool, elapsed time.Duration) RunResponse
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := s.decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
@@ -287,7 +281,7 @@ type SweepSummary struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := s.decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,6 +139,37 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSweepBodyOverCapRejected sends a well-formed points list just past
+// the body cap: the request is refused before any point is evaluated.
+func TestSweepBodyOverCapRejected(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const point = `{"app":"BV","topology":"L6","capacity":20,"gate":"FM","reorder":"GS"}`
+	var sb strings.Builder
+	sb.WriteString(`{"points":[`)
+	for sb.Len() <= maxBodyBytes {
+		sb.WriteString(point + ",")
+	}
+	sb.WriteString(point + `]}`)
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(sb.String())))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400", w.Code)
+	}
+	var body errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Error, "request body too large") {
+		t.Errorf("error = %q, want it to say the request body is too large", body.Error)
+	}
+	if n := srv.CacheStats().Misses; n != 0 {
+		t.Errorf("%d points evaluated, want none", n)
 	}
 }
 
@@ -357,6 +389,30 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	health := decodeBody[Health](t, resp)
 	if health.Status != "ok" || health.GoVersion == "" {
 		t.Errorf("health = %+v", health)
+	}
+}
+
+// TestParamsBodyPinned pins the exact GET /v1/params body: clients start
+// their override documents from it, so its keys, order and number
+// formatting are wire contract.
+func TestParamsBodyPinned(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/v1/params")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"gate":"FM","one_qubit_time_us":5,"measure_time_us":100,"move_time_us":5,` +
+		`"split_time_us":80,"merge_time_us":80,"y_junction_time_us":100,"x_junction_time_us":120,` +
+		`"ion_swap_rotate_time_us":42,"k1_quanta":0.1,"k2_quanta":0.01,"junction_heating_quanta":0.01,` +
+		`"background_rate_per_s":0.5,"a0":0.00001,"a1q":0.000001,"measure_fidelity":0.9999,` +
+		`"swap_ms_gates":3,"swap_one_q_gates":4,"photonic_link_latency_us":300,"photonic_link_infidelity":0.02}` + "\n"
+	if string(body) != want {
+		t.Errorf("GET /v1/params body =\n%s\nwant\n%s", body, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package qccd
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -209,7 +210,7 @@ func TestPublicRingDevice(t *testing.T) {
 
 func TestPublicLoadParams(t *testing.T) {
 	p := DefaultParams()
-	data, err := p.MarshalJSON()
+	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
