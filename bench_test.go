@@ -293,8 +293,8 @@ func BenchmarkCompilerScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkCompilePolicy compares compile cost across the registered
-// policy bundles, at the paper's QFT size and at a stress size, so the
+// BenchmarkCompilePolicy compares compile cost across the compiler
+// policies, at the paper's QFT size and at a stress size, so the
 // overhead of the lookahead scorer and the congestion ledger relative to
 // the baseline heuristics stays visible in benchstat diffs.
 func BenchmarkCompilePolicy(b *testing.B) {

@@ -5,10 +5,12 @@
 // Usage:
 //
 //	qccdsim -app QFT -device L6 -capacity 22 -gate FM -reorder GS
+//	qccdsim -app BV@160 -device Mod2:G2x3 -capacity 22 -policy lookahead
 //	qccdsim -qasm program.qasm -device G2x3 -capacity 18 -dump
 //
-// The -app flag selects a built-in Table II benchmark; -qasm loads an
-// OpenQASM 2.0 file instead. -dump prints the compiled executable.
+// The -app flag selects a built-in Table II benchmark or a sized one
+// (<app>@<n>); -qasm loads an OpenQASM 2.0 file instead. -dump prints the
+// compiled executable.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro"
 )
@@ -24,9 +27,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("qccdsim: ")
 	var (
-		app      = flag.String("app", "QAOA", "built-in benchmark: Supremacy|QAOA|SquareRoot|QFT|Adder|BV")
+		app      = flag.String("app", "QAOA", "built-in benchmark: Supremacy|QAOA|SquareRoot|QFT|Adder|BV, or sized <app>@<n> (e.g. BV@160)")
 		qasmFile = flag.String("qasm", "", "OpenQASM 2.0 file to run instead of -app")
-		devSpec  = flag.String("device", "L6", "device topology: L<n> or G<r>x<c>")
+		devSpec  = flag.String("device", "L6", "device topology: "+deviceForms())
 		capacity = flag.Int("capacity", 20, "maximum ions per trap")
 		buffer   = flag.Int("buffer", 2, "mapper buffer slots per trap")
 		dump     = flag.Bool("dump", false, "print the compiled executable")
@@ -41,7 +44,7 @@ func main() {
 	)
 	flag.TextVar(&gate, "gate", gate, "two-qubit gate implementation: AM1|AM2|PM|FM")
 	flag.TextVar(&reorder, "reorder", reorder, "chain reordering method: GS|IS")
-	flag.TextVar(&policy, "policy", policy, "compiler policy bundle: baseline|lookahead|congestion|...")
+	flag.TextVar(&policy, "policy", policy, "compiler policy: "+policyNames())
 	flag.Parse()
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
@@ -118,6 +121,25 @@ func main() {
 		log.Fatal(err)
 	}
 	report(res, params)
+}
+
+// deviceForms lists the spec form of every topology family, e.g.
+// "L<n>|G<r>x<c>|...".
+func deviceForms() string {
+	var forms []string
+	for _, f := range qccd.TopologyFamilies() {
+		forms = append(forms, f.Form)
+	}
+	return strings.Join(forms, "|")
+}
+
+// policyNames lists every compiler policy, e.g. "baseline|congestion|...".
+func policyNames() string {
+	var names []string
+	for _, p := range qccd.CompilerPolicies() {
+		names = append(names, p.Name)
+	}
+	return strings.Join(names, "|")
 }
 
 func loadCircuit(app, qasmFile string) (*qccd.Circuit, error) {

@@ -28,11 +28,12 @@
 // amortized growth, and the list holds no pointers for the collector to
 // scan.
 //
-// The three decision heuristics — gate issue order, initial placement,
-// and shuttle routing/eviction — are policy seams (see policy.go): the
-// machinery in this file is policy-agnostic and delegates those choices
-// to the bundle selected by Options.Policy. baseline.go holds the
-// paper's heuristics, extracted verbatim.
+// The decision heuristics — gate issue order, initial placement, and
+// shuttle scoring and eviction — form the policy axis: Options.Policy
+// names one row of the closed table in internal/models, and Compile's one
+// switch picks that row's gate order and turns on its transit ledger.
+// baseline.go holds the paper's heuristics; alternatives.go holds the
+// lookahead gate order and the congestion ledger.
 package compiler
 
 import (
@@ -59,8 +60,9 @@ type Options struct {
 	// chains speed up FM gates but use more inter-trap communication; the
 	// BenchmarkAblationMapping ablation quantifies the trade.
 	BalancedMapping bool
-	// Policy selects the registered policy bundle (gate order, placement,
-	// routing). The zero value is the baseline — the paper's heuristics.
+	// Policy selects the compiler policy (gate order, placement,
+	// routing; see models.Policies). The zero value is the baseline — the
+	// paper's heuristics.
 	Policy models.PolicyName
 }
 
@@ -89,30 +91,37 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 		return nil, fmt.Errorf("compiler: %d qubits exceed device capacity %d (%s)",
 			c.NumQubits, d.MaxIons(), d.Name)
 	}
-	bundle, err := Lookup(opts.Policy)
+	policy, err := models.ParsePolicy(string(opts.Policy))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compiler: %w", err)
 	}
 	cc := &compilation{
 		circ:   c,
 		dev:    d,
 		opts:   opts,
 		router: device.NewRouter(d, opts.RouteCosts),
-		order:  bundle.NewOrder(),
-		route:  bundle.NewRoute(),
 		trapOf: make([]int, c.NumQubits),
 		qSlot:  make([]int, c.NumQubits),
 	}
-	cc.observer, _ = cc.route.(ShuttleObserver)
 	// Across the paper suite the op list runs 1.05-1.25× the gate count
 	// (communication ops are amortized by multi-gate stays); seeding at
 	// 1.5× absorbs nearly all growth-copy churn without zeroing memory
 	// that shuttle-light workloads never touch.
 	cc.ops = make([]isa.Op, 0, 3*len(c.Gates)/2+16)
-	if err := cc.mapQubits(bundle.NewPlace()); err != nil {
+	if err := cc.mapQubits(); err != nil {
 		return nil, err
 	}
-	if err := cc.run(); err != nil {
+	// Every policy places, picks victims and picks eviction destinations
+	// as the baseline does. Lookahead changes the gate order; congestion
+	// adds its transit ledger's pressure to the move cost.
+	var sched schedule = &programOrder{n: len(c.Gates)}
+	switch policy {
+	case models.PolicyLookahead:
+		sched = newLookaheadOrder(cc)
+	case models.PolicyCongestion:
+		cc.congestion = true
+	}
+	if err := cc.run(sched); err != nil {
 		return nil, err
 	}
 	prog := &isa.Program{
@@ -149,17 +158,25 @@ func (c *trapChain) slotAt(i int) int {
 // at returns the qubit at chain position i.
 func (c *trapChain) at(i int) int { return c.buf[c.slotAt(i)] }
 
-// compilation holds the mutable state of one Compile call. It implements
-// State (see state.go), the read-only view the policy seams consult.
+// schedule yields gate indices in an order that respects the circuit's
+// dependencies, one at a time, so an order can consult the placement as
+// it evolves.
+type schedule interface {
+	// Next returns the next gate to emit, or -1 when none is ready.
+	Next() int
+}
+
+// compilation holds the mutable state of one Compile call.
 type compilation struct {
 	circ   *circuit.Circuit
 	dev    *device.Device
 	opts   Options
 	router *device.Router
 
-	order    GateOrderPolicy
-	route    RoutePolicy
-	observer ShuttleObserver // route, if it observes shuttles; else nil
+	// congestion turns on the transit ledger: arrivals stamps every trap
+	// a planned shuttle merges into, and moveCost charges its pressure.
+	congestion bool
+	arrivals   []transitStamp
 
 	chains        []trapChain // per trap: live chain (0 = left end)
 	trapOf        []int       // qubit -> trap (-1 while in transit)
@@ -174,15 +191,12 @@ type compilation struct {
 	useCounts []int   // qubit -> IR gates already emitted (cursor into useLists)
 }
 
-// mapQubits asks the placement policy for the initial qubit→trap layout,
-// validates it (every program qubit exactly once, no chain over capacity),
-// and installs it into the compilation's chain structures and use lists.
-func (cc *compilation) mapQubits(place PlacementPolicy) error {
+// mapQubits computes the initial qubit→trap layout, validates it (every
+// program qubit exactly once, no chain over capacity), and installs it
+// into the compilation's chain structures and use lists.
+func (cc *compilation) mapQubits() error {
 	c, d := cc.circ, cc.dev
-	layout, err := place.Place(c, d, cc.opts)
-	if err != nil {
-		return fmt.Errorf("compiler: placement: %w", err)
-	}
+	layout := cc.place()
 	if len(layout) != d.NumTraps() {
 		return fmt.Errorf("compiler: placement returned %d chains for %d traps",
 			len(layout), d.NumTraps())
@@ -270,12 +284,10 @@ func (cc *compilation) mapQubits(place PlacementPolicy) error {
 	return nil
 }
 
-// run emits ops gate by gate in the order the gate-order policy yields
-// (the baseline is earliest-ready-first, which is program order). The
-// schedule is consumed incrementally so the policy sees the placement as
-// it evolves.
-func (cc *compilation) run() error {
-	sched := cc.order.NewSchedule(cc.circ, cc)
+// run emits ops gate by gate in the order sched yields (the baseline is
+// earliest-ready-first, which is program order). The schedule is consumed
+// incrementally so it can consult the placement as it evolves.
+func (cc *compilation) run(sched schedule) error {
 	emitted := 0
 	for gi := sched.Next(); gi >= 0; gi = sched.Next() {
 		if gi >= len(cc.circ.Gates) {
@@ -314,14 +326,14 @@ func (cc *compilation) run() error {
 }
 
 // twoQubit co-locates the operands (shuttling one of them if needed) and
-// emits the entangling gate. Which operand moves is the route policy's
-// call: the cheaper-scoring direction wins, ties moving the first operand.
+// emits the entangling gate. Which operand moves is moveCost's call: the
+// cheaper-scoring direction wins, ties moving the first operand.
 func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
 	a, b := g.Qubits[0], g.Qubits[1]
 	ta, tb := cc.trapOf[a], cc.trapOf[b]
 	if ta != tb {
 		mover, src, dst := a, ta, tb
-		if cc.route.MoveCost(cc, b, tb, ta) < cc.route.MoveCost(cc, a, ta, tb) {
+		if cc.moveCost(b, tb, ta) < cc.moveCost(a, ta, tb) {
 			mover, src, dst = b, tb, ta
 		}
 		if err := cc.shuttle(mover, src, dst, gi, 0, []int{a, b}); err != nil {
@@ -367,14 +379,8 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 	for _, tr := range route.PassThroughs() {
 		routeTraps = append(routeTraps, tr.Trap)
 	}
-	if cc.observer != nil {
-		arrivals := make([]int, 0, len(routeTraps))
-		for _, hop := range route.Hops {
-			if hop.Node.Kind == device.NodeTrap {
-				arrivals = append(arrivals, hop.Node.Index)
-			}
-		}
-		cc.observer.ObserveShuttle(cc, q, src, dst, arrivals)
+	if cc.congestion {
+		cc.stampArrivals(route)
 	}
 	protected := make([]int, 0, len(keep)+1)
 	protected = append(protected, keep...)
@@ -429,16 +435,15 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 	return nil
 }
 
-// evictOne moves one ion out of full trap t to make room. The route
-// policy picks both the victim (the baseline uses Belady's farthest-next-
-// use rule) and its destination (baseline: nearest trap with room,
-// preferring traps outside softAvoid — the remaining shuttle route).
+// evictOne moves one ion out of full trap t to make room: the resident
+// with the farthest next use (Belady's rule) goes to the nearest trap with
+// room, preferring traps outside softAvoid — the remaining shuttle route.
 func (cc *compilation) evictOne(t int, softAvoid []int, depth int, keep []int) error {
-	victim := cc.route.PickVictim(cc, t, keep)
+	victim := cc.pickVictim(t, keep)
 	if victim < 0 {
 		return fmt.Errorf("trap %d full and nothing evictable", t)
 	}
-	dest := cc.route.PickEvictionDest(cc, t, softAvoid)
+	dest := cc.pickEvictionDest(t, softAvoid)
 	if dest < 0 {
 		return fmt.Errorf("device full: no trap has room to rebalance from trap %d", t)
 	}

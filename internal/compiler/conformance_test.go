@@ -34,13 +34,13 @@ func buildDevice(t *testing.T, topo string, capacity int) *device.Device {
 	return d
 }
 
-// TestPolicyConformance is the contract every registered policy bundle
-// must satisfy: it compiles the paper's full evaluation grid (six apps ×
-// two topologies × six capacities × both reordering methods) without
-// error, the resulting programs pass the ISA validator, and compilation
-// is deterministic — two independent compilations of the same point
-// produce identical programs. Policies run as parallel subtests so the
-// suite also exercises registry and per-compilation state under -race.
+// TestPolicyConformance is the contract every policy of the table in
+// internal/models must satisfy: it compiles the paper's full evaluation
+// grid (six apps × two topologies × six capacities × both reordering
+// methods) without error, the resulting programs pass the ISA validator,
+// and compilation is deterministic — two independent compilations of the
+// same point produce identical programs. Policies run as parallel
+// subtests so the suite also exercises per-compilation state under -race.
 func TestPolicyConformance(t *testing.T) {
 	suite := apps.Suite()
 	circs := make(map[string]*circuit.Circuit, len(suite))
@@ -51,9 +51,9 @@ func TestPolicyConformance(t *testing.T) {
 		}
 		circs[spec.Name] = c
 	}
-	infos := Policies()
+	infos := models.Policies()
 	if len(infos) < 3 {
-		t.Fatalf("registered policies = %d, want at least baseline+lookahead+congestion", len(infos))
+		t.Fatalf("policies = %d, want at least baseline+lookahead+congestion", len(infos))
 	}
 
 	capacities := conformanceCapacities

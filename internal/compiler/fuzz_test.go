@@ -11,8 +11,7 @@ import (
 // Policy names arrive from every untrusted edge of the system — CLI
 // flags, /v1/run point JSON, sweep-grammar "policies" axes — so
 // ParsePolicy must never panic, and anything it accepts must be a
-// canonical, registered, fully-implemented bundle that survives a
-// String() round trip.
+// canonical policy that survives a String() round trip and compiles.
 func FuzzPolicyParse(f *testing.F) {
 	seeds := []string{
 		"", "baseline", "BASELINE", "Baseline", "lookahead", "congestion",
@@ -22,18 +21,26 @@ func FuzzPolicyParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	c := pinned("fuzz", 4).CNOT(0, 3).CNOT(1, 2).MustCircuit()
 	f.Fuzz(func(t *testing.T, name string) {
+		opts := DefaultOptions()
+		opts.Policy = models.PolicyName(name)
+		_, cerr := Compile(c, linear(2, 3, t), opts)
 		pol, err := models.ParsePolicy(name)
 		if err != nil {
-			// Rejected names must also fail bundle lookup: the two entry
+			// Rejected names must also fail to compile: the two entry
 			// points may never disagree about validity.
-			if _, lerr := Lookup(models.PolicyName(name)); lerr == nil {
-				t.Fatalf("ParsePolicy(%q) rejected but Lookup accepted", name)
+			if cerr == nil {
+				t.Fatalf("ParsePolicy(%q) rejected but Compile accepted", name)
 			}
 			return
 		}
+		if cerr != nil {
+			t.Fatalf("ParsePolicy(%q) accepted but Compile failed: %v", name, cerr)
+		}
 		// Accepted names parse to a canonical value: round-tripping the
-		// display form must be the identity.
+		// display form must be the identity, and the raw spelling must
+		// already render as that form.
 		rt, err := models.ParsePolicy(pol.String())
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q) = %q, but reparse failed: %v", name, pol, err)
@@ -41,16 +48,8 @@ func FuzzPolicyParse(f *testing.F) {
 		if rt != pol {
 			t.Fatalf("ParsePolicy(%q) = %q, reparse = %q", name, pol, rt)
 		}
-		// Every accepted policy must have a complete registered bundle.
-		b, err := Lookup(pol)
-		if err != nil {
-			t.Fatalf("ParsePolicy(%q) accepted but Lookup failed: %v", name, err)
-		}
-		if b.NewOrder == nil || b.NewPlace == nil || b.NewRoute == nil {
-			t.Fatalf("bundle %q is incomplete", b.Name)
-		}
-		if !models.PolicyRegistered(pol) {
-			t.Fatalf("parsed policy %q not in registry", pol)
+		if got := models.PolicyName(name).String(); got != pol.String() {
+			t.Fatalf("PolicyName(%q).String() = %q, want %q", name, got, pol.String())
 		}
 	})
 }

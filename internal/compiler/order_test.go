@@ -2,10 +2,12 @@ package compiler
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/circuit"
+	"repro/internal/isa"
 	"repro/internal/models"
 )
 
@@ -34,20 +36,13 @@ func randomCircuit(rng *rand.Rand, nq, ng int) *circuit.Circuit {
 	return c
 }
 
-// TestBaselineOrderIsEarliestReady pins the program-order schedule of
-// the baseline gate order (which the congestion bundle shares) to the
-// earliest-ready order it replaces: on random circuits, barriers
-// included, it must yield exactly the dependency DAG's lowest-index-first
-// topological order, then stop.
+// TestBaselineOrderIsEarliestReady pins the program-order schedule, which
+// the baseline and congestion policies share, to the earliest-ready order
+// it replaces: on random circuits, barriers included, it must yield
+// exactly the dependency DAG's lowest-index-first topological order, then
+// stop, and the gate ops either policy compiles must follow that order.
 func TestBaselineOrderIsEarliestReady(t *testing.T) {
-	var orders []GateOrderPolicy
-	for _, name := range []string{"baseline", "congestion"} {
-		b, err := Lookup(models.PolicyName(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		orders = append(orders, b.NewOrder())
-	}
+	d := linear(3, 8, t)
 	f := func(seed int64, nqRaw, ngRaw uint8) bool {
 		nq := int(nqRaw%16) + 2
 		ng := int(ngRaw % 200)
@@ -56,16 +51,37 @@ func TestBaselineOrderIsEarliestReady(t *testing.T) {
 		if !ok {
 			return false
 		}
-		for _, order := range orders {
-			sched := order.NewSchedule(c, nil)
-			for _, gi := range want {
-				if got := sched.Next(); got != gi {
-					t.Logf("seed %d: schedule yielded %d, earliest-ready order has %d", seed, got, gi)
-					return false
+		sched := &programOrder{n: len(c.Gates)}
+		var gates []int32 // want without barriers, which emit no op
+		for _, gi := range want {
+			if got := sched.Next(); got != gi {
+				t.Logf("seed %d: schedule yielded %d, earliest-ready order has %d", seed, got, gi)
+				return false
+			}
+			if c.Gates[gi].Kind != circuit.GateBarrier {
+				gates = append(gates, int32(gi))
+			}
+		}
+		if got := sched.Next(); got != -1 {
+			t.Logf("seed %d: schedule yielded %d after the last gate", seed, got)
+			return false
+		}
+		for _, pol := range []models.PolicyName{"", models.PolicyCongestion} {
+			opts := DefaultOptions()
+			opts.Policy = pol
+			prog, err := Compile(c, d, opts)
+			if err != nil {
+				t.Logf("seed %d, policy %s: %v", seed, pol, err)
+				return false
+			}
+			var got []int32
+			for i := range prog.Ops {
+				if prog.Ops[i].Kind.Category() == isa.CatCompute {
+					got = append(got, prog.Ops[i].GateIndex)
 				}
 			}
-			if got := sched.Next(); got != -1 {
-				t.Logf("seed %d: schedule yielded %d after the last gate", seed, got)
+			if !reflect.DeepEqual(got, gates) {
+				t.Logf("seed %d, policy %s: gate ops in order %v, earliest-ready order is %v", seed, pol, got, gates)
 				return false
 			}
 		}

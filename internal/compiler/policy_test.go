@@ -1,84 +1,50 @@
 package compiler
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/isa"
 	"repro/internal/models"
 )
 
-func TestLookup(t *testing.T) {
-	for _, spelling := range []string{"", "baseline", "BASELINE"} {
-		b, err := Lookup(models.PolicyName(spelling))
+// TestCompilePolicySpellings checks that Compile resolves a policy as
+// models.ParsePolicy does: any spelling compiles the program of its
+// canonical policy, and an unknown name is the unknown-policy error.
+func TestCompilePolicySpellings(t *testing.T) {
+	c, err := apps.ByName("QFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := linear(6, 14, t)
+	compile := func(pol models.PolicyName) (*isa.Program, error) {
+		opts := DefaultOptions()
+		opts.Policy = pol
+		return Compile(c, d, opts)
+	}
+	for spelling, canonical := range map[models.PolicyName]models.PolicyName{
+		"":           "",
+		"baseline":   "",
+		"BASELINE":   "",
+		"lookahead":  models.PolicyLookahead,
+		"LookAhead":  models.PolicyLookahead,
+		"CONGESTION": models.PolicyCongestion,
+	} {
+		got, err := compile(spelling)
 		if err != nil {
-			t.Fatalf("Lookup(%q): %v", spelling, err)
+			t.Fatalf("Compile(policy %q): %v", spelling, err)
 		}
-		if b.Name != models.PolicyBaseline {
-			t.Errorf("Lookup(%q).Name = %q", spelling, b.Name)
-		}
-	}
-	for _, name := range []string{"lookahead", "CONGESTION"} {
-		b, err := Lookup(models.PolicyName(name))
+		want, err := compile(canonical)
 		if err != nil {
-			t.Fatalf("Lookup(%q): %v", name, err)
+			t.Fatalf("Compile(policy %q): %v", canonical, err)
 		}
-		if b.NewOrder == nil || b.NewPlace == nil || b.NewRoute == nil {
-			t.Errorf("Lookup(%q) bundle incomplete", name)
-		}
-	}
-	if _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), "unknown compiler policy") {
-		t.Errorf("Lookup(nope) error = %v", err)
-	}
-	// A name claimed in the models registry without a compiler bundle is
-	// parseable but not compilable; Lookup must say so distinctly.
-	models.RegisterPolicy("zz-ghost", "registered with no implementation")
-	if _, err := Lookup("zz-ghost"); err == nil || !strings.Contains(err.Error(), "no registered implementation") {
-		t.Errorf("Lookup(zz-ghost) error = %v", err)
-	}
-}
-
-func TestPoliciesOrdering(t *testing.T) {
-	bundles := Policies()
-	if len(bundles) < 3 {
-		t.Fatalf("Policies() = %d bundles, want >= 3", len(bundles))
-	}
-	if bundles[0].Name != models.PolicyBaseline {
-		t.Fatalf("Policies()[0] = %q, want baseline", bundles[0].Name)
-	}
-	for i := 2; i < len(bundles); i++ {
-		if bundles[i-1].Name >= bundles[i].Name {
-			t.Fatalf("Policies() not sorted after baseline: %q >= %q", bundles[i-1].Name, bundles[i].Name)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Compile(policy %q) differs from policy %q", spelling, canonical)
 		}
 	}
-	for _, b := range bundles {
-		if b.Description == "" {
-			t.Errorf("bundle %q has no description", b.Name)
-		}
+	const want = `compiler: models: unknown compiler policy "nope" (want baseline|congestion|lookahead)`
+	if _, err := compile("nope"); err == nil || err.Error() != want {
+		t.Errorf("Compile(policy nope) error = %v, want %s", err, want)
 	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(b Bundle, why string) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Register(%q) did not panic (%s)", b.Name, why)
-			}
-		}()
-		Register(b)
-	}
-	complete := func(name string) Bundle {
-		return Bundle{
-			Name:        name,
-			Description: "d",
-			NewOrder:    func() GateOrderPolicy { return baselineOrder{} },
-			NewPlace:    func() PlacementPolicy { return baselinePlace{} },
-			NewRoute:    func() RoutePolicy { return baselineRoute{} },
-		}
-	}
-	mustPanic(Bundle{}, "empty bundle")
-	b := complete("zz-noorder")
-	b.NewOrder = nil
-	mustPanic(b, "missing order factory")
-	mustPanic(complete(models.PolicyBaseline), "duplicate name")
 }

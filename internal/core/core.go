@@ -41,10 +41,11 @@ type Point struct {
 	Gate models.GateImpl `json:"gate"`
 	// Reorder selects the chain reordering method.
 	Reorder models.ReorderMethod `json:"reorder"`
-	// Policy selects the compiler policy bundle. The zero value is the
-	// baseline (the paper's heuristics): a zero-policy Point is identical
-	// — in struct equality, String, wire format and cache key — to a Point
-	// from before the policy axis existed.
+	// Policy selects the compiler policy. The zero value is the baseline
+	// (the paper's heuristics): a zero-policy Point is identical — in
+	// struct equality, String, wire format and cache key — to a Point from
+	// before the policy axis existed. Every spelling of one policy renders
+	// and hashes as its canonical name (see models.PolicyName.String).
 	Policy models.PolicyName `json:"policy,omitempty"`
 }
 

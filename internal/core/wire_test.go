@@ -164,6 +164,49 @@ func TestPointPolicyWireInvariance(t *testing.T) {
 	}
 }
 
+// TestPointPolicySpellingsShareKey checks that a Go caller's policy
+// spelling does not split a design point: any capitalization of a policy
+// name that Validate accepts has the canonical spelling's cache key,
+// String and JSON, so a cached toolflow computes the point once.
+func TestPointPolicySpellingsShareKey(t *testing.T) {
+	base := models.Default()
+	for _, tc := range []struct{ canonical, spelled models.PolicyName }{
+		{"lookahead", "LookAhead"},
+		{"congestion", "CONGESTION"},
+	} {
+		canon := Point{App: "BV", Topology: "L6", Capacity: 20, Policy: tc.canonical}
+		spelled := canon
+		spelled.Policy = tc.spelled
+		if err := spelled.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.spelled, err)
+		}
+		if got, want := CacheKey(spelled, base), CacheKey(canon, base); got != want {
+			t.Errorf("%s: cache key %s, want %s", tc.spelled, got, want)
+		}
+		if got, want := spelled.String(), canon.String(); got != want {
+			t.Errorf("%s: String() = %q, want %q", tc.spelled, got, want)
+		}
+		got, err := json.Marshal(spelled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(canon); string(got) != string(want) {
+			t.Errorf("%s: json %s, want %s", tc.spelled, got, want)
+		}
+
+		tf := NewCached(base, 0)
+		if o, hit := tf.Do(canon); o.Err != nil || hit {
+			t.Fatalf("%s: first Do = %v, hit %v", tc.canonical, o.Err, hit)
+		}
+		if o, hit := tf.Do(spelled); o.Err != nil || !hit {
+			t.Errorf("%s: second Do = %v, hit %v; want a cache hit", tc.spelled, o.Err, hit)
+		}
+		if n := tf.Compiles(); n != 1 {
+			t.Errorf("%s: %d compiles, want 1", tc.spelled, n)
+		}
+	}
+}
+
 func TestCacheKeySensitivity(t *testing.T) {
 	base := models.Default()
 	pt := Point{App: "QFT", Topology: "L6", Capacity: 22, Gate: models.FM, Reorder: models.GS}

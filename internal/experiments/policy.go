@@ -12,15 +12,15 @@ import (
 )
 
 // PolicyComparison is the compiler-policy study, the figure the ROADMAP's
-// pluggable-policy item asks for: every registered policy bundle run over
-// the paper's app × topology × capacity grid (FM gates, GS reordering),
+// pluggable-policy item asks for: every compiler policy run over the
+// paper's app × topology × capacity grid (FM gates, GS reordering),
 // so the alternative heuristics — lookahead gate ordering, congestion-
 // aware routing — are scored on exactly the workloads the baseline was
 // tuned for. Per (app, topology) cell it reports which policy wins on
 // fidelity and which on makespan, the first step of the policy-search
 // direction (Schoenberger et al., PAPERS.md).
 type PolicyComparison struct {
-	// Policies lists the compared bundles, baseline first.
+	// Policies lists the compared policies, baseline first.
 	Policies []models.PolicyName
 	// Rows holds one entry per (app, topology, capacity) configuration.
 	Rows []PolicyRow
@@ -54,7 +54,7 @@ type PolicyCell struct {
 }
 
 // RunPolicyComparison executes the policy study on tf: Figure 7's
-// grammar with every registered policy bundle as its innermost axis.
+// grammar with every compiler policy as its innermost axis.
 // Failed points are recorded in their rows and reported via Failures,
 // never aborting the rest of the sweep. Baseline points are shared with
 // the other paper figures through tf's outcome cache (their cache keys

@@ -6,9 +6,6 @@ import (
 )
 
 func TestParsePolicy(t *testing.T) {
-	// The models package on its own registers only the baseline; the
-	// alternative bundles live in internal/compiler, which this package
-	// must not import.
 	for _, spelling := range []string{"", "baseline", "BASELINE", "Baseline"} {
 		pol, err := ParsePolicy(spelling)
 		if err != nil {
@@ -24,67 +21,58 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q).String() = %q", spelling, pol.String())
 		}
 	}
-	for _, bad := range []string{"nope", " baseline", "baseline ", "base\nline", "@"} {
-		if _, err := ParsePolicy(bad); err == nil {
+	for spelling, want := range map[string]PolicyName{
+		"congestion": PolicyCongestion, "CONGESTION": PolicyCongestion,
+		"lookahead": PolicyLookahead, "LookAhead": PolicyLookahead,
+	} {
+		pol, err := ParsePolicy(spelling)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q): %v", spelling, err)
+		}
+		if pol != want || pol.IsBaseline() {
+			t.Errorf("ParsePolicy(%q) = %q, want %q", spelling, pol, want)
+		}
+		// String is canonical for the raw spelling too, not only for the
+		// parsed value.
+		if got := PolicyName(spelling).String(); got != string(want) {
+			t.Errorf("PolicyName(%q).String() = %q, want %q", spelling, got, want)
+		}
+	}
+	for _, bad := range []string{"nope", " baseline", "baseline ", "base\nline", "@", "look-ahead"} {
+		_, err := ParsePolicy(bad)
+		if err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
-		} else if !strings.Contains(err.Error(), "unknown compiler policy") {
-			t.Errorf("ParsePolicy(%q) error = %v, want unknown-policy message", bad, err)
+			continue
+		}
+		if want := "(want baseline|congestion|lookahead)"; !strings.Contains(err.Error(), "unknown compiler policy") ||
+			!strings.HasSuffix(err.Error(), want) {
+			t.Errorf("ParsePolicy(%q) error = %v, want unknown-policy message ending %s", bad, err, want)
 		}
 	}
 }
 
-func TestPolicyRegistry(t *testing.T) {
-	// Before registration the name is unknown...
-	if PolicyRegistered("zz-extra") {
-		t.Fatal("zz-extra registered before RegisterPolicy")
-	}
-	// ...after, it parses to its lowercase canonical form and shows up in
-	// the sorted listing behind the baseline.
-	RegisterPolicy("zz-extra", "test-only policy")
-	pol, err := ParsePolicy("ZZ-Extra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol != "zz-extra" || pol.IsBaseline() {
-		t.Fatalf("ParsePolicy(ZZ-Extra) = %q", pol)
-	}
+// TestPolicies pins the policy table: its names in order, each with a
+// description, each parsing to itself. The set no longer depends on which
+// packages a binary links.
+func TestPolicies(t *testing.T) {
 	infos := Policies()
-	if infos[0].Name != PolicyBaseline {
-		t.Fatalf("Policies()[0] = %q, want baseline", infos[0].Name)
-	}
-	for i := 2; i < len(infos); i++ {
-		if infos[i-1].Name >= infos[i].Name {
-			t.Fatalf("Policies() not sorted after baseline: %q >= %q", infos[i-1].Name, infos[i].Name)
-		}
-	}
-	found := false
+	var names []string
 	for _, info := range infos {
-		if info.Name == "zz-extra" {
-			found = true
-			if info.Description != "test-only policy" {
-				t.Errorf("description = %q", info.Description)
-			}
+		names = append(names, info.Name)
+		if info.Description == "" {
+			t.Errorf("policy %q has no description", info.Name)
+		}
+		pol, err := ParsePolicy(info.Name)
+		if err != nil || pol.String() != info.Name {
+			t.Errorf("ParsePolicy(%q) = %q, %v", info.Name, pol, err)
 		}
 	}
-	if !found {
-		t.Error("zz-extra missing from Policies()")
+	if got := strings.Join(names, "|"); got != "baseline|congestion|lookahead" {
+		t.Errorf("Policies() = %s, want baseline|congestion|lookahead", got)
 	}
-}
-
-func TestRegisterPolicyPanics(t *testing.T) {
-	mustPanic := func(name, desc, why string) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("RegisterPolicy(%q) did not panic (%s)", name, why)
-			}
-		}()
-		RegisterPolicy(name, desc)
+	// The listing is a copy: editing it must not change the table.
+	infos[0].Name = "edited"
+	if Policies()[0].Name != PolicyBaseline {
+		t.Error("Policies() shares the table with its caller")
 	}
-	mustPanic("", "d", "empty name")
-	mustPanic("Upper", "d", "uppercase")
-	mustPanic("9lives", "d", "leading digit")
-	mustPanic("has space", "d", "space")
-	mustPanic("-dash", "d", "leading dash")
-	mustPanic(PolicyBaseline, "d", "duplicate")
 }

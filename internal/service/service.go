@@ -15,7 +15,7 @@
 //	GET  /v1/apps        list the built-in Table II benchmarks and the
 //	                     sized "<app>@<n>" form
 //	GET  /v1/topologies  describe the device spec grammar with examples
-//	GET  /v1/policies    list the registered compiler policy bundles
+//	GET  /v1/policies    list the compiler policies
 //	GET  /v1/params      return the server's base physical parameters
 //	GET  /healthz        liveness plus cache statistics
 //
@@ -486,9 +486,9 @@ func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// PoliciesResponse is the body of GET /v1/policies: every registered
-// compiler policy bundle, baseline first, each usable as a point's
-// "policy" field or a sweep's "policies" axis value.
+// PoliciesResponse is the body of GET /v1/policies: every compiler
+// policy, baseline first, each usable as a point's "policy" field or a
+// sweep's "policies" axis value.
 type PoliciesResponse struct {
 	Policies []models.PolicyInfo `json:"policies"`
 }

@@ -416,6 +416,44 @@ func TestParamsBodyPinned(t *testing.T) {
 	}
 }
 
+// TestPolicyBodiesPinned pins the policy wire: the exact GET /v1/policies
+// body (names, descriptions and their order) and the unknown-policy error
+// a point and a sweep grammar get, which lists every accepted name.
+func TestPolicyBodiesPinned(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/v1/policies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"policies":[` +
+		`{"name":"baseline","description":"the paper's heuristics: earliest-ready gate order, first-use-order placement, distance+occupancy routing with Belady eviction"},` +
+		`{"name":"congestion","description":"congestion-aware routing: the occupancy penalty also charges live in-flight transits toward a trap, decaying as they age out"},` +
+		`{"name":"lookahead","description":"lookahead-4 gate order: among ready gates, prefer cheap-to-communicate gates whose operands' upcoming partners are already co-located"}]}` + "\n"
+	if string(body) != want {
+		t.Errorf("GET /v1/policies body =\n%s\nwant\n%s", body, want)
+	}
+
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":14,"policy":"nope"}}`,
+			`bad request: core: point: models: unknown compiler policy "nope" (want baseline|congestion|lookahead)`},
+		{"/v1/sweep", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"policies":["nope"]}}`,
+			`sweep: space: policies[0]: models: unknown compiler policy "nope" (want baseline|congestion|lookahead)`},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", tc.path, resp.StatusCode)
+		}
+		if got := decodeBody[errorBody](t, resp).Error; got != tc.want {
+			t.Errorf("%s: error = %q, want %q", tc.path, got, tc.want)
+		}
+	}
+}
+
 func TestParamsOverrideKeysCacheSeparately(t *testing.T) {
 	srv, ts := newTestServer(t)
 	point := `"point":{"app":"BV","topology":"L6","capacity":20}`

@@ -44,7 +44,7 @@ type Space struct {
 	Gates []string `json:"gates,omitempty"`
 	// Reorders lists chain reordering methods (default ["GS"]).
 	Reorders []string `json:"reorders,omitempty"`
-	// Policies lists compiler policy bundles (default ["baseline"]).
+	// Policies lists compiler policies (default ["baseline"]).
 	Policies []string `json:"policies,omitempty"`
 }
 

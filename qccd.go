@@ -69,10 +69,10 @@ type (
 	GateImpl = models.GateImpl
 	// ReorderMethod selects GS or IS chain reordering.
 	ReorderMethod = models.ReorderMethod
-	// PolicyName names a registered compiler policy bundle; the zero value
-	// is the baseline (the paper's heuristics).
+	// PolicyName names a compiler policy; the zero value is the baseline
+	// (the paper's heuristics).
 	PolicyName = models.PolicyName
-	// PolicyInfo describes one registered compiler policy bundle.
+	// PolicyInfo describes one compiler policy.
 	PolicyInfo = models.PolicyInfo
 	// CompileOptions configures the backend compiler.
 	CompileOptions = compiler.Options
@@ -153,14 +153,13 @@ func LoadParams(data []byte) (Params, error) { return models.LoadJSON(data) }
 // GS reordering and two buffer slots per trap.
 func DefaultCompileOptions() CompileOptions { return compiler.DefaultOptions() }
 
-// CompilerPolicies lists the registered compiler policy bundles, baseline
-// first. Any returned name is valid for CompileOptions.Policy (via
-// ParsePolicy), a design point's "policy" field, or a sweep's "policies"
-// axis.
+// CompilerPolicies lists the compiler policies, baseline first. Any
+// returned name is valid for CompileOptions.Policy (via ParsePolicy), a
+// design point's "policy" field, or a sweep's "policies" axis.
 func CompilerPolicies() []PolicyInfo { return models.Policies() }
 
 // ParsePolicy resolves a policy name case-insensitively; "" and
-// "baseline" both mean the baseline bundle.
+// "baseline" both mean the baseline policy.
 func ParsePolicy(name string) (PolicyName, error) { return models.ParsePolicy(name) }
 
 // NewCircuit returns an empty circuit over n qubits.
