@@ -90,7 +90,7 @@ func (s *lookaheadOrder) score(gi int) float64 {
 		return 0
 	}
 	a, b := g.Qubits[0], g.Qubits[1]
-	ta, tb := s.cc.trapOf[a], s.cc.trapOf[b]
+	ta, tb := s.cc.chains.Trap(a), s.cc.chains.Trap(b)
 	score := 0.0
 	if ta != tb {
 		d, err := s.cc.router.Distance(ta, tb)
@@ -127,7 +127,7 @@ func (s *lookaheadOrder) affinity(q, gi, ta, tb int) int {
 		if partner == q {
 			partner = g.Qubits[1]
 		}
-		if tp := cc.trapOf[partner]; tp >= 0 && (tp == ta || tp == tb) {
+		if tp := cc.chains.Trap(partner); tp >= 0 && (tp == ta || tp == tb) {
 			count++
 		}
 	}

@@ -85,7 +85,7 @@ func (cc *compilation) moveCost(mover, src, dst int) float64 {
 	// Graded occupancy penalty: steering gates away from nearly-full
 	// destinations avoids eviction churn, which costs far more (a full
 	// shuttle plus usually a reorder) than routing the other operand.
-	switch free := cc.dev.Capacity - cc.chains[dst].n; {
+	switch free := cc.dev.Capacity - cc.chains.Len(dst); {
 	case free <= 0:
 		dist += 1e6
 	case free == 1:
@@ -107,9 +107,8 @@ func (cc *compilation) moveCost(mover, src, dst int) float64 {
 // evictable.
 func (cc *compilation) pickVictim(t int, keep []int) int {
 	victim, victimUse := -1, -1
-	ch := &cc.chains[t]
-	for i := 0; i < ch.n; i++ {
-		q := ch.at(i)
+	for i := 0; i < cc.chains.Len(t); i++ {
+		q := cc.chains.At(t, i)
 		if contains(keep, q) {
 			continue
 		}
@@ -135,8 +134,8 @@ func (cc *compilation) pickEvictionDest(t int, softAvoid []int) int {
 // not in the avoid set, or -1 when none exists.
 func (cc *compilation) nearestSpace(t int, avoid []int) int {
 	best, bestDist := -1, 0.0
-	for cand := range cc.chains {
-		if cand == t || cc.chains[cand].n >= cc.dev.Capacity || contains(avoid, cand) {
+	for cand := 0; cand < cc.dev.NumTraps(); cand++ {
+		if cand == t || cc.chains.Len(cand) >= cc.dev.Capacity || contains(avoid, cand) {
 			continue
 		}
 		dist, err := cc.router.Distance(t, cand)

@@ -19,14 +19,14 @@
 // realizes the paper's "prioritize earlier gates" congestion policy and —
 // because ops hold at most one resource — cannot deadlock.
 //
-// The hot paths are index-based: chains are fixed-capacity ring buffers
-// with an incremental qubit→slot index, so qubit positions, end
-// insertions and end removals are O(1) instead of copying slices, and op
-// dependency sets are deduplicated through a three-entry scratch instead
-// of a per-op map. An op holds its operands and dependencies inline (see
-// isa.Op), so emitting one allocates nothing beyond the op list's
-// amortized growth, and the list holds no pointers for the collector to
-// scan.
+// The compiler emits against the simulator's chain model: addOp applies
+// every op to an isa.Chains, so qubit positions, end insertions and end
+// removals are O(1) ring-buffer steps, and an op the chains reject panics
+// as the compiler bug it is. Op dependency sets are deduplicated through
+// a three-entry scratch instead of a per-op map. An op holds its operands
+// and dependencies inline (see isa.Op), so emitting one allocates nothing
+// beyond the op list's amortized growth, and the list holds no pointers
+// for the collector to scan.
 //
 // The decision heuristics — gate issue order, initial placement, and
 // shuttle scoring and eviction — form the policy axis: Options.Policy
@@ -100,15 +100,14 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 		dev:    d,
 		opts:   opts,
 		router: device.NewRouter(d, opts.RouteCosts),
-		trapOf: make([]int, c.NumQubits),
-		qSlot:  make([]int, c.NumQubits),
 	}
 	// Across the paper suite the op list runs 1.05-1.25× the gate count
 	// (communication ops are amortized by multi-gate stays); seeding at
 	// 1.5× absorbs nearly all growth-copy churn without zeroing memory
 	// that shuttle-light workloads never touch.
 	cc.ops = make([]isa.Op, 0, 3*len(c.Gates)/2+16)
-	if err := cc.mapQubits(); err != nil {
+	layout, err := cc.mapQubits()
+	if err != nil {
 		return nil, err
 	}
 	// Every policy places, picks victims and picks eviction destinations
@@ -128,7 +127,7 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 		Name:          c.Name,
 		NumQubits:     c.NumQubits,
 		DeviceName:    d.Name,
-		InitialLayout: cc.initialLayout,
+		InitialLayout: layout,
 		Ops:           cc.ops,
 	}
 	if err := prog.Validate(); err != nil {
@@ -136,27 +135,6 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 	}
 	return prog, nil
 }
-
-// trapChain is one trap's live chain during compilation: a fixed-capacity
-// ring buffer of qubit IDs (position 0 = left end). Together with the
-// compilation's qubit→slot index, positions and end operations are O(1).
-type trapChain struct {
-	buf  []int
-	head int
-	n    int
-}
-
-// slotAt returns the ring slot of chain position i.
-func (c *trapChain) slotAt(i int) int {
-	s := c.head + i
-	if s >= len(c.buf) {
-		s -= len(c.buf)
-	}
-	return s
-}
-
-// at returns the qubit at chain position i.
-func (c *trapChain) at(i int) int { return c.buf[c.slotAt(i)] }
 
 // schedule yields gate indices in an order that respects the circuit's
 // dependencies, one at a time, so an order can consult the placement as
@@ -178,10 +156,7 @@ type compilation struct {
 	congestion bool
 	arrivals   []transitStamp
 
-	chains        []trapChain // per trap: live chain (0 = left end)
-	trapOf        []int       // qubit -> trap (-1 while in transit)
-	qSlot         []int       // qubit -> ring slot within its trap's chain
-	initialLayout [][]int
+	chains isa.Chains // live chains, stepped through every emitted op
 
 	ops           []isa.Op
 	lastOfQubit   []int // qubit -> last op ID touching it (-1 none)
@@ -192,59 +167,37 @@ type compilation struct {
 }
 
 // mapQubits computes the initial qubit→trap layout, validates it (every
-// program qubit exactly once, no chain over capacity), and installs it
-// into the compilation's chain structures and use lists.
-func (cc *compilation) mapQubits() error {
+// program qubit exactly once, no chain over capacity), installs it as the
+// compilation's chains and builds the use lists. It returns the layout.
+func (cc *compilation) mapQubits() ([][]int, error) {
 	c, d := cc.circ, cc.dev
 	layout := cc.place()
 	if len(layout) != d.NumTraps() {
-		return fmt.Errorf("compiler: placement returned %d chains for %d traps",
+		return nil, fmt.Errorf("compiler: placement returned %d chains for %d traps",
 			len(layout), d.NumTraps())
 	}
 	seen := make([]bool, c.NumQubits)
 	placed := 0
 	for t, chain := range layout {
 		if len(chain) > d.Capacity {
-			return fmt.Errorf("compiler: placement overfills trap %d: %d ions, capacity %d",
+			return nil, fmt.Errorf("compiler: placement overfills trap %d: %d ions, capacity %d",
 				t, len(chain), d.Capacity)
 		}
 		for _, q := range chain {
 			if q < 0 || q >= c.NumQubits {
-				return fmt.Errorf("compiler: placement names unknown qubit %d", q)
+				return nil, fmt.Errorf("compiler: placement names unknown qubit %d", q)
 			}
 			if seen[q] {
-				return fmt.Errorf("compiler: placement assigns qubit %d twice", q)
+				return nil, fmt.Errorf("compiler: placement assigns qubit %d twice", q)
 			}
 			seen[q] = true
 			placed++
 		}
 	}
 	if placed != c.NumQubits {
-		return fmt.Errorf("compiler: placement placed %d of %d qubits", placed, c.NumQubits)
+		return nil, fmt.Errorf("compiler: placement placed %d of %d qubits", placed, c.NumQubits)
 	}
-	cc.chains = make([]trapChain, d.NumTraps())
-	for t := range cc.chains {
-		cc.chains[t].buf = make([]int, d.Capacity)
-	}
-	for t, chain := range layout {
-		ch := &cc.chains[t]
-		for _, q := range chain {
-			slot := ch.slotAt(ch.n)
-			ch.buf[slot] = q
-			ch.n++
-			cc.trapOf[q] = t
-			cc.qSlot[q] = slot
-		}
-	}
-	cc.initialLayout = make([][]int, d.NumTraps())
-	for t := range cc.chains {
-		ch := &cc.chains[t]
-		layout := make([]int, ch.n)
-		for i := 0; i < ch.n; i++ {
-			layout[i] = ch.at(i)
-		}
-		cc.initialLayout[t] = layout
-	}
+	cc.chains = isa.NewChains(layout, c.NumQubits, d.Capacity)
 	cc.lastOfQubit = make([]int, c.NumQubits)
 	for i := range cc.lastOfQubit {
 		cc.lastOfQubit[i] = -1
@@ -281,7 +234,7 @@ func (cc *compilation) mapQubits() error {
 		}
 	}
 	cc.useCounts = make([]int, c.NumQubits)
-	return nil
+	return layout, nil
 }
 
 // run emits ops gate by gate in the order sched yields (the baseline is
@@ -302,13 +255,13 @@ func (cc *compilation) run(sched schedule) error {
 		case g.Kind == circuit.GateMeasure:
 			q := g.Qubits[0]
 			cc.addOp(isa.Op{
-				Kind: isa.OpMeasure, Trap: int32(cc.trapOf[q]),
+				Kind: isa.OpMeasure, Trap: int32(cc.chains.Trap(q)),
 				Gate: g.Kind, GateIndex: int32(gi),
 			}, false, q)
 		case g.Kind.IsSingleQubit():
 			q := g.Qubits[0]
 			cc.addOp(isa.Op{
-				Kind: isa.OpGate1, Trap: int32(cc.trapOf[q]),
+				Kind: isa.OpGate1, Trap: int32(cc.chains.Trap(q)),
 				Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
 			}, false, q)
 		case g.Kind.IsTwoQubit():
@@ -330,7 +283,7 @@ func (cc *compilation) run(sched schedule) error {
 // cheaper-scoring direction wins, ties moving the first operand.
 func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
 	a, b := g.Qubits[0], g.Qubits[1]
-	ta, tb := cc.trapOf[a], cc.trapOf[b]
+	ta, tb := cc.chains.Trap(a), cc.chains.Trap(b)
 	if ta != tb {
 		mover, src, dst := a, ta, tb
 		if cc.moveCost(b, tb, ta) < cc.moveCost(a, ta, tb) {
@@ -341,7 +294,7 @@ func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
 		}
 	}
 	cc.addOp(isa.Op{
-		Kind: isa.OpGate2, Trap: int32(cc.trapOf[a]),
+		Kind: isa.OpGate2, Trap: int32(cc.chains.Trap(a)),
 		Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
 	}, false, a, b)
 	return nil
@@ -354,7 +307,7 @@ func (cc *compilation) reorderSteps(q, t int, end device.End) int {
 	if end == device.Left {
 		return pos
 	}
-	return cc.chains[t].n - 1 - pos
+	return cc.chains.Len(t) - 1 - pos
 }
 
 // shuttle moves qubit q from trap src to trap dst along the shortest
@@ -390,7 +343,6 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 	cc.addOp(isa.Op{
 		Kind: isa.OpSplit, Trap: int32(src), End: route.SrcEnd, GateIndex: int32(gi),
 	}, true, q)
-	cc.removeFromChain(q, src)
 
 	for _, hop := range route.Hops {
 		moveKind := isa.OpMove
@@ -411,7 +363,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 			}, false, q)
 		case device.NodeTrap:
 			t := hop.Node.Index
-			for cc.chains[t].n >= cc.dev.Capacity {
+			for cc.chains.Len(t) >= cc.dev.Capacity {
 				if err := cc.evictOne(t, routeTraps, depth, protected); err != nil {
 					return err
 				}
@@ -419,7 +371,6 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 			cc.addOp(isa.Op{
 				Kind: isa.OpMerge, Trap: int32(t), End: hop.EnterEnd, GateIndex: int32(gi),
 			}, true, q)
-			cc.insertIntoChain(q, t, hop.EnterEnd)
 			if t != dst {
 				// Pass-through: reposition to the far end and split back
 				// out (Figure 4).
@@ -428,7 +379,6 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				cc.addOp(isa.Op{
 					Kind: isa.OpSplit, Trap: int32(t), End: exit, GateIndex: int32(gi),
 				}, true, q)
-				cc.removeFromChain(q, t)
 			}
 		}
 	}
@@ -470,98 +420,46 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// swapInChain exchanges the chain slots of two resident qubits of trap t.
-func (cc *compilation) swapInChain(t, a, b int) {
-	ch := &cc.chains[t]
-	sa, sb := cc.qSlot[a], cc.qSlot[b]
-	ch.buf[sa], ch.buf[sb] = b, a
-	cc.qSlot[a], cc.qSlot[b] = sb, sa
-}
-
 // reorderToEnd brings qubit q to the given chain end of trap t using the
 // configured reordering method, emitting the necessary ops.
 func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
-	ch := &cc.chains[t]
 	pos := cc.position(q, t)
 	target := 0
 	if end == device.Right {
-		target = ch.n - 1
+		target = cc.chains.Len(t) - 1
 	}
 	if pos == target {
 		return
 	}
 	switch cc.opts.Reorder {
 	case models.GS:
-		other := ch.at(target)
 		cc.addOp(isa.Op{
 			Kind: isa.OpSwapGS, Trap: int32(t), GateIndex: int32(gi),
-		}, true, q, other)
-		cc.swapInChain(t, q, other)
+		}, true, q, cc.chains.At(t, target))
 	case models.IS:
 		step := 1
 		if target < pos {
 			step = -1
 		}
 		for p := pos; p != target; p += step {
-			neighbor := ch.at(p + step)
 			cc.addOp(isa.Op{
 				Kind: isa.OpIonSwap, Trap: int32(t), GateIndex: int32(gi),
-			}, true, q, neighbor)
-			cc.swapInChain(t, q, neighbor)
+			}, true, q, cc.chains.At(t, p+step))
 		}
 	}
 }
 
 // position returns q's index within trap t's chain.
 func (cc *compilation) position(q, t int) int {
-	if cc.trapOf[q] != t {
+	if cc.chains.Trap(q) != t {
 		panic(fmt.Sprintf("compiler: qubit %d not in trap %d", q, t))
 	}
-	ch := &cc.chains[t]
-	p := cc.qSlot[q] - ch.head
-	if p < 0 {
-		p += len(ch.buf)
-	}
-	return p
-}
-
-// removeFromChain detaches q from trap t's chain end.
-func (cc *compilation) removeFromChain(q, t int) {
-	ch := &cc.chains[t]
-	switch pos := cc.position(q, t); {
-	case ch.n > 0 && pos == 0:
-		ch.head = ch.slotAt(1)
-		ch.n--
-	case ch.n > 0 && pos == ch.n-1:
-		ch.n--
-	default:
-		panic(fmt.Sprintf("compiler: split of qubit %d not at an end of trap %d", q, t))
-	}
-	cc.trapOf[q] = -1
-}
-
-// insertIntoChain attaches q at the given end of trap t's chain.
-func (cc *compilation) insertIntoChain(q, t int, end device.End) {
-	ch := &cc.chains[t]
-	var slot int
-	if end == device.Left {
-		slot = ch.head - 1
-		if slot < 0 {
-			slot += len(ch.buf)
-		}
-		ch.head = slot
-	} else {
-		slot = ch.slotAt(ch.n)
-	}
-	ch.buf[slot] = q
-	ch.n++
-	cc.trapOf[q] = t
-	cc.qSlot[q] = slot
+	return cc.chains.Pos(q)
 }
 
 // addOp finalizes an op on the given operand qubits: assigns its ID,
-// derives its dependencies, updates the per-qubit and per-trap
-// bookkeeping, and appends it.
+// derives its dependencies, applies it to the chains, updates the
+// per-qubit and per-trap bookkeeping, and appends it.
 //
 // An op has at most three dependency sources (two operand qubits plus its
 // trap's structural predecessor), so dedup runs over a three-entry
@@ -606,6 +504,11 @@ func (cc *compilation) addOp(op isa.Op, structural bool, qubits ...int) int {
 		}
 	}
 	op.SetDeps(scratch[:nd]...)
+	if err := cc.chains.Apply(&op); err != nil {
+		// A rejected op is a compiler bug. Formatting op by value keeps it
+		// from escaping to the heap on every call.
+		panic("compiler: emitted " + op.String() + ": " + err.Error())
+	}
 	for _, q := range qubits {
 		cc.lastOfQubit[q] = id
 	}

@@ -33,8 +33,11 @@ func pinned(name string, n int) *circuit.Builder {
 // chain-structure change and asserting the compiler's invariants: splits
 // find their qubit at the named end, merges never overflow capacity,
 // swaps touch co-located qubits, and gates operate on co-located qubits.
+// It is a slice-based reference for isa.Chains: it steps one beside its
+// own model and requires every trap's chain to agree after each op.
 func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 	t.Helper()
+	shared := isa.NewChains(p.InitialLayout, p.NumQubits, d.Capacity)
 	chains := make([][]int, len(p.InitialLayout))
 	trapOf := make(map[int]int)
 	for trap, chain := range p.InitialLayout {
@@ -108,6 +111,27 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 		case isa.OpGate1, isa.OpMeasure:
 			if trapOf[int(qs[0])] != trap {
 				t.Fatalf("op %d: %s qubit not in trap %d", op.ID, op.Kind, trap)
+			}
+		}
+		if err := shared.Apply(op); err != nil {
+			t.Fatalf("op %d: isa.Chains rejects %s: %v", op.ID, op, err)
+		}
+		for tr, chain := range chains {
+			same := shared.Len(tr) == len(chain)
+			for i := 0; same && i < len(chain); i++ {
+				same = shared.At(tr, i) == chain[i]
+			}
+			if !same {
+				t.Fatalf("op %d: isa.Chains disagrees on T%d, reference %v", op.ID, tr, chain)
+			}
+		}
+		for _, q := range qs {
+			want, ok := trapOf[int(q)]
+			if !ok {
+				want = -1
+			}
+			if got := shared.Trap(int(q)); got != want {
+				t.Fatalf("op %d: isa.Chains puts q%d in trap %d, reference %d", op.ID, q, got, want)
 			}
 		}
 	}

@@ -44,75 +44,3 @@ func IonSwapHop(e, k1 float64) float64 {
 	// one more k1 over the recombined sum.
 	return e + 3*k1
 }
-
-// Tracker records the maximum chain energy ever observed per trap, the
-// maximum energy of any ion in transit (an in-flight ion is a one-ion
-// chain), the device-wide maximum, and cumulative heating-event counts —
-// the data behind Figure 6f and Figure 7g.
-type Tracker struct {
-	maxPerTrap []float64
-	maxTransit float64
-	splits     int
-	merges     int
-	moves      int
-	junctions  int
-	ionSwaps   int
-}
-
-// NewTracker returns a tracker for a device with numTraps traps.
-func NewTracker(numTraps int) *Tracker {
-	return &Tracker{maxPerTrap: make([]float64, numTraps)}
-}
-
-// Observe records the current energy of the chain in trap t.
-func (t *Tracker) Observe(trap int, energy float64) {
-	if energy > t.maxPerTrap[trap] {
-		t.maxPerTrap[trap] = energy
-	}
-}
-
-// ObserveTransit records the current energy of an ion in transit. Transit
-// energies count toward the device-wide maximum: the hottest object on
-// the device can be a single shuttled ion mid-route, which no per-trap
-// observation ever sees.
-func (t *Tracker) ObserveTransit(energy float64) {
-	if energy > t.maxTransit {
-		t.maxTransit = energy
-	}
-}
-
-// MaxTransitEnergy returns the largest in-transit ion energy observed.
-func (t *Tracker) MaxTransitEnergy() float64 { return t.maxTransit }
-
-// CountSplit, CountMerge, CountMove, CountJunction and CountIonSwap
-// increment the respective event counters.
-func (t *Tracker) CountSplit()    { t.splits++ }
-func (t *Tracker) CountMerge()    { t.merges++ }
-func (t *Tracker) CountMove()     { t.moves++ }
-func (t *Tracker) CountJunction() { t.junctions++ }
-func (t *Tracker) CountIonSwap()  { t.ionSwaps++ }
-
-// MaxEnergy returns the largest chain energy observed anywhere on the
-// device, including single-ion chains in transit (Figure 6f's "Max
-// Motional Energy").
-func (t *Tracker) MaxEnergy() float64 {
-	max := t.maxTransit
-	for _, e := range t.maxPerTrap {
-		if e > max {
-			max = e
-		}
-	}
-	return max
-}
-
-// MaxEnergyPerTrap returns a copy of the per-trap maxima.
-func (t *Tracker) MaxEnergyPerTrap() []float64 {
-	out := make([]float64, len(t.maxPerTrap))
-	copy(out, t.maxPerTrap)
-	return out
-}
-
-// Counts returns the cumulative shuttling-event counts.
-func (t *Tracker) Counts() (splits, merges, moves, junctions, ionSwaps int) {
-	return t.splits, t.merges, t.moves, t.junctions, t.ionSwaps
-}

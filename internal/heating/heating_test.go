@@ -116,51 +116,3 @@ func TestEnergyMonotoneUnderAnySequence(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTracker(t *testing.T) {
-	tr := NewTracker(3)
-	tr.Observe(0, 1.5)
-	tr.Observe(1, 4.0)
-	tr.Observe(1, 2.0) // lower, should not overwrite max
-	tr.Observe(2, 0.5)
-	if got := tr.MaxEnergy(); got != 4.0 {
-		t.Errorf("MaxEnergy = %g, want 4.0", got)
-	}
-	per := tr.MaxEnergyPerTrap()
-	if per[0] != 1.5 || per[1] != 4.0 || per[2] != 0.5 {
-		t.Errorf("per-trap maxima = %v", per)
-	}
-	tr.CountSplit()
-	tr.CountSplit()
-	tr.CountMerge()
-	tr.CountMove()
-	tr.CountJunction()
-	tr.CountIonSwap()
-	s, m, mv, j, is := tr.Counts()
-	if s != 2 || m != 1 || mv != 1 || j != 1 || is != 1 {
-		t.Errorf("counts = %d %d %d %d %d", s, m, mv, j, is)
-	}
-}
-
-func TestTrackerEmptyDevice(t *testing.T) {
-	tr := NewTracker(0)
-	if tr.MaxEnergy() != 0 {
-		t.Error("empty tracker max should be 0")
-	}
-}
-
-func TestTrackerObservesTransitEnergy(t *testing.T) {
-	tr := NewTracker(2)
-	tr.Observe(0, 1.5)
-	tr.ObserveTransit(4.25)
-	tr.ObserveTransit(2.0) // lower observation must not regress the max
-	if got := tr.MaxTransitEnergy(); got != 4.25 {
-		t.Errorf("MaxTransitEnergy = %g, want 4.25", got)
-	}
-	if got := tr.MaxEnergy(); got != 4.25 {
-		t.Errorf("MaxEnergy = %g, want the in-transit maximum 4.25", got)
-	}
-	if per := tr.MaxEnergyPerTrap(); per[0] != 1.5 || per[1] != 0 {
-		t.Errorf("per-trap maxima = %v, want [1.5 0] (transit is not a trap)", per)
-	}
-}

@@ -4,6 +4,8 @@
 // reordering primitives (gate-based SWAP and physical ion swap). A Program
 // is an executable: an initial qubit layout plus a dependency-annotated
 // operation list that the simulator schedules onto device resources.
+// Chains is the ion-chain state those ops act on; the compiler and the
+// simulator both step it through every op.
 //
 // An Op is a fixed-size 56-byte record with no pointers: its operands
 // (at most two qubits) and its dependencies (at most three earlier ops)

@@ -169,6 +169,56 @@ func TestShardWithLimitPaginatesInsideWindow(t *testing.T) {
 	}
 }
 
+// TestMaxLimitStreamsRestOfWindow pins the limit check past a nonzero
+// window start: a limit of MaxInt64 must not overflow start+limit, so a
+// shard or a resume streams the rest of its window and ends with a
+// summary that offers no continuation.
+func TestMaxLimitStreamsRestOfWindow(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/v1/sweep", shardBody(``))
+	_, fullRows, _ := ndjson(t, resp.Body)
+	resp.Body.Close()
+	if len(fullRows) != testSpaceSize {
+		t.Fatalf("reference sweep: %d rows", len(fullRows))
+	}
+	const maxLimit = `,"limit":9223372036854775807`
+	cases := []struct {
+		name  string
+		extra string
+		start int
+	}{
+		{"shard", `,"shard":{"index":1,"count":2}`, 6},
+		{"resume", `,"resume_from":"` + fullRows[3].Cursor + `"`, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, ts.URL+"/v1/sweep", shardBody(tc.extra+maxLimit))
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d", resp.StatusCode)
+			}
+			header, rows, summary := ndjson(t, resp.Body)
+			if header == nil || header.Start != int64(tc.start) || header.End != testSpaceSize {
+				t.Fatalf("header = %+v, want window [%d, %d)", header, tc.start, testSpaceSize)
+			}
+			if len(rows) != testSpaceSize-tc.start {
+				t.Fatalf("%d rows, want %d", len(rows), testSpaceSize-tc.start)
+			}
+			for i, row := range rows {
+				if row.Seq != tc.start+i {
+					t.Fatalf("row %d has seq %d, want %d", i, row.Seq, tc.start+i)
+				}
+			}
+			if summary == nil {
+				t.Fatal("missing summary")
+			}
+			if summary.NextCursor != "" {
+				t.Errorf("finished window offered next_cursor %q", summary.NextCursor)
+			}
+		})
+	}
+}
+
 func TestShardBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := []struct{ name, body string }{

@@ -295,7 +295,9 @@ func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *S
 		start = window.Clamp(idx)
 	}
 	end := window.End
-	if req.Limit > 0 && start+req.Limit < end {
+	// Compared with what is left of the window, a huge limit cannot
+	// overflow start+limit.
+	if req.Limit > 0 && req.Limit < end-start {
 		end = start + req.Limit
 	}
 

@@ -143,15 +143,26 @@ func (e *engine) result() *Result {
 		TotalTime:          e.now,
 		MSGates:            e.msGates,
 		OneQGates:          e.oneQGates,
-		Measurements:       e.measures,
-		MaxMotionalEnergy:  e.tracker.MaxEnergy(),
-		MaxMotionalPerTrap: e.tracker.MaxEnergyPerTrap(),
+		Measurements:       e.completed[isa.OpMeasure],
+		MaxMotionalEnergy:  e.maxTransit,
+		MaxMotionalPerTrap: e.maxPerTrap,
 		BusyCompute:        e.categoryBusy[isa.CatCompute],
 		BusyComm:           e.categoryBusy[isa.CatComm],
-		LinkTransits:       e.linkTransits,
-		GSSwaps:            e.gsSwaps,
+		Splits:             e.completed[isa.OpSplit],
+		Merges:             e.completed[isa.OpMerge],
+		Moves:              e.completed[isa.OpMove],
+		JunctionCrossings:  e.completed[isa.OpJunctionCross],
+		IonSwaps:           e.completed[isa.OpIonSwap],
+		LinkTransits:       e.completed[isa.OpLinkTransit],
+		GSSwaps:            e.completed[isa.OpSwapGS],
 	}
-	r.Splits, r.Merges, r.Moves, r.JunctionCrossings, r.IonSwaps = e.tracker.Counts()
+	// The device-wide maximum folds the per-trap maxima into the transit
+	// maximum (Figure 6f's "Max Motional Energy").
+	for _, m := range e.maxPerTrap {
+		if m > r.MaxMotionalEnergy {
+			r.MaxMotionalEnergy = m
+		}
+	}
 	if e.msGates > 0 {
 		r.MeanMotionalError = e.sumMotional / float64(e.msGates)
 		r.MeanBackgroundError = e.sumBackground / float64(e.msGates)

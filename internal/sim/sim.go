@@ -10,12 +10,12 @@
 // lowest op ID first — the compiler's issue order — which realizes the
 // paper's "prioritize earlier gates" congestion policy.
 //
-// The engine is built for sweep scale: chains are fixed-size ring buffers
-// with an incremental qubit→(trap, slot) index, so membership checks,
-// gate distances and end insertions/removals are O(1) instead of scanning
-// chains; the event queue and per-resource wait queues are typed binary
-// heaps over preallocated storage; and all per-run state is sized off the
-// program up front, so the event loop allocates nothing in steady state.
+// The engine is built for sweep scale: chain state is an isa.Chains, the
+// ring-buffer model the compiler emits against, so membership checks,
+// gate distances and end insertions/removals are O(1); the event queue
+// and per-resource wait queues are typed binary heaps over preallocated
+// storage; and all per-run state is sized off the program up front, so
+// the event loop allocates nothing in steady state.
 //
 // Accounting is online: counts, fidelity terms and the compute/comm/idle
 // attribution of the makespan are all updated as ops start and complete,
@@ -59,46 +59,20 @@ func simulate(p *isa.Program, d *device.Device, params models.Params) (*engine, 
 		return nil, fmt.Errorf("sim: program laid out for %d traps, device %s has %d",
 			len(p.InitialLayout), d.Name, d.NumTraps())
 	}
-	e := newEngine(p, d, params)
+	for t, chain := range p.InitialLayout {
+		if len(chain) > d.Capacity {
+			return nil, fmt.Errorf("sim: initial layout overfills trap %d: %d ions, capacity %d",
+				t, len(chain), d.Capacity)
+		}
+	}
+	e, err := newEngine(p, d, params)
+	if err != nil {
+		return nil, err
+	}
 	if err := e.run(); err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-// chain is the live state of one trap's ion chain: a fixed-capacity ring
-// buffer of qubit IDs (position 0 = left end) plus the chain's motional
-// energy. End insertions and removals are O(1); positions of resident
-// qubits are recovered in O(1) from the engine's qubit→slot index.
-type chain struct {
-	buf    []int // ring storage; len(buf) never changes after newEngine
-	head   int   // slot of position 0
-	n      int   // live chain length
-	energy float64
-}
-
-// nbar returns the motional mode occupancy used by the Eq. 1 fidelity
-// model: the chain's vibrational energy in quanta (§VII.C — "n̄ is the
-// motional mode of the chain (vibrational energy), in units of motional
-// quanta").
-func (c *chain) nbar() float64 { return c.energy }
-
-// slotAt returns the ring slot of chain position i.
-func (c *chain) slotAt(i int) int {
-	s := c.head + i
-	if s >= len(c.buf) {
-		s -= len(c.buf)
-	}
-	return s
-}
-
-// posOf returns the chain position of ring slot s.
-func (c *chain) posOf(s int) int {
-	p := s - c.head
-	if p < 0 {
-		p += len(c.buf)
-	}
-	return p
 }
 
 // engine holds all simulation state for one Run call.
@@ -107,15 +81,13 @@ type engine struct {
 	dev    *device.Device
 	params models.Params
 
-	chains []chain
-	// qTrap maps qubit → resident trap, or -1 while the ion is in transit.
-	// qSlot maps qubit → its ring slot within its trap's chain (valid only
-	// while resident). transitE is the in-flight ion energy (valid only
-	// while in transit). Together they replace per-op chain scans.
-	qTrap    []int
-	qSlot    []int
+	chains isa.Chains
+	// energy is each trap's chain motional energy in quanta, the n̄ of the
+	// Eq. 1 fidelity model (§VII.C: "the motional mode of the chain
+	// (vibrational energy), in units of motional quanta"). transitE is
+	// each ion's energy while in transit (valid only then).
+	energy   []float64
 	transitE []float64
-	tracker  *heating.Tracker
 
 	resources []resource // traps, then segments, then junctions
 
@@ -137,55 +109,61 @@ type engine struct {
 	attributed             float64
 	computeT, commT, idleT float64
 
+	// completed counts finished ops per kind (OpLinkTransit is the last);
+	// the Result's op counters read it.
+	completed [isa.OpLinkTransit + 1]int
+	// maxPerTrap is the largest chain energy seen per trap and maxTransit
+	// the largest energy of an ion in transit (a one-ion chain): the data
+	// behind Figures 6f and 7g.
+	maxPerTrap    []float64
+	maxTransit    float64
 	logFidelity   float64
-	linkTransits  int
-	gsSwaps       int
 	msGates       int
 	sumMotional   float64
 	sumBackground float64
 	oneQGates     int
 	sumOneQError  float64
-	measures      int
 	categoryBusy  [2]float64
 }
 
-func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
+// newEngine sizes the engine for program p on device d. It rejects an op
+// that names a trap, segment or junction the device lacks: Validate
+// bounds resource indices below only.
+func newEngine(p *isa.Program, d *device.Device, params models.Params) (*engine, error) {
 	nOps := len(p.Ops)
 	e := &engine{
-		prog:      p,
-		dev:       d,
-		params:    params,
-		qTrap:     make([]int, p.NumQubits),
-		qSlot:     make([]int, p.NumQubits),
-		transitE:  make([]float64, p.NumQubits),
-		tracker:   heating.NewTracker(d.NumTraps()),
-		depsLeft:  make([]int32, nOps),
-		childOff:  make([]int32, nOps+1),
-		startTime: make([]float64, nOps),
-		endTime:   make([]float64, nOps),
-		readyTime: make([]float64, nOps),
-		events:    make(eventQueue, 0, nOps),
-	}
-	e.chains = make([]chain, d.NumTraps())
-	for t := range e.chains {
-		size := d.Capacity
-		if l := len(p.InitialLayout[t]); l > size {
-			size = l // defensive: hand-built programs may overfill a trap
-		}
-		c := &e.chains[t]
-		c.buf = make([]int, size)
-		for i, q := range p.InitialLayout[t] {
-			c.buf[i] = q
-			e.qTrap[q] = t
-			e.qSlot[q] = i
-		}
-		c.n = len(p.InitialLayout[t])
+		prog:       p,
+		dev:        d,
+		params:     params,
+		chains:     isa.NewChains(p.InitialLayout, p.NumQubits, d.Capacity),
+		energy:     make([]float64, d.NumTraps()),
+		transitE:   make([]float64, p.NumQubits),
+		maxPerTrap: make([]float64, d.NumTraps()),
+		depsLeft:   make([]int32, nOps),
+		childOff:   make([]int32, nOps+1),
+		startTime:  make([]float64, nOps),
+		endTime:    make([]float64, nOps),
+		readyTime:  make([]float64, nOps),
+		events:     make(eventQueue, 0, nOps),
 	}
 	e.resources = make([]resource, d.NumTraps()+len(d.Segments)+len(d.Junctions))
-	// Flatten the dependency graph into a counted adjacency list so waking
-	// dependents allocates nothing.
+	// One pass checks each op's resource against the device and counts
+	// its dependencies; the graph is then flattened into a counted
+	// adjacency list so waking dependents allocates nothing.
 	for i := range p.Ops {
-		deps := p.Ops[i].Deps()
+		op := &p.Ops[i]
+		what, idx, n := "trap", int(op.Trap), d.NumTraps()
+		switch op.Kind {
+		case isa.OpMove, isa.OpLinkTransit:
+			what, idx, n = "segment", int(op.Segment), len(d.Segments)
+		case isa.OpJunctionCross:
+			what, idx, n = "junction", int(op.Junction), len(d.Junctions)
+		}
+		if idx >= n {
+			return nil, fmt.Errorf("sim: op %d (%s) names %s %d, device %s has %d",
+				i, op.Kind, what, idx, d.Name, n)
+		}
+		deps := op.Deps()
 		e.depsLeft[i] = int32(len(deps))
 		for _, dep := range deps {
 			e.childOff[dep+1]++
@@ -205,7 +183,7 @@ func newEngine(p *isa.Program, d *device.Device, params models.Params) *engine {
 			fill[dep]++
 		}
 	}
-	return e
+	return e, nil
 }
 
 // resourceIndex maps an op to its single required resource.
@@ -315,14 +293,10 @@ func (e *engine) duration(op *isa.Op) float64 {
 	case isa.OpMeasure:
 		return p.MeasureTime
 	case isa.OpGate2:
-		c := &e.chains[op.Trap]
-		d := e.gateDistance(op)
-		return p.TwoQubitTime(d, c.n)
+		return p.TwoQubitTime(e.gateDistance(op), e.chains.Len(int(op.Trap)))
 	case isa.OpSwapGS:
-		c := &e.chains[op.Trap]
-		d := e.gateDistance(op)
-		return float64(p.SwapMSGates)*p.TwoQubitTime(d, c.n) +
-			float64(p.SwapOneQGates)*p.OneQubitTime
+		tau := p.TwoQubitTime(e.gateDistance(op), e.chains.Len(int(op.Trap)))
+		return float64(p.SwapMSGates)*tau + float64(p.SwapOneQGates)*p.OneQubitTime
 	case isa.OpIonSwap:
 		return p.IonSwapTime()
 	case isa.OpSplit:
@@ -341,27 +315,19 @@ func (e *engine) duration(op *isa.Op) float64 {
 	return p.OneQubitTime
 }
 
-// positionIn returns q's chain position in trap t, or -1 if not resident.
-func (e *engine) positionIn(q, t int32) int {
-	if e.qTrap[q] != int(t) {
-		return -1
-	}
-	return e.chains[t].posOf(e.qSlot[q])
-}
-
 // gateDistance returns the in-chain position separation of a 2-qubit op.
 func (e *engine) gateDistance(op *isa.Op) int {
 	qs := op.Qubits()
-	pa := e.positionIn(qs[0], op.Trap)
-	pb := e.positionIn(qs[1], op.Trap)
-	if pa < 0 || pb < 0 {
+	a, b, t := int(qs[0]), int(qs[1]), int(op.Trap)
+	if e.chains.Trap(a) != t || e.chains.Trap(b) != t {
 		// Recorded as an invariant violation by the completion handler.
 		return 1
 	}
-	if pa > pb {
-		return pa - pb
+	d := e.chains.Pos(a) - e.chains.Pos(b)
+	if d < 0 {
+		return -d
 	}
-	return pb - pa
+	return d
 }
 
 // complete applies the op's effects, frees its resource and wakes
@@ -394,182 +360,100 @@ func (e *engine) complete(i int) error {
 	return nil
 }
 
-// swapInChain exchanges the chain slots of two resident qubits.
-func (e *engine) swapInChain(c *chain, a, b int32) {
-	sa, sb := e.qSlot[a], e.qSlot[b]
-	c.buf[sa], c.buf[sb] = int(b), int(a)
-	e.qSlot[a], e.qSlot[b] = sb, sa
-}
-
-// detach removes qubit q from an end of its chain, putting it in transit.
-func (e *engine) detach(c *chain, q int32, left bool) {
-	if left {
-		c.head = c.slotAt(1)
-	}
-	c.n--
-	e.qTrap[q] = -1
-}
-
-// attach inserts in-transit qubit q at an end of trap t's chain.
-func (e *engine) attach(c *chain, q, t int32, left bool) {
-	var slot int
-	if left {
-		slot = c.head - 1
-		if slot < 0 {
-			slot += len(c.buf)
-		}
-		c.head = slot
-	} else {
-		slot = c.slotAt(c.n)
-	}
-	c.buf[slot] = int(q)
-	c.n++
-	e.qTrap[q] = int(t)
-	e.qSlot[q] = slot
-}
-
-// apply mutates machine state and fidelity accounting for a finished op.
+// apply steps the chains through a finished op, then updates motional
+// energies, event counts and the fidelity accounting. An op changes no
+// chain's length except by a split or merge, so the gate and swap models
+// read the chain as the op found it.
 func (e *engine) apply(op *isa.Op) error {
+	if err := e.chains.Apply(op); err != nil {
+		return err
+	}
+	e.completed[op.Kind]++
 	p := &e.params
 	t := int(op.Trap)
-	qs := op.Qubits()
+	q := op.Qubits()[0]
 	switch op.Kind {
 	case isa.OpGate1:
-		c := &e.chains[t]
-		if e.qTrap[qs[0]] != t {
-			return fmt.Errorf("qubit not in trap")
-		}
-		terms := p.OneQubitError(c.nbar())
+		terms := p.OneQubitError(e.energy[t])
 		e.oneQGates++
 		e.sumOneQError += terms.Error()
 		e.logFidelity += math.Log(terms.Fidelity())
 
 	case isa.OpMeasure:
-		if e.qTrap[qs[0]] != t {
-			return fmt.Errorf("qubit not in trap")
-		}
-		e.measures++
 		e.logFidelity += math.Log(p.MeasureFidelity)
 
 	case isa.OpGate2:
-		c := &e.chains[t]
-		if e.qTrap[qs[0]] != t || e.qTrap[qs[1]] != t {
-			return fmt.Errorf("gate operands not co-located")
-		}
-		d := e.gateDistance(op)
-		tau := p.TwoQubitTime(d, c.n)
-		e.recordMS(p.TwoQubitError(tau, c.n, c.nbar()), 1)
+		n := e.chains.Len(t)
+		tau := p.TwoQubitTime(e.gateDistance(op), n)
+		e.recordMS(p.TwoQubitError(tau, n, e.energy[t]), 1)
 
 	case isa.OpSwapGS:
-		c := &e.chains[t]
-		a, b := qs[0], qs[1]
-		if e.qTrap[a] != t || e.qTrap[b] != t {
-			return fmt.Errorf("swap operands not co-located")
-		}
-		d := e.gateDistance(op)
-		tau := p.TwoQubitTime(d, c.n)
-		e.recordMS(p.TwoQubitError(tau, c.n, c.nbar()), p.SwapMSGates)
-		one := p.OneQubitError(c.nbar())
+		// The swap exchanged the operands, which leaves their distance
+		// as it was.
+		n := e.chains.Len(t)
+		tau := p.TwoQubitTime(e.gateDistance(op), n)
+		e.recordMS(p.TwoQubitError(tau, n, e.energy[t]), p.SwapMSGates)
+		one := p.OneQubitError(e.energy[t])
 		oneErr, oneLog := one.Error(), math.Log(one.Fidelity())
 		for k := 0; k < p.SwapOneQGates; k++ {
 			e.oneQGates++
 			e.sumOneQError += oneErr
 			e.logFidelity += oneLog
 		}
-		e.swapInChain(c, a, b)
-		e.gsSwaps++
 
 	case isa.OpIonSwap:
-		c := &e.chains[t]
-		a, b := qs[0], qs[1]
-		pa, pb := e.positionIn(a, op.Trap), e.positionIn(b, op.Trap)
-		if pa < 0 || pb < 0 {
-			return fmt.Errorf("ion-swap operands not co-located")
-		}
-		if pa-pb != 1 && pb-pa != 1 {
-			return fmt.Errorf("ion-swap operands not adjacent (%d,%d)", pa, pb)
-		}
-		c.energy = heating.IonSwapHop(c.energy, p.K1)
-		e.swapInChain(c, a, b)
-		e.tracker.CountIonSwap()
-		e.tracker.Observe(t, c.energy)
+		e.energy[t] = heating.IonSwapHop(e.energy[t], p.K1)
+		e.observe(t)
 
 	case isa.OpSplit:
-		c := &e.chains[t]
-		q := qs[0]
-		n := c.n
-		if n == 0 {
-			return fmt.Errorf("split from empty trap")
-		}
-		atLeft := c.buf[c.head] == int(q) && e.qTrap[q] == t
-		atRight := c.buf[c.slotAt(n-1)] == int(q) && e.qTrap[q] == t
-		if op.End == device.Left && !atLeft || op.End == device.Right && !atRight {
-			return fmt.Errorf("split qubit q%d not at %s end of trap %d", q, op.End, t)
-		}
-		if n == 1 {
+		if rest := e.chains.Len(t); rest == 0 {
 			// Departing ion empties the trap; it carries the chain energy
 			// plus the split jolt.
-			e.transitE[q] = c.energy + p.K1
-			c.energy = 0
+			e.transitE[q] = e.energy[t] + p.K1
+			e.energy[t] = 0
 		} else {
-			ionE, restE := heating.Split(c.energy, 1, n-1, p.K1)
-			e.transitE[q] = ionE
-			c.energy = restE
+			e.transitE[q], e.energy[t] = heating.Split(e.energy[t], 1, rest, p.K1)
 		}
-		e.detach(c, q, op.End == device.Left)
-		e.tracker.CountSplit()
-		e.tracker.Observe(t, c.energy)
-		e.tracker.ObserveTransit(e.transitE[q])
+		e.observe(t)
+		e.observeTransit(q)
 
 	case isa.OpMove:
-		q := qs[0]
-		if e.qTrap[q] != -1 {
-			return fmt.Errorf("move of qubit q%d that is not in transit", q)
-		}
 		e.transitE[q] = heating.Move(e.transitE[q], e.dev.Segments[op.Segment].Length, p.K2)
-		e.tracker.CountMove()
-		e.tracker.ObserveTransit(e.transitE[q])
+		e.observeTransit(q)
 
 	case isa.OpLinkTransit:
-		q := qs[0]
-		if e.qTrap[q] != -1 {
-			return fmt.Errorf("link transit of qubit q%d that is not in transit", q)
-		}
 		// The state is teleported onto a fresh cooled ion on the far
 		// module, so accumulated motional energy does not cross the link —
 		// but the teleportation itself costs fidelity.
 		e.transitE[q] = 0
 		e.logFidelity += math.Log(1 - p.PhotonicLinkInfidelity)
-		e.linkTransits++
-		e.tracker.ObserveTransit(e.transitE[q])
+		e.observeTransit(q)
 
 	case isa.OpJunctionCross:
-		q := qs[0]
-		if e.qTrap[q] != -1 {
-			return fmt.Errorf("junction crossing of qubit q%d not in transit", q)
-		}
 		e.transitE[q] += p.JunctionHeating
-		e.tracker.CountJunction()
-		e.tracker.ObserveTransit(e.transitE[q])
+		e.observeTransit(q)
 
 	case isa.OpMerge:
-		c := &e.chains[t]
-		q := qs[0]
-		if e.qTrap[q] != -1 {
-			return fmt.Errorf("merge of qubit q%d that is not in transit", q)
-		}
-		if c.n >= e.dev.Capacity {
-			return fmt.Errorf("merge overflows trap %d (cap %d)", t, e.dev.Capacity)
-		}
-		c.energy = heating.Merge(c.energy, e.transitE[q], p.K1)
-		e.attach(c, q, op.Trap, op.End == device.Left)
-		e.tracker.CountMerge()
-		e.tracker.Observe(t, c.energy)
-
-	default:
-		return fmt.Errorf("unknown op kind %s", op.Kind)
+		e.energy[t] = heating.Merge(e.energy[t], e.transitE[q], p.K1)
+		e.observe(t)
 	}
 	return nil
+}
+
+// observe records trap t's chain energy toward its maximum.
+func (e *engine) observe(t int) {
+	if e.energy[t] > e.maxPerTrap[t] {
+		e.maxPerTrap[t] = e.energy[t]
+	}
+}
+
+// observeTransit records in-transit ion q's energy toward the transit
+// maximum: the hottest object on the device can be a single shuttled ion
+// mid-route, which no per-trap observation ever sees.
+func (e *engine) observeTransit(q int32) {
+	if e.transitE[q] > e.maxTransit {
+		e.maxTransit = e.transitE[q]
+	}
 }
 
 // recordMS accounts count MS-gate executions with identical error terms.

@@ -282,6 +282,15 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 	badParams.OneQubitTime = 0
 	badDevice := *d
 	badDevice.Capacity = 1
+	// oneOp is a one-qubit program whose single op names a resource.
+	oneOp := func(op isa.Op) *isa.Program {
+		op.GateIndex = -1
+		return &isa.Program{
+			Name: "bad-resource", NumQubits: 1, DeviceName: "L2",
+			InitialLayout: [][]int{{0}, {}},
+			Ops:           []isa.Op{withOperands(op, []int32{0})},
+		}
+	}
 
 	cases := []struct {
 		name   string
@@ -303,6 +312,20 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 		}, d, params},
 		{"invalid params", valid, d, badParams},
 		{"invalid device", valid, &badDevice, params},
+		// L2 has traps 0-1, segment 0 and no junction.
+		{"trap out of range", oneOp(isa.Op{
+			Kind: isa.OpGate1, Trap: 7, Gate: circuit.GateH, Segment: -1, Junction: -1,
+		}), d, params},
+		{"segment out of range", oneOp(isa.Op{
+			Kind: isa.OpMove, Trap: -1, Segment: 9, Junction: -1,
+		}), d, params},
+		{"junction out of range", oneOp(isa.Op{
+			Kind: isa.OpJunctionCross, Trap: -1, Segment: -1, Junction: 3,
+		}), d, params},
+		{"layout overfills a trap", &isa.Program{
+			Name: "overfull", NumQubits: 5, DeviceName: "L2",
+			InitialLayout: [][]int{{0, 1, 2, 3, 4}, {}},
+		}, d, params},
 	}
 	entries := []struct {
 		name string
@@ -534,5 +557,54 @@ func TestTransitEnergyObserved(t *testing.T) {
 		if e != 0 {
 			t.Errorf("trap %d max energy = %g, want 0 (all heat is in transit)", trap, e)
 		}
+	}
+}
+
+// TestLinkTransitResetsMotionalEnergy pins the photonic link's energy
+// reset: an ion split out of module 0's exit trap carries at least the
+// split jolt K1, but its state crosses the link onto a fresh cooled ion,
+// so merging it into module 1's empty entry trap leaves that chain at
+// exactly the merge jolt K1. Without the reset it would read at least
+// 2·K1.
+func TestLinkTransitResetsMotionalEnergy(t *testing.T) {
+	d, err := device.Parse("Mod2:L2", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Module 0 is traps 0-1 and module 1 traps 2-3; the link joins trap
+	// 1's exit end to trap 2's entry end.
+	const exit, entry = 1, 2
+	route, err := device.NewRouter(d, device.DefaultRouteCosts()).Route(exit, entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(route.Hops) != 1 || d.Segments[route.Hops[0].Segment].Kind != device.SegPhotonic {
+		t.Fatalf("route T%d→T%d is not one photonic hop: %+v", exit, entry, route.Hops)
+	}
+	hop := route.Hops[0]
+	layout := make([][]int, d.NumTraps())
+	layout[exit] = []int{0}
+	prog := &isa.Program{
+		Name: "link-reset", NumQubits: 1, DeviceName: d.Name,
+		InitialLayout: layout,
+		Ops: []isa.Op{
+			withOperands(isa.Op{ID: 0, Kind: isa.OpSplit, Trap: exit, End: route.SrcEnd, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}),
+			withOperands(isa.Op{ID: 1, Kind: isa.OpLinkTransit, Trap: -1, Segment: int32(hop.Segment), Junction: -1, GateIndex: -1}, []int32{0}, 0),
+			withOperands(isa.Op{ID: 2, Kind: isa.OpMerge, Trap: entry, End: hop.EnterEnd, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}, 1),
+		},
+	}
+	params := models.Default()
+	r, err := Run(prog, d, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.LinkTransits != 1 {
+		t.Fatalf("LinkTransits = %d, want 1", r.LinkTransits)
+	}
+	if got := r.MaxMotionalPerTrap[exit]; got != 0 {
+		t.Errorf("emptied exit trap max energy = %g, want 0", got)
+	}
+	if got := r.MaxMotionalPerTrap[entry]; got != params.K1 {
+		t.Errorf("entry trap energy = %g, want exactly K1 = %g (transit energy reset by the link)", got, params.K1)
 	}
 }
