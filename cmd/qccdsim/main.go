@@ -7,10 +7,12 @@
 //	qccdsim -app QFT -device L6 -capacity 22 -gate FM -reorder GS
 //	qccdsim -app BV@160 -device Mod2:G2x3 -capacity 22 -policy lookahead
 //	qccdsim -qasm program.qasm -device G2x3 -capacity 18 -dump
+//	qccdsim -app QFT -emit-qasm > qft.qasm
 //
 // The -app flag selects a built-in Table II benchmark or a sized one
 // (<app>@<n>); -qasm loads an OpenQASM 2.0 file instead. -dump prints the
-// compiled executable.
+// compiled executable. -emit-qasm prints the loaded circuit (after -lower,
+// if given) as OpenQASM 2.0 and exits, as -stats does with its statistics.
 package main
 
 import (
@@ -34,6 +36,7 @@ func main() {
 		buffer   = flag.Int("buffer", 2, "mapper buffer slots per trap")
 		dump     = flag.Bool("dump", false, "print the compiled executable")
 		stats    = flag.Bool("stats", false, "print workload statistics and exit")
+		emitQASM = flag.Bool("emit-qasm", false, "print the circuit as OpenQASM 2.0 and exit")
 		lower    = flag.Bool("lower", false, "lower abstract gates to native MS + rotations first")
 		traceOut = flag.String("trace", "", "write the per-op execution timeline CSV to this file")
 		gantt    = flag.Bool("gantt", false, "print an ASCII timeline of device resource usage")
@@ -61,6 +64,14 @@ func main() {
 	}
 	if *stats {
 		fmt.Println(qccd.ComputeStats(circ))
+		return
+	}
+	if *emitQASM {
+		src, err := qccd.WriteQASM(circ)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(src)
 		return
 	}
 

@@ -285,8 +285,7 @@ type refuse struct{}
 func (refuse) Do(string, func() (core.Outcome, error)) (core.Outcome, error, bool) {
 	return core.Outcome{}, errors.New("refused"), false
 }
-func (refuse) Get(string) (core.Outcome, bool) { return core.Outcome{}, false }
-func (refuse) Stats() cache.Stats              { return cache.Stats{} }
+func (refuse) Stats() cache.Stats { return cache.Stats{} }
 
 // TestGoldenGridCoversFigures guards the grid definition itself: every
 // point the Figure 6-8 studies evaluate, and every baseline point of the

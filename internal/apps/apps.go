@@ -76,36 +76,76 @@ func Suite() []Spec {
 // A name of the form "<base>@<n>" builds a size-n instance of the base
 // benchmark (e.g. "QFT@128", "QAOA@200"), which is what lets device
 // scaling studies flow through the same design-point machinery — and the
-// same outcome cache — as the paper-sized workloads. See Sized for the
-// per-app size conventions.
+// same outcome cache — as the paper-sized workloads. The size convention
+// varies per family (for BV n counts data qubits, so the circuit holds
+// one more):
+//
+//   - QFT@n:        n-qubit QFT, any n >= 1
+//   - QAOA@n:       the paper's 20-layer ansatz on n qubits, n >= 2
+//   - BV@n:         n data qubits plus the ancilla (n+1 total), n >= 1
+//   - Adder@n:      two (n-2)/2-bit registers plus carries; n even, >= 4
+//   - SquareRoot@n: n/2 search qubits; n even, >= 6
+//   - Supremacy@n:  an 8×(n/8) grid at the paper's 8.75 gates/qubit
+//     density; n divisible by 8, >= 16
+//   - Surface@n:    distance-n rotated surface code, n rounds of
+//     syndrome extraction over 2n²−1 qubits; n odd, 3 <= n <= 21
 func ByName(name string) (*circuit.Circuit, error) {
-	for _, s := range Suite() {
-		if equalFold(s.Name, name) {
-			return s.Build()
-		}
+	build, _, _, err := resolve(name)
+	if err != nil {
+		return nil, err
 	}
-	if at := strings.IndexByte(name, '@'); at > 0 {
-		n, err := strconv.Atoi(name[at+1:])
-		if err != nil {
-			return nil, fmt.Errorf("apps: bad size in benchmark name %q", name)
-		}
-		return Sized(name[:at], n)
-	}
-	return nil, fmt.Errorf("apps: unknown benchmark %q (have %v)", name, Names())
+	return build()
 }
 
-// MaxSizedQubits bounds the size parameter accepted by Sized (and so by
-// ByName's "<base>@<n>" form). Sized names reach the HTTP service
-// unvalidated, and an unbounded n is a resource-exhaustion vector: a
-// QFT@n circuit holds ~n²/2 gate records, so one request naming a huge
-// size would build a multi-gigabyte circuit and pin it in the toolflow
-// cache. The cap comfortably covers the TITAN-scale (500+ qubit) studies
-// on the roadmap.
+// resolve checks a benchmark name without building its circuit and
+// returns its builder; ByName, ValidateName and SurfaceSpec all read a
+// name through it. A sized "<base>@<n>" name also returns its family's
+// base and n, which must satisfy the family's size rule and be spelled as
+// strconv.Itoa prints it (no '+', no leading zero), so each instance has
+// one spelling up to case and so one cache key and circuit-memo entry.
+func resolve(name string) (build func() (*circuit.Circuit, error), base string, n int, err error) {
+	for _, s := range Suite() {
+		if equalFold(s.Name, name) {
+			return s.Build, "", 0, nil
+		}
+	}
+	at := strings.IndexByte(name, '@')
+	if at <= 0 {
+		return nil, "", 0, fmt.Errorf("apps: unknown benchmark %q (have %v)", name, Names())
+	}
+	base, size := name[:at], name[at+1:]
+	n, err = strconv.Atoi(size)
+	if err != nil || strconv.Itoa(n) != size {
+		return nil, "", 0, fmt.Errorf("apps: bad size in benchmark name %q", name)
+	}
+	if n < 1 || n > MaxSizedQubits {
+		return nil, "", 0, fmt.Errorf("apps: %s@%d: size must be in [1, %d]", base, n, MaxSizedQubits)
+	}
+	for _, fam := range sizedFamilies() {
+		if !equalFold(fam.base, base) {
+			continue
+		}
+		if fam.check != nil {
+			if err := fam.check(n); err != nil {
+				return nil, "", 0, err
+			}
+		}
+		return func() (*circuit.Circuit, error) { return fam.build(n) }, fam.base, n, nil
+	}
+	return nil, "", 0, fmt.Errorf("apps: unknown sized benchmark %q (have %v)", base, Names())
+}
+
+// MaxSizedQubits bounds the size n of ByName's "<base>@<n>" form. Sized
+// names reach the HTTP service unvalidated, and an unbounded n is a
+// resource-exhaustion vector: a QFT@n circuit holds ~n²/2 gate records,
+// so one request naming a huge size would build a multi-gigabyte circuit
+// and pin it in the toolflow cache. The cap comfortably covers the
+// TITAN-scale (500+ qubit) studies on the roadmap.
 const MaxSizedQubits = 1024
 
 // sizedFamily couples one "<base>@<n>" family's size rule with its
-// builder, so CheckSized (request-time validation, no circuit built) and
-// Sized (construction) can never drift apart.
+// builder, so ValidateName (request-time validation, no circuit built)
+// and ByName (construction) can never drift apart.
 type sizedFamily struct {
 	base string
 	// constraint is the human-readable size rule advertised by services.
@@ -186,74 +226,13 @@ func SizedForms() []SizedForm {
 	return forms
 }
 
-// checkSized resolves a family and validates n without building anything.
-func checkSized(base string, n int) (sizedFamily, error) {
-	if n < 1 || n > MaxSizedQubits {
-		return sizedFamily{}, fmt.Errorf("apps: %s@%d: size must be in [1, %d]", base, n, MaxSizedQubits)
-	}
-	for _, fam := range sizedFamilies() {
-		if !equalFold(fam.base, base) {
-			continue
-		}
-		if fam.check != nil {
-			if err := fam.check(n); err != nil {
-				return sizedFamily{}, err
-			}
-		}
-		return fam, nil
-	}
-	return sizedFamily{}, fmt.Errorf("apps: unknown sized benchmark %q (have %v)", base, Names())
-}
-
-// CheckSized validates a sized-benchmark request without building the
-// circuit: the family must exist and n must satisfy both the global
-// [1, MaxSizedQubits] bound and the family's own size rule. It is the
-// request-validation counterpart of Sized, letting services reject bad
-// sizes up front instead of discovering them at evaluation time.
-func CheckSized(base string, n int) error {
-	_, err := checkSized(base, n)
-	return err
-}
-
 // ValidateName reports whether name would be accepted by ByName, without
 // building any circuit: either a suite benchmark name or a well-formed,
 // well-sized "<base>@<n>" instance. Sweep grammars use it to reject bad
 // app axes before any expansion work is spent.
 func ValidateName(name string) error {
-	for _, s := range Suite() {
-		if equalFold(s.Name, name) {
-			return nil
-		}
-	}
-	if at := strings.IndexByte(name, '@'); at > 0 {
-		n, err := strconv.Atoi(name[at+1:])
-		if err != nil {
-			return fmt.Errorf("apps: bad size in benchmark name %q", name)
-		}
-		return CheckSized(name[:at], n)
-	}
-	return fmt.Errorf("apps: unknown benchmark %q (have %v)", name, Names())
-}
-
-// Sized builds an n-qubit instance of a suite benchmark family. The size
-// convention varies per family (for BV the parameter counts data qubits,
-// so the circuit holds one more):
-//
-//   - QFT@n:        n-qubit QFT, any n >= 1
-//   - QAOA@n:       the paper's 20-layer ansatz on n qubits, n >= 2
-//   - BV@n:         n data qubits plus the ancilla (n+1 total), n >= 1
-//   - Adder@n:      two (n-2)/2-bit registers plus carries; n even, >= 4
-//   - SquareRoot@n: n/2 search qubits; n even, >= 6
-//   - Supremacy@n:  an 8×(n/8) grid at the paper's 8.75 gates/qubit
-//     density; n divisible by 8, >= 16
-//   - Surface@n:    distance-n rotated surface code, n rounds of
-//     syndrome extraction over 2n²−1 qubits; n odd, 3 <= n <= 21
-func Sized(base string, n int) (*circuit.Circuit, error) {
-	fam, err := checkSized(base, n)
-	if err != nil {
-		return nil, err
-	}
-	return fam.build(n)
+	_, _, _, err := resolve(name)
+	return err
 }
 
 // Names lists the suite benchmark names in Table II order.

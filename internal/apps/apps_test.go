@@ -249,11 +249,17 @@ func TestSizedBenchmarks(t *testing.T) {
 	// Out-of-range sizes must be rejected before any circuit is built:
 	// sized names arrive from the HTTP service, so an unbounded size
 	// would be a resource-exhaustion vector (QFT@n holds ~n²/2 gates).
+	// A size is canonical decimal digits, so each instance has one name
+	// up to case (and one cache key).
 	for _, bad := range []string{"QFT@", "QFT@x", "QFT@0", "QFT@-3", "QFT@100000",
 		fmt.Sprintf("QFT@%d", MaxSizedQubits+1),
-		"Adder@63", "SquareRoot@7", "Supremacy@20", "Nope@12", "@12"} {
+		"Adder@63", "SquareRoot@7", "Supremacy@20", "Nope@12", "@12",
+		"QFT@064", "QFT@+64", "Surface@05", "BV@08", "BV@+8", "BV@0008"} {
 		if _, err := ByName(bad); err == nil {
 			t.Errorf("%s: expected error", bad)
+		}
+		if err := ValidateName(bad); err == nil {
+			t.Errorf("ValidateName(%s): expected error", bad)
 		}
 	}
 	if _, err := ByName(fmt.Sprintf("QFT@%d", MaxSizedQubits)); err != nil {

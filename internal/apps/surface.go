@@ -12,8 +12,6 @@ package apps
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/circuit"
 )
@@ -123,18 +121,14 @@ func surfaceRounds(d int) int { return d }
 // malformed or out-of-bound sizes. Callers use it to recognize QEC
 // workloads post-hoc (e.g. to attach logical-error metrics to results).
 func SurfaceSpec(name string) (d, rounds int, ok bool) {
-	at := strings.IndexByte(name, '@')
-	if at <= 0 || !equalFold(name[:at], "Surface") {
-		return 0, 0, false
-	}
-	n, err := strconv.Atoi(name[at+1:])
-	if err != nil || CheckSized("Surface", n) != nil {
+	_, base, n, err := resolve(name)
+	if err != nil || base != "Surface" {
 		return 0, 0, false
 	}
 	return n, surfaceRounds(n), true
 }
 
-// surfaceFamily registers Surface@d as a sized benchmark: the size
+// surfaceFamily declares Surface@d as a sized benchmark: the size
 // parameter is the code distance, so Surface@9 is the 161-qubit, 9-round
 // distance-9 code. The total-qubit bound 2d²−1 <= MaxSizedQubits admits
 // distances up to 21.

@@ -188,7 +188,7 @@ func TestSurfaceSizedFamily(t *testing.T) {
 
 // TestSurfaceBadSizes is the table-driven edge-case net of the sized-name
 // validation path: even, zero, negative and oversized distances must be
-// rejected by CheckSized/ValidateName (which is what /v1/run and sweep
+// rejected by ValidateName (which is what /v1/run and sweep
 // validation call) without building anything.
 func TestSurfaceBadSizes(t *testing.T) {
 	cases := []struct {
@@ -206,24 +206,22 @@ func TestSurfaceBadSizes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := CheckSized("Surface", tc.size)
+			name := fmt.Sprintf("Surface@%d", tc.size)
+			err := ValidateName(name)
 			if err == nil {
-				t.Fatalf("CheckSized(Surface, %d): want error", tc.size)
+				t.Fatalf("ValidateName(%s): want error", name)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("CheckSized(Surface, %d) = %q, want substring %q", tc.size, err, tc.wantErr)
+				t.Errorf("ValidateName(%s) = %q, want substring %q", name, err, tc.wantErr)
 			}
-			if verr := ValidateName(fmt.Sprintf("Surface@%d", tc.size)); verr == nil {
-				t.Errorf("ValidateName(Surface@%d): want error", tc.size)
-			}
-			if _, berr := ByName(fmt.Sprintf("Surface@%d", tc.size)); berr == nil {
-				t.Errorf("ByName(Surface@%d): want error", tc.size)
+			if _, berr := ByName(name); berr == nil {
+				t.Errorf("ByName(%s): want error", name)
 			}
 		})
 	}
 	// Largest legal distance under the qubit budget.
-	if err := CheckSized("Surface", 21); err != nil {
-		t.Errorf("CheckSized(Surface, 21): %v", err)
+	if err := ValidateName("Surface@21"); err != nil {
+		t.Errorf("ValidateName(Surface@21): %v", err)
 	}
 }
 
@@ -235,7 +233,7 @@ func TestSurfaceSpec(t *testing.T) {
 	if _, _, ok := SurfaceSpec("surface@3"); !ok {
 		t.Error("SurfaceSpec should be case-insensitive")
 	}
-	for _, bad := range []string{"Surface@4", "Surface@", "Surface", "QFT@9", "Surface@x", "@3"} {
+	for _, bad := range []string{"Surface@4", "Surface@", "Surface", "QFT@9", "Surface@x", "@3", "Surface@05", "Surface@+5"} {
 		if _, _, ok := SurfaceSpec(bad); ok {
 			t.Errorf("SurfaceSpec(%q) = ok, want not ok", bad)
 		}

@@ -64,29 +64,6 @@ func New[V any](maxEntries int) *Cache[V] {
 	}
 }
 
-// Get returns the stored value for key, if present, marking it recently
-// used. It never blocks on in-flight computations.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ele, ok := c.items[key]; ok {
-		c.ll.MoveToFront(ele)
-		c.stats.Hits++
-		return ele.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Put stores a value under key unconditionally (subject to the LRU
-// bound), marking it recently used. The Store uses it to promote disk
-// hits into the memory front without charging a miss.
-func (c *Cache[V]) Put(key string, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(key, val)
-}
-
 // Do returns the value for key, computing it with compute on a miss.
 // Concurrent calls with the same key share one computation: exactly one
 // caller runs compute, the rest block until it finishes. Successful
@@ -136,13 +113,10 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error, bool) {
 	return cl.val, cl.err, false
 }
 
-// add stores a value under the lock, evicting the LRU tail past the bound.
+// add stores the value of a finished computation under the lock,
+// evicting the LRU tail past the bound. The key is absent: only the one
+// in-flight computation of a key stores it.
 func (c *Cache[V]) add(key string, val V) {
-	if ele, ok := c.items[key]; ok {
-		c.ll.MoveToFront(ele)
-		ele.Value.(*entry[V]).val = val
-		return
-	}
 	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
 	for c.maxEntries > 0 && c.ll.Len() > c.maxEntries {
 		tail := c.ll.Back()

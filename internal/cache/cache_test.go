@@ -38,20 +38,28 @@ func TestLRUEviction(t *testing.T) {
 	put := func(k string) {
 		c.Do(k, func() (string, error) { return "v" + k, nil })
 	}
+	// stored looks k up without storing it: on a miss the compute fails,
+	// and a failed compute is never stored.
+	stored := func(k string) bool {
+		_, _, hit := c.Do(k, func() (string, error) { return "", errors.New("absent") })
+		return hit
+	}
 	put("a")
 	put("b")
-	c.Get("a") // a is now most recent; b is the LRU tail
-	put("c")   // evicts b
-	if _, ok := c.Get("a"); !ok {
+	if !stored("a") { // a is now most recent; b is the LRU tail
+		t.Fatal("a should be stored")
+	}
+	put("c") // evicts b
+	if !stored("a") {
 		t.Error("a should survive")
 	}
-	if _, ok := c.Get("b"); ok {
+	if stored("b") {
 		t.Error("b should be evicted")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if !stored("c") {
 		t.Error("c should be present")
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Hits != 3 || st.Misses != 4 || st.Errors != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -14,8 +14,6 @@ type Tier[V any] interface {
 	// whether the value came from any cache tier (or an in-flight
 	// duplicate) rather than a fresh compute by this caller.
 	Do(key string, compute func() (V, error)) (V, error, bool)
-	// Get returns the stored value for key without computing.
-	Get(key string) (V, bool)
 	// Stats snapshots the front (in-memory) tier counters.
 	Stats() Stats
 }
@@ -64,9 +62,6 @@ func NewStore[V any](maxEntries int, disk *Disk) *Store[V] {
 	return &Store[V]{mem: New[V](maxEntries), disk: disk}
 }
 
-// Memory returns the in-memory front tier.
-func (s *Store[V]) Memory() *Cache[V] { return s.mem }
-
 // Disk returns the persistent tier, or nil for a memory-only store.
 func (s *Store[V]) Disk() *Disk { return s.disk }
 
@@ -91,20 +86,6 @@ func (s *Store[V]) Do(key string, compute func() (V, error)) (V, error, bool) {
 		return v, err
 	})
 	return v, err, hit || fromDisk
-}
-
-// Get returns the stored value for key from memory or disk, promoting a
-// disk hit into the memory front. It never computes.
-func (s *Store[V]) Get(key string) (V, bool) {
-	if v, ok := s.mem.Get(key); ok {
-		return v, true
-	}
-	if v, ok := s.readDisk(key); ok {
-		s.mem.Put(key, v)
-		return v, true
-	}
-	var zero V
-	return zero, false
 }
 
 func (s *Store[V]) readDisk(key string) (V, bool) {

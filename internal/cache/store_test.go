@@ -87,22 +87,28 @@ func TestStoreWritesThroughAndWarmStarts(t *testing.T) {
 	}
 }
 
-func TestStoreGetPromotesFromDisk(t *testing.T) {
+// mustNotCompute is the compute of a lookup that must be served from a
+// cache tier. It fails, so a wrong compute is never stored.
+func mustNotCompute() (payload, error) { return payload{}, errors.New("computed") }
+
+func TestStoreDiskHitPromotesToMemory(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newDiskStore(t, dir, 16)
 	key := diskKey("promote")
 	s1.Do(key, func() (payload, error) { return payload{ID: 42}, nil })
 
 	s2 := newDiskStore(t, dir, 16)
-	if _, ok := s2.Memory().Get(key); ok {
-		t.Fatal("memory front must start cold")
+	for i := 0; i < 2; i++ {
+		v, err, cached := s2.Do(key, mustNotCompute)
+		if err != nil || !cached || v.ID != 42 {
+			t.Fatalf("lookup %d = %+v, %v, cached=%v", i, v, err, cached)
+		}
 	}
-	v, ok := s2.Get(key)
-	if !ok || v.ID != 42 {
-		t.Fatalf("get = %+v, %v", v, ok)
-	}
-	if _, ok := s2.Memory().Get(key); !ok {
-		t.Error("disk hit was not promoted into the memory front")
+	// The first lookup missed the cold memory front and read disk; the
+	// second is a memory hit on the promoted value.
+	st := s2.StoreStats()
+	if st.Memory.Misses != 1 || st.Memory.Hits != 1 || st.Disk.Reads != 1 || st.Computes != 0 {
+		t.Errorf("stats = %+v / disk %+v", st, st.Disk)
 	}
 }
 
@@ -149,8 +155,11 @@ func TestStoreUndecodableDiskEntryRecomputes(t *testing.T) {
 	}
 	// The recomputed value was rewritten and now round-trips.
 	s3 := newDiskStore(t, dir, 16)
-	if v, ok := s3.Get(key); !ok || v.ID != 9 {
-		t.Errorf("rewrite after drift: %+v, %v", v, ok)
+	if v, err, cached := s3.Do(key, mustNotCompute); err != nil || !cached || v.ID != 9 {
+		t.Errorf("rewrite after drift: %+v, %v, cached=%v", v, err, cached)
+	}
+	if st := s3.StoreStats(); st.Disk.Reads != 1 || st.Computes != 0 {
+		t.Errorf("stats after drift = %+v / disk %+v", st, st.Disk)
 	}
 }
 

@@ -127,9 +127,6 @@ func (tf *Toolflow) WithParams(p models.Params) *Toolflow {
 // Params returns the toolflow's base physical parameters.
 func (tf *Toolflow) Params() models.Params { return tf.base }
 
-// Cache returns the outcome cache tier, or nil for an uncached toolflow.
-func (tf *Toolflow) Cache() cache.Tier[Outcome] { return tf.outcomes }
-
 // CacheStats snapshots the outcome cache counters; the zero Stats for an
 // uncached toolflow.
 func (tf *Toolflow) CacheStats() cache.Stats {

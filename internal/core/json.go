@@ -50,7 +50,7 @@ func (p Point) Validate() error {
 	if p.Capacity < 1 {
 		return fmt.Errorf("core: point: capacity must be >= 1, got %d", p.Capacity)
 	}
-	// Check the spec against the topology family registry. Capacity is
+	// Check the spec against the topology family table. Capacity is
 	// clamped to the device minimum first, so a structurally sound spec
 	// with capacity 1 stays an evaluation-time outcome as before.
 	specCap := p.Capacity
@@ -123,8 +123,7 @@ func (p Point) Hash() string {
 // CacheKey derives the content address of one toolflow evaluation: the
 // joint hash of the design point and the physical parameters, so outcomes
 // computed under different calibrations can share one cache without
-// cross-talk. This is exactly the key Toolflow.Do stores outcomes under,
-// so CacheKey works with Toolflow.Cache().Get for lookups and pre-seeding.
+// cross-talk. This is exactly the key Toolflow.Do stores outcomes under.
 func CacheKey(pt Point, params models.Params) string {
 	return cacheKey(pt, paramsHash(params))
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/models"
 )
 
@@ -240,29 +241,39 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// keyTier is an outcome cache tier that records every key looked up.
+type keyTier struct {
+	*cache.Cache[Outcome]
+	keys []string
+}
+
+func (k *keyTier) Do(key string, compute func() (Outcome, error)) (Outcome, error, bool) {
+	k.keys = append(k.keys, key)
+	return k.Cache.Do(key, compute)
+}
+
 // TestCacheKeyMatchesStoredEntries checks the exported CacheKey is the
-// exact key Toolflow.Do stores outcomes under, so external callers can
-// look up or pre-seed the cache.
+// exact key Toolflow.Do stores outcomes under, so external callers
+// address the same entries.
 func TestCacheKeyMatchesStoredEntries(t *testing.T) {
 	base := models.Default()
-	tf := NewCached(base, 16)
+	tier := &keyTier{Cache: cache.New[Outcome](16)}
+	tf := NewWithCache(base, tier)
 	pt := Point{App: "BV", Topology: "L6", Capacity: 20, Gate: models.FM, Reorder: models.GS}
-	o, _ := tf.Do(pt)
-	if o.Err != nil {
-		t.Fatal(o.Err)
+	if o, hit := tf.Do(pt); o.Err != nil || hit {
+		t.Fatalf("first Do: err=%v hit=%v", o.Err, hit)
 	}
-	got, ok := tf.Cache().Get(CacheKey(pt, base))
-	if !ok {
-		t.Fatal("CacheKey must address the entry Do stored")
+	if want := CacheKey(pt, base); len(tier.keys) != 1 || tier.keys[0] != want {
+		t.Fatalf("Do looked up %q, want CacheKey %q", tier.keys, want)
 	}
-	if got.Result != o.Result {
-		t.Error("lookup returned a different outcome")
+	if st := tier.Stats(); st.Entries != 1 {
+		t.Errorf("cache stats = %+v, want the one entry stored", st)
 	}
 	// Two toolflows sharing a cache, differing only in base.Gate, share
 	// outcomes: each point pins its own gate.
 	other := base
 	other.Gate = models.PM
-	tf2 := NewWithCache(other, tf.Cache())
+	tf2 := NewWithCache(other, tier)
 	if _, hit := tf2.Do(pt); !hit {
 		t.Error("calibrations differing only in Gate must share cache entries")
 	}

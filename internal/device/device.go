@@ -1,7 +1,7 @@
 // Package device models the static hardware description of a QCCD-based
 // trapped-ion system (§III-IV of the paper): trapping zones holding linear
 // ion chains, shuttling path segments, and the X/Y junctions where
-// segments meet. Topologies are built by an extensible registry of spec
+// segments meet. Topologies are built from one closed table of spec
 // families (see Family): the paper's linear (L<n>) and grid (G<r>x<c>)
 // devices, rings (R<n>), junction-rich meshes (M<r>x<c>), and
 // multi-module devices (Mod<k>:<inner>) whose modules are stitched by

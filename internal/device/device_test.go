@@ -109,9 +109,22 @@ func TestParse(t *testing.T) {
 	if err != nil || d.NumTraps() != 6 {
 		t.Errorf("Parse(G2x3) = %v, %v", d, err)
 	}
-	for _, bad := range []string{"", "X", "Lx", "G2", "Gax3", "Q5"} {
+	for _, bad := range []string{
+		"", "X", "Lx", "G2", "Gax3", "Q5",
+		// Sizes are canonical decimal digits with nothing left over.
+		"L6junk", "L06", "L+6", "G2x3x9", "G02x03", "R6!", "M2x3zz",
+		"Mod2:L6junk", "Mod02:L06", "Mod+2:L6",
+	} {
 		if _, err := Parse(bad, 17); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+	// Family letters stay case-insensitive; the name is canonical.
+	for spec, name := range map[string]string{
+		"l6": "L6", "g2x3": "G2x3", "r6": "R6", "m2x3": "M2x3", "MOD2:l6": "Mod2:L6",
+	} {
+		if d, err := Parse(spec, 17); err != nil || d.Name != name {
+			t.Errorf("Parse(%q) = %v, %v; want %s", spec, d, err, name)
 		}
 	}
 }

@@ -11,12 +11,11 @@ import (
 // cleanly instead of exhausting memory.
 const MaxTraps = 1 << 16
 
-// Family describes one registered topology spec family: its grammar, its
+// Family describes one topology spec family: its grammar, its
 // constraints (surfaced by GET /v1/topologies), and its builder. The
-// registry plays the role for the topology axis that the compiler's policy
-// bundle registry plays for the policy axis: parsing, validation and
-// discovery all walk the same table, so adding a family is one
-// RegisterFamily call away from being sweepable and service-visible.
+// families form one closed table: parsing, validation and discovery all
+// walk it, so a new family is one row that is at once sweepable and
+// service-visible.
 type Family struct {
 	// Name is the short family identifier, e.g. "linear".
 	Name string
@@ -29,35 +28,15 @@ type Family struct {
 	// Examples are valid specs of this family.
 	Examples []string
 	// Match reports whether a spec string belongs to this family. At most
-	// one registered family matches any spec; Match deciding family
-	// membership (not validity) keeps size errors family-specific.
+	// one family matches any spec; Match deciding family membership (not
+	// validity) keeps size errors family-specific.
 	Match func(spec string) bool
 	// Build constructs and validates the device. It is only called when
 	// Match(spec) is true.
 	Build func(spec string, capacity int) (*Device, error)
 }
 
-// families holds every registered family in registration order, which is
-// the order Families and the discovery endpoints report.
-var families []Family
-
-// RegisterFamily adds a topology family to the registry. Registration
-// happens at init time; duplicate names panic like duplicate policy
-// bundles do.
-func RegisterFamily(f Family) {
-	if f.Name == "" || f.Form == "" || f.Match == nil || f.Build == nil {
-		panic("device: RegisterFamily: incomplete family")
-	}
-	for _, g := range families {
-		if g.Name == f.Name {
-			panic(fmt.Sprintf("device: duplicate family %q", f.Name))
-		}
-	}
-	families = append(families, f)
-}
-
-// Families returns every registered topology family in registration
-// order.
+// Families returns every topology family in table order.
 func Families() []Family {
 	out := make([]Family, len(families))
 	copy(out, families)
@@ -69,7 +48,7 @@ func Families() []Family {
 // fuzzing.
 const maxSpecLen = 256
 
-// MatchFamily returns the registered family a spec belongs to.
+// MatchFamily returns the family a spec belongs to.
 func MatchFamily(spec string) (Family, bool) {
 	if len(spec) < 2 || len(spec) > maxSpecLen {
 		return Family{}, false
@@ -82,7 +61,7 @@ func MatchFamily(spec string) (Family, bool) {
 	return Family{}, false
 }
 
-// specForms renders the registered grammars for error messages, e.g.
+// specForms renders the family grammars for error messages, e.g.
 // "L<n>, G<r>x<c>, R<n>, M<r>x<c> or Mod<k>:<inner>".
 func specForms() string {
 	forms := make([]string, len(families))
@@ -96,10 +75,10 @@ func specForms() string {
 }
 
 // Parse builds a device from a short spec string by dispatching to the
-// registered family whose grammar the spec matches: "L6" for a 6-trap
+// family whose grammar the spec matches: "L6" for a 6-trap
 // linear device, "G2x3" for a 2-row 3-column grid, "R6" for a ring,
 // "M2x3" for a junction mesh, or "Mod2:G2x3" for two photonically linked
-// grid modules. An unmatched spec's error lists every registered form.
+// grid modules. An unmatched spec's error lists every family's form.
 func Parse(spec string, capacity int) (*Device, error) {
 	f, ok := MatchFamily(spec)
 	if !ok {
@@ -111,7 +90,7 @@ func Parse(spec string, capacity int) (*Device, error) {
 // ValidateSpec reports whether spec names a buildable device at the given
 // capacity, without retaining the built device. The sweep grammar and the
 // service request validators call this so a bad topology is a request
-// error carrying the registry's family list, not an evaluation failure.
+// error carrying the family list, not an evaluation failure.
 func ValidateSpec(spec string, capacity int) error {
 	_, err := Parse(spec, capacity)
 	return err

@@ -8,7 +8,7 @@ import (
 func TestFamiliesRegistry(t *testing.T) {
 	fams := Families()
 	if len(fams) != 5 {
-		t.Fatalf("registered families = %d, want 5", len(fams))
+		t.Fatalf("families = %d, want 5", len(fams))
 	}
 	order := []string{"linear", "grid", "ring", "mesh", "multimodule"}
 	for i, f := range fams {
@@ -32,24 +32,6 @@ func TestFamiliesRegistry(t *testing.T) {
 				t.Errorf("example %q: %v", ex, err)
 			}
 		}
-	}
-}
-
-func TestRegisterFamilyPanics(t *testing.T) {
-	for name, bad := range map[string]Family{
-		"incomplete": {Name: "x"},
-		"duplicate": {Name: "linear", Form: "Z<n>",
-			Match: func(string) bool { return false },
-			Build: func(string, int) (*Device, error) { return nil, nil }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RegisterFamily(%s) should panic", name)
-				}
-			}()
-			RegisterFamily(bad)
-		}()
 	}
 }
 
@@ -254,7 +236,7 @@ func TestBuilderTrapLimits(t *testing.T) {
 	}
 }
 
-// TestFamilyGridBuildsValid is the registry-wide property test: every
+// TestFamilyGridBuildsValid is the table-wide property test: every
 // family builds Validate-clean (hence connected) devices across a size
 // grid, and every built device reports its own spec as its name.
 func TestFamilyGridBuildsValid(t *testing.T) {
@@ -290,15 +272,18 @@ func TestFamilyGridBuildsValid(t *testing.T) {
 	}
 }
 
-// FuzzDeviceParse asserts the registry's parsing invariant: Parse never
-// panics, and any device it does return passes Validate (connected,
-// consistent back-references, photonic links trap-to-trap only).
+// FuzzDeviceParse asserts the family table's parsing invariants: Parse
+// never panics, any device it does return passes Validate (connected,
+// consistent back-references, photonic links trap-to-trap only), and a
+// spec that parses is its device's name up to case, so each device has
+// one spelling and one cache key.
 func FuzzDeviceParse(f *testing.F) {
 	for _, seed := range []string{
 		"", "L6", "G2x3", "R6", "M2x3", "Mod2:G2x3",
 		"G1x3", "Mod0:L2", "Mod2:R6", "Mod2:Mod2:L2",
 		"L999999999999999999999", "G2x", "Mod2:", "Mod:L2",
 		"l6", "g2X3", "modd2:L2", "Mod2:世界", "Μ2x3", "\x00L6",
+		"L6junk", "G02x3",
 	} {
 		f.Add(seed)
 	}
@@ -315,6 +300,9 @@ func FuzzDeviceParse(f *testing.F) {
 		}
 		if d.NumTraps() > MaxTraps {
 			t.Fatalf("Parse(%q) built %d traps, over the %d limit", spec, d.NumTraps(), MaxTraps)
+		}
+		if !strings.EqualFold(spec, d.Name) {
+			t.Fatalf("Parse(%q) built %s: a non-canonical spelling", spec, d.Name)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -85,24 +84,20 @@ func NewMultiModule(k int, inner *Device) (*Device, error) {
 }
 
 // buildMod parses a Mod<k>:<inner> spec, builds the inner topology
-// through the registry (any registered family, including nested Mod
-// specs, is a valid module), and stitches k copies.
+// through Parse (any family, including nested Mod specs, is a valid
+// module), and stitches k copies.
 func buildMod(spec string, capacity int) (*Device, error) {
-	body := spec[3:] // Match guarantees the "Mod" prefix
-	colon := strings.IndexByte(body, ':')
-	if colon < 0 {
-		return nil, fmt.Errorf("device: bad multi-module spec %q (want Mod<k>:<inner>)", spec)
-	}
-	k, err := strconv.Atoi(body[:colon])
-	if err != nil {
+	ks, inner, found := strings.Cut(spec[3:], ":") // Match guarantees the "Mod" prefix
+	k, ok := parseSize(ks)
+	if !found || !ok {
 		return nil, fmt.Errorf("device: bad multi-module spec %q (want Mod<k>:<inner>)", spec)
 	}
 	if k < 2 {
 		return nil, fmt.Errorf("device: multi-module needs k >= 2 modules, got %d", k)
 	}
-	inner, err := Parse(body[colon+1:], capacity)
+	innerDev, err := Parse(inner, capacity)
 	if err != nil {
 		return nil, err
 	}
-	return NewMultiModule(k, inner)
+	return NewMultiModule(k, innerDev)
 }

@@ -38,8 +38,7 @@ type refuse struct{}
 func (refuse) Do(string, func() (core.Outcome, error)) (core.Outcome, error, bool) {
 	return core.Outcome{}, errRefused, false
 }
-func (refuse) Get(string) (core.Outcome, bool) { return core.Outcome{}, false }
-func (refuse) Stats() cache.Stats              { return cache.Stats{} }
+func (refuse) Stats() cache.Stats { return cache.Stats{} }
 
 func TestRunnerSinglePoint(t *testing.T) {
 	r := core.New(models.Default())

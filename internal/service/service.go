@@ -435,11 +435,10 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AppsResponse{Apps: list, Sized: sized})
 }
 
-// TopologyFamily documents one registered device spec family of
-// GET /v1/topologies: its grammar, its size constraints and its valid
-// example specs. The response is generated from the device registry, so a
-// family registered with device.RegisterFamily appears here without any
-// service change.
+// TopologyFamily documents one device spec family of GET /v1/topologies:
+// its grammar, its size constraints and its valid example specs. The
+// response is generated from device.Families, so a row added to the
+// device package's family table appears here without any service change.
 type TopologyFamily struct {
 	Name        string   `json:"name"`
 	Form        string   `json:"form"`

@@ -114,6 +114,8 @@ func TestBadRequests(t *testing.T) {
 		{"typo in nested params field", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20},"params":{"gate":"FM","bogus":1}}`},
 		{"bad gate name", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"gate":"ZZ"}}`},
 		{"unknown policy", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20,"policy":"nope"}}`},
+		{"app size with leading zero", "/v1/run", `{"point":{"app":"QFT@064","topology":"L6","capacity":20}}`},
+		{"app size with sign", "/v1/run", `{"point":{"app":"QFT@+64","topology":"L6","capacity":20}}`},
 		{"unknown policy in sweep point", "/v1/sweep", `{"points":[{"app":"BV","topology":"L6","capacity":20,"policy":"nope"}]}`},
 		{"zero capacity", "/v1/run", `{"point":{"app":"BV","topology":"L6"}}`},
 		{"incomplete params", "/v1/run", `{"point":{"app":"BV","topology":"L6","capacity":20},"params":{"gate":"FM"}}`},

@@ -407,6 +407,8 @@ func TestSpaceSweepBadRequests(t *testing.T) {
 		{"bad sized app size", `{"space":{"apps":["QAOA@1"],"topologies":["L2"],"capacities":[14]}}`},
 		{"oversized app", `{"space":{"apps":["QFT@4096"],"topologies":["L2"],"capacities":[14]}}`},
 		{"bad topology", `{"space":{"apps":["BV"],"topologies":["Z9"],"capacities":[14]}}`},
+		{"topology with trailing size", `{"space":{"apps":["BV"],"topologies":["G2x3x9"],"capacities":[14]}}`},
+		{"app size with leading zero", `{"space":{"apps":["BV@08"],"topologies":["L2"],"capacities":[14]}}`},
 		{"zero capacity", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[0]}}`},
 		{"duplicate capacity", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14,14]}}`},
 		{"bad gate", `{"space":{"apps":["BV"],"topologies":["L2"],"capacities":[14],"gates":["ZZ"]}}`},
@@ -457,10 +459,10 @@ func TestSpaceSweepBadRequests(t *testing.T) {
 	}
 }
 
-// TestBadTopologySpecsRejected pins the registry-driven validation: a
+// TestBadTopologySpecsRejected pins the family-table validation: a
 // topology spec no family accepts is a 400 at /v1/run and both sweep
-// forms, and an unmatched spec's error carries the registered family
-// grammar so the client can self-correct.
+// forms, and an unmatched spec's error carries every family's grammar so
+// the client can self-correct.
 func TestBadTopologySpecsRejected(t *testing.T) {
 	_, ts := newTestServer(t)
 	badSpecs := []struct{ name, spec string }{
@@ -472,6 +474,9 @@ func TestBadTopologySpecsRejected(t *testing.T) {
 		{"mod of mesh", "Mod2:M2x2"},
 		{"mod missing inner", "Mod2:"},
 		{"linear zero", "L0"},
+		{"trailing junk", "L6junk"},
+		{"leading zero", "G02x03"},
+		{"signed mod k", "Mod+2:L6"},
 	}
 	for _, bad := range badSpecs {
 		for _, form := range []struct{ name, path, body string }{
@@ -488,7 +493,7 @@ func TestBadTopologySpecsRejected(t *testing.T) {
 			}
 		}
 	}
-	// An unmatched spec's error lists every registered grammar.
+	// An unmatched spec's error lists every family's grammar.
 	resp := postJSON(t, ts.URL+"/v1/run", `{"point":{"app":"BV","topology":"Z9","capacity":14}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)

@@ -6,8 +6,8 @@
 //   - a program IR with an OpenQASM 2.0 interface and generators for the
 //     paper's six NISQ benchmarks (Supremacy, QAOA, SquareRoot, QFT,
 //     Adder, BV);
-//   - a device model with an extensible topology-family registry: linear,
-//     grid, ring, junction-mesh and photonically linked multi-module QCCD
+//   - a device model with one table of topology families: linear, grid,
+//     ring, junction-mesh and photonically linked multi-module QCCD
 //     devices (traps, shuttling segments, X/Y junctions, optical
 //     interconnects);
 //   - an optimizing backend compiler (greedy qubit mapping, shortest-path
@@ -25,6 +25,9 @@
 //	circ, _ := qccd.Benchmark("QAOA")
 //	res, _ := qccd.Run(circ, dev, qccd.DefaultCompileOptions(), qccd.DefaultParams())
 //	fmt.Println(res)
+//
+// The package Example runs this with error handling, and go test checks
+// its output.
 //
 // All times are microseconds internally; Result exposes seconds helpers.
 package qccd
@@ -79,8 +82,8 @@ type (
 	// BenchmarkSpec describes one suite benchmark and its Table II
 	// reference numbers.
 	BenchmarkSpec = apps.Spec
-	// TopologyFamily describes one registered device spec family: its
-	// grammar, constraints and builder.
+	// TopologyFamily describes one device spec family: its grammar,
+	// constraints and builder.
 	TopologyFamily = device.Family
 )
 
@@ -125,13 +128,13 @@ func NewMultiModuleDevice(k int, inner *Device) (*Device, error) {
 
 // ParseDevice builds a device from a spec string such as "L6", "G2x3",
 // "R6", "M2x3" or "Mod2:G2x3", dispatching through the topology family
-// registry.
+// table. Sizes are spelled canonically: "L06" and "L6x" are errors.
 func ParseDevice(spec string, capacity int) (*Device, error) {
 	return device.Parse(spec, capacity)
 }
 
-// TopologyFamilies lists every registered topology family in registration
-// order — the families GET /v1/topologies reports and ParseDevice accepts.
+// TopologyFamilies lists every topology family in table order — the
+// families GET /v1/topologies reports and ParseDevice accepts.
 func TopologyFamilies() []TopologyFamily { return device.Families() }
 
 // ValidateTopology reports whether spec names a buildable device at the
