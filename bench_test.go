@@ -611,10 +611,12 @@ func BenchmarkSimulateLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkTitanPoint times the two layers of the largest design point the
+// BenchmarkTitanPoint times the layers of the largest design point the
 // repository runs: QFT@512 on Mod3:G2x5 at capacity 22 (FM, GS,
 // baseline), a point of the -titan study with about 0.8 M ISA ops. The
-// circuit, and for simulate the program, are built outside the timer.
+// circuit, and for the simulator's layers the program, are built outside
+// the timer. simulate is sim.Run, which is prepare followed by run: the
+// per-program checks and dependency adjacency, then the event loop.
 func BenchmarkTitanPoint(b *testing.B) {
 	circ, err := Benchmark("QFT@512")
 	if err != nil {
@@ -632,17 +634,93 @@ func BenchmarkTitanPoint(b *testing.B) {
 			}
 		}
 	})
+	prog, err := Compile(circ, dev, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := DefaultParams()
 	b.Run("simulate", func(b *testing.B) {
-		prog, err := Compile(circ, dev, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		params := DefaultParams()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(prog, dev, params); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	b.Run("prepare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Prepare(prog, dev); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		pr, err := sim.Prepare(prog, dev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pr.Run(params); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSimulateSiblings times the four gate siblings of one compile
+// group, QFT on G2x3 at capacity 18 (GS, baseline): four sim.Run calls,
+// against one sim.Prepare and four runs of it, which is how a group
+// simulates them.
+func BenchmarkSimulateSiblings(b *testing.B) {
+	circ, err := Benchmark("QFT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := ParseDevice("G2x3", 18)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := Compile(circ, dev, DefaultCompileOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	siblings := make([]Params, 0, 4)
+	for _, gate := range []GateImpl{AM1, AM2, PM, FM} {
+		p := DefaultParams()
+		p.Gate = gate
+		siblings = append(siblings, p)
+	}
+	b.Run("run", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, p := range siblings {
+				if _, err := sim.Run(prog, dev, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pr, err := sim.Prepare(prog, dev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, p := range siblings {
+				if _, err := pr.Run(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkCircuitBuild times building the QFT@512 circuit, the circuit
+// layer of BenchmarkTitanPoint's point, which the toolflow memoizes per
+// app name.
+func BenchmarkCircuitBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Benchmark("QFT@512"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -126,13 +126,6 @@ func (c *Cache[V]) add(key string, val V) {
 	}
 }
 
-// Len returns the current number of stored entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns a snapshot of the activity counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

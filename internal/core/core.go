@@ -22,7 +22,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/device"
-	"repro/internal/isa"
 	"repro/internal/models"
 	"repro/internal/sim"
 )
@@ -165,8 +164,9 @@ func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
 
 // Group evaluates design points that differ only in their gate
 // implementation. The gate enters only the simulator, so such points
-// share one compiled program: a Group compiles it for the first point
-// that misses the outcome cache and simulates every later point from it.
+// share one compiled program: a Group compiles and prepares it
+// (sim.Prepare) for the first point that misses the outcome cache and
+// simulates every later point from it.
 // A point with another program replaces the held one, so any sequence of
 // points evaluates correctly. The program lives only as long as the
 // Group, which is not safe for concurrent use.
@@ -175,15 +175,15 @@ type Group struct {
 	held *program
 }
 
-// program is what a group's points share: the device and compiled
-// program of one (app, topology, capacity, reorder, policy), or the error
-// building them gave.
+// program is what a group's points share: the compiled program of one
+// (app, topology, capacity, reorder, policy), prepared for simulation on
+// its device, or the error building it gave.
 type program struct {
-	key  Point // the points' shared fields, Gate zeroed
-	dev  *device.Device
-	prog *isa.Program
+	key      Point // the points' shared fields, Gate zeroed
+	prepared *sim.Prepared
 	// err is a circuit or device error, reported as is; compileErr is a
-	// compiler error, which each point wraps with its own name.
+	// compiler or sim.Prepare error, which each point wraps with its own
+	// name.
 	err, compileErr error
 }
 
@@ -218,7 +218,8 @@ func (g *Group) Do(pt Point) (o Outcome, hit bool) {
 }
 
 // compute executes the point uncached: simulate it on the group's
-// program, compiling that first if the group does not hold it.
+// prepared program, compiling and preparing that first if the group does
+// not hold it.
 func (g *Group) compute(pt Point) Outcome {
 	key := pt
 	key.Gate = 0
@@ -234,7 +235,7 @@ func (g *Group) compute(pt Point) Outcome {
 	}
 	params := g.tf.base
 	params.Gate = pt.Gate
-	res, err := sim.Run(p.prog, p.dev, params)
+	res, err := p.prepared.Run(params)
 	if err != nil {
 		return Outcome{Point: pt, Err: fmt.Errorf("%s: %w", pt, err)}
 	}
@@ -247,7 +248,8 @@ func (g *Group) compute(pt Point) Outcome {
 	return Outcome{Point: pt, Result: res}
 }
 
-// compile builds the circuit and device of key and compiles the program.
+// compile builds the circuit and device of key, compiles the program and
+// prepares it for simulation.
 func (tf *Toolflow) compile(key Point) *program {
 	p := &program{key: key}
 	c, err := tf.circuitFor(key.App)
@@ -255,14 +257,21 @@ func (tf *Toolflow) compile(key Point) *program {
 		p.err = err
 		return p
 	}
-	if p.dev, p.err = device.Parse(key.Topology, key.Capacity); p.err != nil {
+	dev, err := device.Parse(key.Topology, key.Capacity)
+	if err != nil {
+		p.err = err
 		return p
 	}
 	opts := compiler.DefaultOptions()
 	opts.Reorder = key.Reorder
 	opts.Policy = key.Policy
 	tf.shared.compiles.Add(1)
-	p.prog, p.compileErr = compiler.Compile(c, p.dev, opts)
+	prog, err := compiler.Compile(c, dev, opts)
+	if err != nil {
+		p.compileErr = err
+		return p
+	}
+	p.prepared, p.compileErr = sim.Prepare(prog, dev)
 	return p
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -63,7 +64,8 @@ func decodeProgram(data []byte, devs []*device.Device) (*isa.Program, *device.De
 // FuzzRunProgram runs decoded programs on a grid with junctions and on a
 // two-module device joined by a photonic link. Run must never panic, and
 // a program it accepts ran every op: each shuttling counter equals the
-// program's count of that op kind.
+// program's count of that op kind. Two runs from one Prepared of an
+// accepted program each give Run's result.
 func FuzzRunProgram(f *testing.F) {
 	var devs []*device.Device
 	for _, spec := range []string{"G2x2", "Mod2:L2"} {
@@ -89,6 +91,19 @@ func FuzzRunProgram(f *testing.F) {
 		r, err := Run(p, d, params)
 		if err != nil {
 			return
+		}
+		pr, err := Prepare(p, d)
+		if err != nil {
+			t.Fatalf("Run accepts the program, Prepare rejects it: %v\n%s", err, p)
+		}
+		for k := 0; k < 2; k++ {
+			again, err := pr.Run(params)
+			if err != nil {
+				t.Fatalf("prepared run %d: %v\n%s", k, err, p)
+			}
+			if !reflect.DeepEqual(again, r) {
+				t.Fatalf("prepared run %d differs from Run:\n%+v\n%+v\n%s", k, again, r, p)
+			}
 		}
 		for _, c := range []struct {
 			name string

@@ -172,8 +172,7 @@ func (e *engine) result() *Result {
 	}
 	// Summed in op-ID order: a different order would change the sum's
 	// low bits.
-	for i, start := range e.startTime {
-		wait := start - e.readyTime[i]
+	for _, wait := range e.wait {
 		r.TotalWaitTime += wait
 		if wait > r.MaxWaitTime {
 			r.MaxWaitTime = wait

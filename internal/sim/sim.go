@@ -10,17 +10,32 @@
 // lowest op ID first — the compiler's issue order — which realizes the
 // paper's "prioritize earlier gates" congestion policy.
 //
+// A simulation has two halves. Prepare does the work that depends on the
+// program and device alone: it checks both, and each op's resource
+// against the device, and flattens the dependency graph into a counted
+// adjacency list. Prepared.Run does the rest under one set of physical
+// parameters. Run and RunTraced are Prepare followed by one run; a caller
+// that simulates one program under several parameter sets — a compile
+// group's gate siblings — prepares it once.
+//
 // The engine is built for sweep scale: chain state is an isa.Chains, the
 // ring-buffer model the compiler emits against, so membership checks,
 // gate distances and end insertions/removals are O(1); the event queue
-// and per-resource wait queues are typed binary heaps over preallocated
-// storage; and all per-run state is sized off the program up front, so
-// the event loop allocates nothing in steady state.
+// and per-resource wait queues are typed binary heaps, the event queue
+// preallocated to the resource count, since each running op holds one
+// resource; and the event loop allocates nothing in steady state. A run
+// keeps 12 bytes per op: a dependency counter and one wait slot, which
+// holds the op's ready time until it starts and its queueing delay after.
+// An event carries its op's start time, so only a traced run keeps
+// per-op start and end times.
 //
 // Accounting is online: counts, fidelity terms and the compute/comm/idle
 // attribution of the makespan are all updated as ops start and complete,
 // so assembling the Result walks no op list. The only post-run pass sums
-// the per-op queueing delays, in op-ID order, over two float arrays.
+// the per-op queueing delays, in op-ID order. Each trap remembers the
+// last one-qubit and MS-gate error it evaluated and their logs: the error
+// models are pure, so a gate whose inputs match the last ones on its trap
+// adds the same log without taking it again.
 package sim
 
 import (
@@ -35,24 +50,38 @@ import (
 
 // Run simulates program p on device d under physical parameters params.
 func Run(p *isa.Program, d *device.Device, params models.Params) (*Result, error) {
-	e, err := simulate(p, d, params)
+	pr, err := Prepare(p, d)
 	if err != nil {
 		return nil, err
 	}
-	return e.result(), nil
+	return pr.Run(params)
 }
 
-// simulate checks the inputs and runs the engine to completion. It is the
-// one path into the engine for Run and RunTraced, so a check added here
-// guards both.
-func simulate(p *isa.Program, d *device.Device, params models.Params) (*engine, error) {
+// Prepared is a program checked against its device, with the dependency
+// adjacency the engine wakes ops through. Nothing in it depends on the
+// physical parameters, and Run never writes it, so one Prepared serves
+// any number of runs, concurrent ones included. It holds the program and
+// device it was prepared from, not copies: neither may change after
+// Prepare, since Run relies on Prepare's checks and adjacency and checks
+// neither again.
+type Prepared struct {
+	prog *isa.Program
+	dev  *device.Device
+	// childOff and childList are the counted adjacency list: the ops that
+	// depend on op i are childList[childOff[i]:childOff[i+1]].
+	childOff  []int32
+	childList []int32
+}
+
+// Prepare checks program p against device d and builds its dependency
+// adjacency. It runs every check of the program and device that Run
+// does; it rejects an op that names a trap, segment or junction the
+// device lacks, since Validate bounds resource indices below only.
+func Prepare(p *isa.Program, d *device.Device) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if len(p.InitialLayout) != d.NumTraps() {
@@ -65,20 +94,70 @@ func simulate(p *isa.Program, d *device.Device, params models.Params) (*engine, 
 				t, len(chain), d.Capacity)
 		}
 	}
-	e, err := newEngine(p, d, params)
+	nOps := len(p.Ops)
+	pr := &Prepared{prog: p, dev: d, childOff: make([]int32, nOps+1)}
+	// One pass checks each op's resource against the device and counts
+	// its dependents; the graph is then flattened into a counted
+	// adjacency list so waking dependents allocates nothing.
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		what, idx, n := "trap", int(op.Trap), d.NumTraps()
+		switch op.Kind {
+		case isa.OpMove, isa.OpLinkTransit:
+			what, idx, n = "segment", int(op.Segment), len(d.Segments)
+		case isa.OpJunctionCross:
+			what, idx, n = "junction", int(op.Junction), len(d.Junctions)
+		}
+		if idx >= n {
+			return nil, fmt.Errorf("sim: op %d (%s) names %s %d, device %s has %d",
+				i, op.Kind, what, idx, d.Name, n)
+		}
+		for _, dep := range op.Deps() {
+			pr.childOff[dep+1]++
+		}
+	}
+	for i := 0; i < nOps; i++ {
+		pr.childOff[i+1] += pr.childOff[i]
+	}
+	pr.childList = make([]int32, pr.childOff[nOps])
+	for i := range p.Ops {
+		for _, dep := range p.Ops[i].Deps() {
+			pr.childList[pr.childOff[dep]] = int32(i)
+			pr.childOff[dep]++
+		}
+	}
+	// Filling advanced each op's offset to the next op's; shift them back.
+	copy(pr.childOff[1:], pr.childOff[:nOps])
+	pr.childOff[0] = 0
+	return pr, nil
+}
+
+// Run simulates the prepared program under physical parameters params.
+func (pr *Prepared) Run(params models.Params) (*Result, error) {
+	e, err := pr.simulate(params, false)
 	if err != nil {
 		return nil, err
 	}
+	return e.result(), nil
+}
+
+// simulate checks params and runs the engine to completion; traced keeps
+// each op's start and end time. It is the one path into the engine for
+// Run and RunTraced, so a check added here guards both.
+func (pr *Prepared) simulate(params models.Params, traced bool) (*engine, error) {
+	if err := params.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	e := pr.newEngine(params, traced)
 	if err := e.run(); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// engine holds all simulation state for one Run call.
+// engine holds all simulation state for one run of a Prepared program.
 type engine struct {
-	prog   *isa.Program
-	dev    *device.Device
+	*Prepared
 	params models.Params
 
 	chains isa.Chains
@@ -88,19 +167,22 @@ type engine struct {
 	// each ion's energy while in transit (valid only then).
 	energy   []float64
 	transitE []float64
+	// memo is each trap's last evaluated gate errors (see fidelityMemo).
+	memo []fidelityMemo
 
 	resources []resource // traps, then segments, then junctions
 
-	depsLeft  []int32
-	childOff  []int32 // op -> [childOff[i], childOff[i+1]) into childList
-	childList []int32
+	// depsLeft counts each op's unfinished dependencies. wait holds an
+	// op's ready time (its resource-queue entry) until it starts, then
+	// its queueing delay.
+	depsLeft []int32
+	wait     []float64
 
-	now       float64
-	events    eventQueue
-	done      int
-	startTime []float64
-	endTime   []float64
-	readyTime []float64 // when deps completed (resource-queue entry time)
+	now    float64
+	events eventQueue
+	done   int
+	// startTime and endTime are kept for a traced run only.
+	startTime, endTime []float64
 
 	// live counts the running ops of positive length per category, and
 	// attributed is the clock up to which the makespan has been split
@@ -126,64 +208,30 @@ type engine struct {
 	categoryBusy  [2]float64
 }
 
-// newEngine sizes the engine for program p on device d. It rejects an op
-// that names a trap, segment or junction the device lacks: Validate
-// bounds resource indices below only.
-func newEngine(p *isa.Program, d *device.Device, params models.Params) (*engine, error) {
+// newEngine sizes one run's state; traced keeps per-op start and end
+// times for the trace.
+func (pr *Prepared) newEngine(params models.Params, traced bool) *engine {
+	p, d := pr.prog, pr.dev
 	nOps := len(p.Ops)
+	nRes := d.NumTraps() + len(d.Segments) + len(d.Junctions)
 	e := &engine{
-		prog:       p,
-		dev:        d,
+		Prepared:   pr,
 		params:     params,
 		chains:     isa.NewChains(p.InitialLayout, p.NumQubits, d.Capacity),
 		energy:     make([]float64, d.NumTraps()),
 		transitE:   make([]float64, p.NumQubits),
+		memo:       make([]fidelityMemo, d.NumTraps()),
 		maxPerTrap: make([]float64, d.NumTraps()),
+		resources:  make([]resource, nRes),
 		depsLeft:   make([]int32, nOps),
-		childOff:   make([]int32, nOps+1),
-		startTime:  make([]float64, nOps),
-		endTime:    make([]float64, nOps),
-		readyTime:  make([]float64, nOps),
-		events:     make(eventQueue, 0, nOps),
+		wait:       make([]float64, nOps),
+		events:     make(eventQueue, 0, nRes),
 	}
-	e.resources = make([]resource, d.NumTraps()+len(d.Segments)+len(d.Junctions))
-	// One pass checks each op's resource against the device and counts
-	// its dependencies; the graph is then flattened into a counted
-	// adjacency list so waking dependents allocates nothing.
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		what, idx, n := "trap", int(op.Trap), d.NumTraps()
-		switch op.Kind {
-		case isa.OpMove, isa.OpLinkTransit:
-			what, idx, n = "segment", int(op.Segment), len(d.Segments)
-		case isa.OpJunctionCross:
-			what, idx, n = "junction", int(op.Junction), len(d.Junctions)
-		}
-		if idx >= n {
-			return nil, fmt.Errorf("sim: op %d (%s) names %s %d, device %s has %d",
-				i, op.Kind, what, idx, d.Name, n)
-		}
-		deps := op.Deps()
-		e.depsLeft[i] = int32(len(deps))
-		for _, dep := range deps {
-			e.childOff[dep+1]++
-		}
-		e.startTime[i] = -1
-		e.endTime[i] = -1
+	if traced {
+		e.startTime = make([]float64, nOps)
+		e.endTime = make([]float64, nOps)
 	}
-	for i := 0; i < nOps; i++ {
-		e.childOff[i+1] += e.childOff[i]
-	}
-	e.childList = make([]int32, e.childOff[nOps])
-	fill := make([]int32, nOps)
-	copy(fill, e.childOff[:nOps])
-	for i := range p.Ops {
-		for _, dep := range p.Ops[i].Deps() {
-			e.childList[fill[dep]] = int32(i)
-			fill[dep]++
-		}
-	}
-	return e, nil
+	return e
 }
 
 // resourceIndex maps an op to its single required resource.
@@ -200,15 +248,19 @@ func (e *engine) resourceIndex(op *isa.Op) int {
 
 // run drives the event loop to completion.
 func (e *engine) run() error {
+	// Seeding starts ops but completes none, so one pass can count each
+	// op's dependencies and queue the ops that have none.
 	for i := range e.prog.Ops {
-		if e.depsLeft[i] == 0 {
-			e.requestResource(i)
+		n := int32(len(e.prog.Ops[i].Deps()))
+		e.depsLeft[i] = n
+		if n == 0 {
+			e.requestResource(int32(i))
 		}
 	}
 	for len(e.events) > 0 {
 		ev := e.events.pop()
 		e.now = ev.time
-		if err := e.complete(ev.op); err != nil {
+		if err := e.complete(ev); err != nil {
 			return err
 		}
 	}
@@ -219,9 +271,12 @@ func (e *engine) run() error {
 	return nil
 }
 
+// firstBlocked names the first unfinished op of a drained event loop. With
+// no event pending no resource is held, so every op whose dependencies
+// finished has run: the unfinished ops are those still counting some.
 func (e *engine) firstBlocked() string {
-	for i := range e.prog.Ops {
-		if e.endTime[i] < 0 {
+	for i, n := range e.depsLeft {
+		if n > 0 {
 			return e.prog.Ops[i].String()
 		}
 	}
@@ -229,8 +284,8 @@ func (e *engine) firstBlocked() string {
 }
 
 // requestResource queues op i on its resource, starting it if free.
-func (e *engine) requestResource(i int) {
-	e.readyTime[i] = e.now
+func (e *engine) requestResource(i int32) {
+	e.wait[i] = e.now
 	res := &e.resources[e.resourceIndex(&e.prog.Ops[i])]
 	if res.busy {
 		res.push(i)
@@ -240,19 +295,20 @@ func (e *engine) requestResource(i int) {
 }
 
 // start computes the op duration from live state and schedules completion.
-func (e *engine) start(i int) {
+func (e *engine) start(i int32) {
 	op := &e.prog.Ops[i]
-	res := &e.resources[e.resourceIndex(op)]
-	res.busy = true
-	res.holder = i
-	e.startTime[i] = e.now
+	e.resources[e.resourceIndex(op)].busy = true
+	e.wait[i] = e.now - e.wait[i]
+	if e.startTime != nil {
+		e.startTime[i] = e.now
+	}
 	end := e.now + e.duration(op)
 	// Only ops that end after they start carry attributable time; the
 	// completion handler applies the same test to the same two clocks.
 	if end > e.now {
 		e.account(op.Kind.Category(), +1)
 	}
-	e.events.push(event{time: end, op: i})
+	e.events.push(event{time: end, start: e.now, op: i})
 }
 
 // account attributes the time since the last attributed instant to
@@ -332,29 +388,31 @@ func (e *engine) gateDistance(op *isa.Op) int {
 
 // complete applies the op's effects, frees its resource and wakes
 // dependents.
-func (e *engine) complete(i int) error {
+func (e *engine) complete(ev event) error {
+	i := ev.op
 	op := &e.prog.Ops[i]
-	e.endTime[i] = e.now
+	if e.endTime != nil {
+		e.endTime[i] = e.now
+	}
 	if err := e.apply(op); err != nil {
 		return fmt.Errorf("sim: op %s at t=%.1fµs: %w", op, e.now, err)
 	}
 	e.done++
 	cat := op.Kind.Category()
-	e.categoryBusy[cat] += e.endTime[i] - e.startTime[i]
-	if e.endTime[i] > e.startTime[i] {
+	e.categoryBusy[cat] += e.now - ev.start
+	if e.now > ev.start {
 		e.account(cat, -1)
 	}
 
 	res := &e.resources[e.resourceIndex(op)]
 	res.busy = false
-	res.holder = -1
 	if next, ok := res.pop(); ok {
 		e.start(next)
 	}
 	for _, child := range e.childList[e.childOff[i]:e.childOff[i+1]] {
 		e.depsLeft[child]--
 		if e.depsLeft[child] == 0 {
-			e.requestResource(int(child))
+			e.requestResource(child)
 		}
 	}
 	return nil
@@ -374,31 +432,26 @@ func (e *engine) apply(op *isa.Op) error {
 	q := op.Qubits()[0]
 	switch op.Kind {
 	case isa.OpGate1:
-		terms := p.OneQubitError(e.energy[t])
+		one := e.oneQError(t)
 		e.oneQGates++
-		e.sumOneQError += terms.Error()
-		e.logFidelity += math.Log(terms.Fidelity())
+		e.sumOneQError += one.err
+		e.logFidelity += one.log
 
 	case isa.OpMeasure:
 		e.logFidelity += math.Log(p.MeasureFidelity)
 
 	case isa.OpGate2:
-		n := e.chains.Len(t)
-		tau := p.TwoQubitTime(e.gateDistance(op), n)
-		e.recordMS(p.TwoQubitError(tau, n, e.energy[t]), 1)
+		e.recordMS(op, t, 1)
 
 	case isa.OpSwapGS:
 		// The swap exchanged the operands, which leaves their distance
 		// as it was.
-		n := e.chains.Len(t)
-		tau := p.TwoQubitTime(e.gateDistance(op), n)
-		e.recordMS(p.TwoQubitError(tau, n, e.energy[t]), p.SwapMSGates)
-		one := p.OneQubitError(e.energy[t])
-		oneErr, oneLog := one.Error(), math.Log(one.Fidelity())
+		e.recordMS(op, t, p.SwapMSGates)
+		one := e.oneQError(t)
 		for k := 0; k < p.SwapOneQGates; k++ {
 			e.oneQGates++
-			e.sumOneQError += oneErr
-			e.logFidelity += oneLog
+			e.sumOneQError += one.err
+			e.logFidelity += one.log
 		}
 
 	case isa.OpIonSwap:
@@ -456,27 +509,84 @@ func (e *engine) observeTransit(q int32) {
 	}
 }
 
-// recordMS accounts count MS-gate executions with identical error terms.
-// The log is taken once: adding one value count times gives the same bits
-// as adding count equal logs.
-func (e *engine) recordMS(terms models.ErrorTerms, count int) {
-	logF := math.Log(terms.Fidelity())
+// recordMS accounts count MS-gate executions of op on trap t, all with
+// the error terms of op's gate as the chain now stands. The log is taken
+// once: adding one value count times gives the same bits as adding count
+// equal logs.
+func (e *engine) recordMS(op *isa.Op, t, count int) {
+	ms := e.msError(op, t)
 	for k := 0; k < count; k++ {
 		e.msGates++
-		e.sumMotional += terms.Motional
-		e.sumBackground += terms.Background
-		e.logFidelity += logF
+		e.sumMotional += ms.terms.Motional
+		e.sumBackground += ms.terms.Background
+		e.logFidelity += ms.log
 	}
 }
 
-// event is a scheduled op completion.
+// fidelityMemo is one trap's last evaluated one-qubit and MS-gate errors,
+// each with the log of its fidelity and keyed on the bits of the model's
+// inputs. The models are pure functions of those inputs under one run's
+// parameters, so a hit returns exactly what evaluating them again would.
+// A trap's energy changes only when ions split, merge or swap, so runs of
+// gates between those events share one log.
+type fidelityMemo struct {
+	oneQ     oneQTerms
+	oneQNbar uint64
+	ms       msTerms
+	msTau    uint64
+	msNbar   uint64
+	msN      int
+	hasOneQ  bool
+	hasMS    bool
+}
+
+// oneQTerms is a one-qubit gate's error and the log of its fidelity.
+type oneQTerms struct{ err, log float64 }
+
+// msTerms is an MS gate's error terms and the log of its fidelity.
+type msTerms struct {
+	terms models.ErrorTerms
+	log   float64
+}
+
+// oneQError evaluates the one-qubit error model at trap t's energy.
+func (e *engine) oneQError(t int) oneQTerms {
+	m := &e.memo[t]
+	nbar := math.Float64bits(e.energy[t])
+	if !m.hasOneQ || m.oneQNbar != nbar {
+		terms := e.params.OneQubitError(e.energy[t])
+		m.oneQ = oneQTerms{err: terms.Error(), log: math.Log(terms.Fidelity())}
+		m.oneQNbar, m.hasOneQ = nbar, true
+	}
+	return m.oneQ
+}
+
+// msError evaluates Eq. 1 for two-qubit op on trap t: its duration from
+// the operands' distance and the chain's length, and its error from both
+// and the trap's energy.
+func (e *engine) msError(op *isa.Op, t int) msTerms {
+	n := e.chains.Len(t)
+	tau := e.params.TwoQubitTime(e.gateDistance(op), n)
+	m := &e.memo[t]
+	tauBits, nbar := math.Float64bits(tau), math.Float64bits(e.energy[t])
+	if !m.hasMS || m.msTau != tauBits || m.msN != n || m.msNbar != nbar {
+		terms := e.params.TwoQubitError(tau, n, e.energy[t])
+		m.ms = msTerms{terms: terms, log: math.Log(terms.Fidelity())}
+		m.msTau, m.msN, m.msNbar, m.hasMS = tauBits, n, nbar, true
+	}
+	return m.ms
+}
+
+// event is a scheduled op completion; start is when the op started.
 type event struct {
-	time float64
-	op   int
+	time  float64
+	start float64
+	op    int32
 }
 
 // eventQueue is a binary min-heap of events ordered by (time, op ID). It
-// is preallocated to the program's op count, so pushes never reallocate.
+// holds one event per running op, and each running op holds one
+// resource, so preallocated to the resource count it never reallocates.
 type eventQueue []event
 
 func (h eventQueue) less(i, j int) bool {
@@ -528,45 +638,44 @@ func (h *eventQueue) pop() event {
 // resource is one exclusively-held device resource with a priority wait
 // queue (lowest op ID first).
 type resource struct {
-	busy   bool
-	holder int
-	wait   []int // maintained as a min-heap over op ID
+	busy  bool
+	queue []int32 // maintained as a min-heap over op ID
 }
 
-func (r *resource) push(i int) {
-	r.wait = append(r.wait, i)
-	for c := len(r.wait) - 1; c > 0; {
+func (r *resource) push(i int32) {
+	r.queue = append(r.queue, i)
+	for c := len(r.queue) - 1; c > 0; {
 		parent := (c - 1) / 2
-		if r.wait[parent] <= r.wait[c] {
+		if r.queue[parent] <= r.queue[c] {
 			break
 		}
-		r.wait[parent], r.wait[c] = r.wait[c], r.wait[parent]
+		r.queue[parent], r.queue[c] = r.queue[c], r.queue[parent]
 		c = parent
 	}
 }
 
-func (r *resource) pop() (int, bool) {
-	if len(r.wait) == 0 {
+func (r *resource) pop() (int32, bool) {
+	if len(r.queue) == 0 {
 		return 0, false
 	}
-	top := r.wait[0]
-	last := len(r.wait) - 1
-	r.wait[0] = r.wait[last]
-	r.wait = r.wait[:last]
+	top := r.queue[0]
+	last := len(r.queue) - 1
+	r.queue[0] = r.queue[last]
+	r.queue = r.queue[:last]
 	i := 0
 	for {
 		l, rr := 2*i+1, 2*i+2
 		small := i
-		if l < len(r.wait) && r.wait[l] < r.wait[small] {
+		if l < len(r.queue) && r.queue[l] < r.queue[small] {
 			small = l
 		}
-		if rr < len(r.wait) && r.wait[rr] < r.wait[small] {
+		if rr < len(r.queue) && r.queue[rr] < r.queue[small] {
 			small = rr
 		}
 		if small == i {
 			break
 		}
-		r.wait[i], r.wait[small] = r.wait[small], r.wait[i]
+		r.queue[i], r.queue[small] = r.queue[small], r.queue[i]
 		i = small
 	}
 	return top, true

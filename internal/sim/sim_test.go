@@ -327,6 +327,7 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 			InitialLayout: [][]int{{0, 1, 2, 3, 4}, {}},
 		}, d, params},
 	}
+	// Every entry point must reject each case with Run's error.
 	entries := []struct {
 		name string
 		run  func(*isa.Program, *device.Device, models.Params) error
@@ -339,14 +340,29 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 			_, _, err := RunTraced(p, d, params)
 			return err
 		}},
+		{"Prepare+Run", func(p *isa.Program, d *device.Device, params models.Params) error {
+			pr, err := Prepare(p, d)
+			if err != nil {
+				return err
+			}
+			_, err = pr.Run(params)
+			return err
+		}},
 	}
 	for _, entry := range entries {
 		if err := entry.run(valid, d, params); err != nil {
 			t.Fatalf("%s rejects the valid baseline program: %v", entry.name, err)
 		}
-		for _, c := range cases {
-			if err := entry.run(c.prog, c.dev, c.params); err == nil {
-				t.Errorf("%s: %s should fail", entry.name, c.name)
+	}
+	for _, c := range cases {
+		want := entries[0].run(c.prog, c.dev, c.params)
+		if want == nil {
+			t.Errorf("Run: %s should fail", c.name)
+			continue
+		}
+		for _, entry := range entries[1:] {
+			if err := entry.run(c.prog, c.dev, c.params); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: %s: error %v, want %v", entry.name, c.name, err, want)
 			}
 		}
 	}

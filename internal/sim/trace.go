@@ -72,7 +72,11 @@ func (tr Trace) Validate() error {
 // RunTraced simulates like Run and additionally returns the execution
 // timeline with per-op queueing delays.
 func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result, Trace, error) {
-	e, err := simulate(p, d, params)
+	pr, err := Prepare(p, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := pr.simulate(params, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,7 +89,7 @@ func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result,
 			Resource: e.resourceName(op),
 			Start:    e.startTime[i],
 			End:      e.endTime[i],
-			Wait:     e.startTime[i] - e.readyTime[i],
+			Wait:     e.wait[i],
 		})
 	}
 	sort.Slice(trace, func(i, j int) bool {

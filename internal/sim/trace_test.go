@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +15,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/device"
+	"repro/internal/isa"
 	"repro/internal/models"
 )
 
@@ -32,14 +38,55 @@ func TestRunTracedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.TotalTime != traced.TotalTime || plain.Fidelity != traced.Fidelity {
-		t.Error("traced run differs from plain run")
+	plainJSON, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracedJSON, err := json.Marshal(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plainJSON, tracedJSON) {
+		t.Errorf("traced result differs from plain result:\n%s\n%s", tracedJSON, plainJSON)
 	}
 	if len(trace) != len(p.Ops) {
-		t.Errorf("trace entries = %d, want %d", len(trace), len(p.Ops))
+		t.Fatalf("trace entries = %d, want %d", len(trace), len(p.Ops))
 	}
 	if err := trace.Validate(); err != nil {
 		t.Error(err)
+	}
+	// The trace explains the result's wait and busy figures to the bit
+	// when summed in the result's orders: waits by op ID, busy times by
+	// completion, which is (End, op ID) but for zero-length ops.
+	byOp := slices.Clone(trace)
+	slices.SortFunc(byOp, func(a, b TraceEntry) int { return a.Op - b.Op })
+	var totalWait, maxWait float64
+	for _, e := range byOp {
+		totalWait += e.Wait
+		maxWait = math.Max(maxWait, e.Wait)
+		// An op is ready when its last dependency ends, so its wait is
+		// its start less that end.
+		var ready float64
+		for _, dep := range p.Ops[e.Op].Deps() {
+			ready = math.Max(ready, byOp[dep].End)
+		}
+		if e.Wait != e.Start-ready {
+			t.Errorf("op %d waited %v, started at %v, ready at %v", e.Op, e.Wait, e.Start, ready)
+		}
+	}
+	byEnd := slices.Clone(byOp)
+	slices.SortStableFunc(byEnd, func(a, b TraceEntry) int { return cmp.Compare(a.End, b.End) })
+	var busy [2]float64
+	for _, e := range byEnd {
+		busy[e.Kind.Category()] += e.End - e.Start
+	}
+	if totalWait != plain.TotalWaitTime || maxWait != plain.MaxWaitTime {
+		t.Errorf("trace waits sum to %v (max %v), result has %v (max %v)",
+			totalWait, maxWait, plain.TotalWaitTime, plain.MaxWaitTime)
+	}
+	if busy[isa.CatCompute] != plain.BusyCompute || busy[isa.CatComm] != plain.BusyComm {
+		t.Errorf("trace busy compute/comm = %v/%v, result has %v/%v",
+			busy[isa.CatCompute], busy[isa.CatComm], plain.BusyCompute, plain.BusyComm)
 	}
 }
 
