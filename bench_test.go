@@ -10,10 +10,12 @@ package qccd
 // so a bench run doubles as a reproduction check (see EXPERIMENTS.md).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -721,6 +723,32 @@ func BenchmarkCircuitBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Benchmark("QFT@512"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPaperGridStream streams the cold paper grid, the 576 points of
+// experiments.PaperSpace, through Toolflow.Stream on two workers, as a
+// qccdd sweep computes it: each iteration starts a fresh toolflow, so it
+// builds every circuit and compiles every program again. B/op is what one
+// cold grid allocates, the op lists and per-op run arrays the workers
+// reuse included.
+func BenchmarkPaperGridStream(b *testing.B) {
+	grid, err := experiments.PaperSpace().Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := grid.Source(grid.FullWindow())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tf := core.New(DefaultParams())
+		var failed error
+		all := tf.Stream(context.Background(), src, 2, func(r core.Row) bool {
+			failed = r.Outcome.Err
+			return failed == nil
+		})
+		if failed != nil || !all {
+			b.Fatalf("stream stopped (all rows: %v): %v", all, failed)
 		}
 	}
 }

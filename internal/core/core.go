@@ -22,6 +22,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/device"
+	"repro/internal/isa"
 	"repro/internal/models"
 	"repro/internal/sim"
 )
@@ -170,9 +171,26 @@ func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
 // A point with another program replaces the held one, so any sequence of
 // points evaluates correctly. The program lives only as long as the
 // Group, which is not safe for concurrent use.
+//
+// Buffers: the held program's op list and each run's per-op arrays come
+// from the group's scratch. Compiling the next program overwrites the op
+// list, so neither the held program nor its sim.Prepared may be used
+// after it. A Stream worker hands one scratch to every group it
+// evaluates, so it holds at most its largest program's buffers, until
+// the stream ends; NewGroup, and so Toolflow.Do, starts a fresh one. No
+// Outcome holds any of them.
 type Group struct {
 	tf   *Toolflow
 	held *program
+	buf  *scratch
+}
+
+// scratch is the storage a group compiles and simulates in: the op list
+// compiler.CompileInto emits into and a sim.Scratch for each run's per-op
+// arrays.
+type scratch struct {
+	ops []isa.Op
+	sim sim.Scratch
 }
 
 // program is what a group's points share: the compiled program of one
@@ -187,8 +205,8 @@ type program struct {
 	err, compileErr error
 }
 
-// NewGroup returns a Group over tf holding no program yet.
-func (tf *Toolflow) NewGroup() *Group { return &Group{tf: tf} }
+// NewGroup returns a Group over tf holding no program and no buffers yet.
+func (tf *Toolflow) NewGroup() *Group { return &Group{tf: tf, buf: new(scratch)} }
 
 // Do evaluates pt as Toolflow.Do does, through the outcome cache under
 // pt's own key, compiling only if pt misses the cache and the group holds
@@ -224,7 +242,10 @@ func (g *Group) compute(pt Point) Outcome {
 	key := pt
 	key.Gate = 0
 	if g.held == nil || g.held.key != key {
-		g.held = g.tf.compile(key)
+		// Compiling overwrites the held program's buffers: drop it first,
+		// so a compile that panics leaves no program over them.
+		g.held = nil
+		g.held = g.tf.compile(key, g.buf)
 	}
 	p := g.held
 	if p.err != nil {
@@ -235,7 +256,7 @@ func (g *Group) compute(pt Point) Outcome {
 	}
 	params := g.tf.base
 	params.Gate = pt.Gate
-	res, err := p.prepared.Run(params)
+	res, err := g.buf.sim.Run(p.prepared, params)
 	if err != nil {
 		return Outcome{Point: pt, Err: fmt.Errorf("%s: %w", pt, err)}
 	}
@@ -249,8 +270,8 @@ func (g *Group) compute(pt Point) Outcome {
 }
 
 // compile builds the circuit and device of key, compiles the program and
-// prepares it for simulation.
-func (tf *Toolflow) compile(key Point) *program {
+// prepares it for simulation, emitting into buf's op list.
+func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 	p := &program{key: key}
 	c, err := tf.circuitFor(key.App)
 	if err != nil {
@@ -266,11 +287,12 @@ func (tf *Toolflow) compile(key Point) *program {
 	opts.Reorder = key.Reorder
 	opts.Policy = key.Policy
 	tf.shared.compiles.Add(1)
-	prog, err := compiler.Compile(c, dev, opts)
+	prog, err := compiler.CompileInto(buf.ops, c, dev, opts)
 	if err != nil {
 		p.compileErr = err
 		return p
 	}
+	buf.ops = prog.Ops
 	p.prepared, p.compileErr = sim.Prepare(prog, dev)
 	return p
 }

@@ -57,10 +57,12 @@ type slot struct {
 // each row in index order, on the calling goroutine. Rows are dispatched
 // by compile group: a worker takes a whole group, compiles its program
 // once and simulates each row from it (see Group), checking ctx between
-// rows. Once ctx is done or emit returns false, Stream feeds no further
-// point and emits no further row; it returns after its goroutines have
-// exited, each worker having finished at most the row it was evaluating.
-// Stream reports whether it emitted every row of the window.
+// rows. Each worker keeps one scratch for its groups' op lists and
+// per-op run arrays, and drops it when the stream ends. Once ctx is done
+// or emit returns false, Stream feeds no further point and emits no
+// further row; it returns after its goroutines have exited, each worker
+// having finished at most the row it was evaluating. Stream reports
+// whether it emitted every row of the window.
 func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit func(Row) bool) bool {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -122,8 +124,10 @@ func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit fu
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			// The worker's groups share one scratch (see Group).
+			buf := new(scratch)
 			for group := range work {
-				g := tf.NewGroup()
+				g := &Group{tf: tf, buf: buf}
 				for _, sl := range group {
 					if ctx.Err() != nil {
 						close(sl.res)

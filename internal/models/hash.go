@@ -42,9 +42,6 @@ func (c *Canon) Float(field string, v float64) {
 	c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(v))
 }
 
-// Bytes returns the accumulated encoding.
-func (c *Canon) Bytes() []byte { return c.buf }
-
 // Sum returns the SHA-256 digest of the accumulated encoding as lowercase
 // hex.
 func (c *Canon) Sum() string {
@@ -68,13 +65,6 @@ func (p Params) AppendCanonical(c *Canon) {
 			c.Str(f.canon, GateImpl(x.Uint()).String())
 		}
 	}
-}
-
-// Canonical returns the deterministic byte encoding of the parameters.
-func (p Params) Canonical() []byte {
-	var c Canon
-	p.AppendCanonical(&c)
-	return c.Bytes()
 }
 
 // Hash returns a hex SHA-256 content hash of the parameters: equal

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -65,7 +66,10 @@ func decodeProgram(data []byte, devs []*device.Device) (*isa.Program, *device.De
 // two-module device joined by a photonic link. Run must never panic, and
 // a program it accepts ran every op: each shuttling counter equals the
 // program's count of that op kind. Two runs from one Prepared of an
-// accepted program each give Run's result.
+// accepted program each give Run's result. So does a run on one Scratch
+// that every input shares, whatever an earlier input — larger, rejected
+// or deadlocked — left in it; on a rejected input it fails with Run's
+// error.
 func FuzzRunProgram(f *testing.F) {
 	var devs []*device.Device
 	for _, spec := range []string{"G2x2", "Mod2:L2"} {
@@ -86,11 +90,26 @@ func FuzzRunProgram(f *testing.F) {
 	// The same shuttle with no dependencies: ops race for resources.
 	f.Add([]byte{1, 0, 1, 3, 0, 1, 1, 9, 0, 2, 0, 6, 0, 2, 0})
 	params := models.Default()
+	var shared Scratch
+	runShared := func(p *isa.Program, d *device.Device) (*Result, error) {
+		pr, err := Prepare(p, d)
+		if err != nil {
+			return nil, err
+		}
+		return shared.Run(pr, params)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, d := decodeProgram(data, devs)
 		r, err := Run(p, d, params)
+		reused, reusedErr := runShared(p, d)
+		if fmt.Sprint(reusedErr) != fmt.Sprint(err) {
+			t.Fatalf("run from the shared Scratch fails with %v, Run with %v\n%s", reusedErr, err, p)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(reused, r) {
+			t.Fatalf("run from the shared Scratch differs from Run:\n%+v\n%+v\n%s", reused, r, p)
 		}
 		pr, err := Prepare(p, d)
 		if err != nil {

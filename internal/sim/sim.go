@@ -16,7 +16,10 @@
 // adjacency list. Prepared.Run does the rest under one set of physical
 // parameters. Run and RunTraced are Prepare followed by one run; a caller
 // that simulates one program under several parameter sets — a compile
-// group's gate siblings — prepares it once.
+// group's gate siblings — prepares it once. A Scratch keeps a run's
+// per-op arrays for the next: Prepared.Run is Scratch.Run on a fresh
+// one, so a caller that runs many programs in turn, as a sweep worker
+// does, allocates those arrays once, at its largest program's size.
 //
 // The engine is built for sweep scale: chain state is an isa.Chains, the
 // ring-buffer model the compiler emits against, so membership checks,
@@ -57,13 +60,25 @@ func Run(p *isa.Program, d *device.Device, params models.Params) (*Result, error
 	return pr.Run(params)
 }
 
+// Scratch holds the per-op arrays of a run for reuse by the next. The
+// zero Scratch is ready to use; its arrays grow to the largest program it
+// has run and never shrink. Each run overwrites them, and no Result holds
+// any of them. A Scratch serves one goroutine at a time.
+type Scratch struct {
+	depsLeft []int32
+	wait     []float64
+}
+
 // Prepared is a program checked against its device, with the dependency
 // adjacency the engine wakes ops through. Nothing in it depends on the
 // physical parameters, and Run never writes it, so one Prepared serves
 // any number of runs, concurrent ones included. It holds the program and
 // device it was prepared from, not copies: neither may change after
 // Prepare, since Run relies on Prepare's checks and adjacency and checks
-// neither again.
+// neither again. So a caller that reuses the program's op list for the
+// next program, as a sweep worker does, must not use the Prepared after
+// that. The Prepared owns its adjacency; a run's per-op arrays live in a
+// Scratch, never in the Prepared.
 type Prepared struct {
 	prog *isa.Program
 	dev  *device.Device
@@ -134,21 +149,27 @@ func Prepare(p *isa.Program, d *device.Device) (*Prepared, error) {
 
 // Run simulates the prepared program under physical parameters params.
 func (pr *Prepared) Run(params models.Params) (*Result, error) {
-	e, err := pr.simulate(params, false)
+	return new(Scratch).Run(pr, params)
+}
+
+// Run is pr.Run keeping the run's per-op arrays in s.
+func (s *Scratch) Run(pr *Prepared, params models.Params) (*Result, error) {
+	e, err := pr.simulate(s, params, false)
 	if err != nil {
 		return nil, err
 	}
 	return e.result(), nil
 }
 
-// simulate checks params and runs the engine to completion; traced keeps
-// each op's start and end time. It is the one path into the engine for
-// Run and RunTraced, so a check added here guards both.
-func (pr *Prepared) simulate(params models.Params, traced bool) (*engine, error) {
+// simulate checks params and runs the engine to completion on s's per-op
+// arrays; traced keeps each op's start and end time. It is the one path
+// into the engine for Run and RunTraced, so a check added here guards
+// both.
+func (pr *Prepared) simulate(s *Scratch, params models.Params, traced bool) (*engine, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	e := pr.newEngine(params, traced)
+	e := pr.newEngine(s, params, traced)
 	if err := e.run(); err != nil {
 		return nil, err
 	}
@@ -208,12 +229,17 @@ type engine struct {
 	categoryBusy  [2]float64
 }
 
-// newEngine sizes one run's state; traced keeps per-op start and end
-// times for the trace.
-func (pr *Prepared) newEngine(params models.Params, traced bool) *engine {
+// newEngine sizes one run's state, taking the per-op arrays from s;
+// traced keeps per-op start and end times for the trace. A run seeds
+// every dependency counter and writes each op's wait slot before reading
+// it, so reused arrays need no clearing.
+func (pr *Prepared) newEngine(s *Scratch, params models.Params, traced bool) *engine {
 	p, d := pr.prog, pr.dev
 	nOps := len(p.Ops)
 	nRes := d.NumTraps() + len(d.Segments) + len(d.Junctions)
+	if cap(s.wait) < nOps {
+		s.depsLeft, s.wait = make([]int32, nOps), make([]float64, nOps)
+	}
 	e := &engine{
 		Prepared:   pr,
 		params:     params,
@@ -223,8 +249,8 @@ func (pr *Prepared) newEngine(params models.Params, traced bool) *engine {
 		memo:       make([]fidelityMemo, d.NumTraps()),
 		maxPerTrap: make([]float64, d.NumTraps()),
 		resources:  make([]resource, nRes),
-		depsLeft:   make([]int32, nOps),
-		wait:       make([]float64, nOps),
+		depsLeft:   s.depsLeft[:nOps],
+		wait:       s.wait[:nOps],
 		events:     make(eventQueue, 0, nRes),
 	}
 	if traced {

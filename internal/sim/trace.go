@@ -76,7 +76,7 @@ func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result,
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := pr.simulate(params, true)
+	e, err := pr.simulate(new(Scratch), params, true)
 	if err != nil {
 		return nil, nil, err
 	}

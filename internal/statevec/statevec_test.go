@@ -129,7 +129,8 @@ func TestCNOTLoweringEquivalence(t *testing.T) {
 
 func TestLoweringEquivalenceProperty(t *testing.T) {
 	// Property: LowerToNative preserves circuit semantics up to global
-	// phase on random circuits.
+	// phase on random circuits that draw every construction it lowers
+	// (CNOT, CZ, CPhase, ZZ and SWAP) between H and T layers.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(3) + 2
@@ -140,7 +141,7 @@ func TestLoweringEquivalenceProperty(t *testing.T) {
 			if r >= q {
 				r++
 			}
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				b.H(q)
 			case 1:
@@ -151,6 +152,8 @@ func TestLoweringEquivalenceProperty(t *testing.T) {
 				b.CZ(q, r)
 			case 4:
 				b.CPhase(q, r, rng.Float64()*math.Pi)
+			case 5:
+				b.Swap(q, r)
 			default:
 				b.ZZ(q, r, rng.Float64()*math.Pi)
 			}
