@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stabilizer"
 )
@@ -49,7 +48,7 @@ func BenchmarkFig6(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(metrics.Ratio(f.Fidelity["Supremacy"]), "supremacy-best/worst-fid")
+	b.ReportMetric(experiments.Ratio(f.Fidelity["Supremacy"]), "supremacy-best/worst-fid")
 	b.ReportMetric(f.MaxMotional["SquareRoot"][0], "sqrt-maxE-cap14-quanta")
 }
 

@@ -16,8 +16,9 @@
 //	qccdd [-addr :8080] [-cache 4096] [-workers N] [-max-space 10000000]
 //	      [-params FILE] [-cache-dir DIR] [-cache-disk-max BYTES]
 //
-// Both sweep forms stream rows in input order, and -max-space caps the
-// design points of one sweep request in either form.
+// A sweep streams its rows in input order, with a header, per-row resume
+// cursors and a summary, whether it names a grammar or a points list;
+// -max-space caps the design points one sweep request streams.
 //
 // With -cache-dir the outcome cache gains a persistent disk tier:
 // computed outcomes are written through to DIR and survive restarts, and
@@ -60,7 +61,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheSize = flag.Int("cache", 4096, "outcome cache entries (negative: unbounded)")
 		workers   = flag.Int("workers", 0, "max per-request sweep workers (0: GOMAXPROCS)")
-		maxSpace  = flag.Int64("max-space", 10_000_000, "max design points per sweep request: a points list's length or a grammar window's size")
+		maxSpace  = flag.Int64("max-space", 10_000_000, "max design points one sweep request streams (the size of its window)")
 		paramsIn  = flag.String("params", "", "JSON file overriding the physical model parameters")
 		cacheDir  = flag.String("cache-dir", "", "directory for the persistent outcome-cache tier (sharable between replicas)")
 		diskMax   = flag.Int64("cache-disk-max", 0, "max bytes of the persistent cache tier, oldest evicted first (0: unbounded)")

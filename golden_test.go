@@ -63,10 +63,15 @@ type goldenLine struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-func computeGolden(t *testing.T, pts []core.Point) map[string]goldenLine {
+// computeGolden sweeps pts as a list and checks that it compiled one
+// program per compile group: programs in all.
+func computeGolden(t *testing.T, pts []core.Point, programs int) map[string]goldenLine {
 	t.Helper()
 	tf := core.New(DefaultParams())
 	outs := tf.Sweep(pts)
+	if n := int(tf.Compiles()); n != programs {
+		t.Errorf("sweeping %d points compiled %d programs, want %d", len(pts), n, programs)
+	}
 	got := make(map[string]goldenLine, len(outs))
 	for _, o := range outs {
 		line := goldenLine{}
@@ -88,7 +93,9 @@ func TestGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full paper grid; skipped in -short mode")
 	}
-	checkGolden(t, goldenPath, goldenGrid())
+	// 6 apps × 2 topologies × 6 capacities × 2 reorders: one program per
+	// four gate siblings.
+	checkGolden(t, goldenPath, goldenGrid(), 144)
 }
 
 // Beyond-paper coverage: one spec per topology family (including the
@@ -104,6 +111,9 @@ var (
 	beyondPolicies   = []models.PolicyName{"", "lookahead", "congestion"}
 	beyondGates      = []models.GateImpl{models.AM2, models.FM}
 	beyondCapacity   = 22
+	// beyondPrograms is one program per pair of gate siblings: 5 apps ×
+	// 6 topologies × 3 policies × 2 reorders.
+	beyondPrograms = 180
 )
 
 // beyondGrid enumerates the beyond-paper golden points in deterministic
@@ -136,15 +146,16 @@ func TestGoldenBeyondPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("beyond-paper grid; skipped in -short mode")
 	}
-	checkGolden(t, goldenBeyondPath, beyondGrid())
+	checkGolden(t, goldenBeyondPath, beyondGrid(), beyondPrograms)
 }
 
-// checkGolden computes every point of pts and compares the outcomes with
-// the golden file at path, or rewrites the file under -update-golden. On
-// divergence it dumps the computed outcomes into goldenDiffDir.
-func checkGolden(t *testing.T, path string, pts []core.Point) {
+// checkGolden computes every point of pts in programs compiles and
+// compares the outcomes with the golden file at path, or rewrites the
+// file under -update-golden. On divergence it dumps the computed outcomes
+// into goldenDiffDir.
+func checkGolden(t *testing.T, path string, pts []core.Point, programs int) {
 	t.Helper()
-	got := computeGolden(t, pts)
+	got := computeGolden(t, pts, programs)
 
 	if *updateGolden {
 		// json.MarshalIndent emits map keys in sorted order, so the golden

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -529,34 +528,4 @@ func SquareRoot(m int) (*circuit.Circuit, error) {
 
 	b.MeasureAll()
 	return b.Circuit()
-}
-
-// VerifySuite builds every suite benchmark and checks it against its
-// Table II reference within tolFrac relative tolerance on the two-qubit
-// gate count and exact qubit count (modulo the BV ancilla). It returns the
-// computed stats for reporting.
-func VerifySuite(tolFrac float64) ([]circuit.Stats, error) {
-	var all []circuit.Stats
-	for _, spec := range Suite() {
-		c, err := spec.Build()
-		if err != nil {
-			return nil, fmt.Errorf("building %s: %w", spec.Name, err)
-		}
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("validating %s: %w", spec.Name, err)
-		}
-		st := circuit.ComputeStats(c)
-		if st.Qubits != spec.PaperQubits && st.Qubits != spec.PaperQubits+1 {
-			return nil, fmt.Errorf("%s: %d qubits, paper has %d", spec.Name, st.Qubits, spec.PaperQubits)
-		}
-		lo := float64(spec.PaperGate2Q) * (1 - tolFrac)
-		hi := float64(spec.PaperGate2Q) * (1 + tolFrac)
-		if g := float64(st.Gate2Q); g < lo || g > hi {
-			return nil, fmt.Errorf("%s: %d 2Q gates outside [%0.f,%0.f] (paper %d)",
-				spec.Name, st.Gate2Q, lo, hi, spec.PaperGate2Q)
-		}
-		all = append(all, st)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	return all, nil
 }

@@ -7,15 +7,34 @@ import (
 	"repro/internal/circuit"
 )
 
+// TestSuiteMatchesTableII builds every suite benchmark and checks it
+// against its Table II reference: the exact qubit count (modulo the BV
+// ancilla) and the two-qubit gate count within 12%.
 func TestSuiteMatchesTableII(t *testing.T) {
-	stats, err := VerifySuite(0.12)
-	if err != nil {
-		t.Fatal(err)
+	const tolFrac = 0.12
+	suite := Suite()
+	if len(suite) != 6 {
+		t.Fatalf("suite has %d benchmarks, want 6", len(suite))
 	}
-	if len(stats) != 6 {
-		t.Fatalf("suite has %d benchmarks, want 6", len(stats))
+	for _, spec := range suite {
+		c, err := spec.Build()
+		if err != nil {
+			t.Fatalf("building %s: %v", spec.Name, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("validating %s: %v", spec.Name, err)
+		}
+		st := circuit.ComputeStats(c)
+		if st.Qubits != spec.PaperQubits && st.Qubits != spec.PaperQubits+1 {
+			t.Errorf("%s: %d qubits, paper has %d", spec.Name, st.Qubits, spec.PaperQubits)
+		}
+		lo := float64(spec.PaperGate2Q) * (1 - tolFrac)
+		hi := float64(spec.PaperGate2Q) * (1 + tolFrac)
+		if g := float64(st.Gate2Q); g < lo || g > hi {
+			t.Errorf("%s: %d 2Q gates outside [%0.f,%0.f] (paper %d)", spec.Name, st.Gate2Q, lo, hi, spec.PaperGate2Q)
+		}
+		t.Log(st)
 	}
-	t.Logf("\n%s", circuit.FormatTable(stats))
 }
 
 func TestSupremacyExactCounts(t *testing.T) {

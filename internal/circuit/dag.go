@@ -82,17 +82,6 @@ func BuildDAG(c *Circuit) *DAG {
 	return d
 }
 
-// Roots returns the gates with no dependencies, in program order.
-func (d *DAG) Roots() []int {
-	var roots []int
-	for i, deg := range d.InDegree {
-		if deg == 0 {
-			roots = append(roots, i)
-		}
-	}
-	return roots
-}
-
 // Len returns the number of nodes.
 func (d *DAG) Len() int { return len(d.Succs) }
 

@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Pattern classifies the dominant two-qubit communication pattern of a
 // workload, mirroring the "Communication Pattern" column of Table II.
@@ -90,40 +86,8 @@ func classify(s Stats, n int) Pattern {
 	}
 }
 
-// DistanceHistogram returns a map from |a-b| to the count of two-qubit
-// gates at that index distance.
-func DistanceHistogram(c *Circuit) map[int]int {
-	h := make(map[int]int)
-	for _, g := range c.Gates {
-		if g.IsTwoQubit() {
-			d := g.Qubits[0] - g.Qubits[1]
-			if d < 0 {
-				d = -d
-			}
-			h[d]++
-		}
-	}
-	return h
-}
-
 // String renders the stats as one Table II-style row.
 func (s Stats) String() string {
 	return fmt.Sprintf("%-12s qubits=%-3d 2Q=%-5d 1Q=%-5d depth=%-5d pattern=%s",
 		s.Name, s.Qubits, s.Gate2Q, s.Gate1Q, s.Depth, s.Pattern)
-}
-
-// FormatTable renders several stats rows as an aligned text table, sorted
-// by name, suitable for regenerating Table II.
-func FormatTable(rows []Stats) string {
-	sorted := make([]Stats, len(rows))
-	copy(sorted, rows)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %7s %9s %9s %7s %10s  %s\n",
-		"Application", "Qubits", "2Q Gates", "1Q Gates", "Depth", "NN-frac", "Pattern")
-	for _, s := range sorted {
-		fmt.Fprintf(&b, "%-12s %7d %9d %9d %7d %10.2f  %s\n",
-			s.Name, s.Qubits, s.Gate2Q, s.Gate1Q, s.Depth, s.NNFraction, s.Pattern)
-	}
-	return b.String()
 }

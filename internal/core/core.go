@@ -297,8 +297,9 @@ func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 	return p
 }
 
-// Sweep executes all points concurrently (bounded by GOMAXPROCS) and
-// returns outcomes in input order.
+// Sweep streams points as List does, one compile group per worker on up
+// to GOMAXPROCS workers, so gate siblings near each other in the list
+// compile once; it returns the outcomes in input order.
 func (tf *Toolflow) Sweep(points []Point) []Outcome {
 	out := make([]Outcome, 0, len(points))
 	tf.Stream(context.TODO(), List(points), runtime.GOMAXPROCS(0), func(r Row) bool {

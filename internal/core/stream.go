@@ -14,21 +14,54 @@ type Source struct {
 	Start, End int64
 	// Point returns the design point at index i.
 	Point func(i int64) Point
-	// Group returns the indexes of the window whose points share i's
-	// compiled program, in increasing order; i is the first of them the
-	// engine asks for.
+	// Group returns i and the later indexes whose points share i's
+	// compiled program, in increasing order; Stream drops those at or
+	// past End. i is the first index of its group the engine asks for.
 	Group func(i int64) []int64
 	// Width is the largest group size; it sizes the emission buffer.
 	Width int
 }
 
-// List is a Source over a slice of points, each its own group.
+// groupSpan bounds a list's compile groups: every member lies fewer than
+// groupSpan indexes past its group's first, so the rows the engine holds
+// pending stay O(workers × groupSpan) for any list. It is the widest
+// gate-sibling span of any sweep grammar, (4-1) gates × 2 reorders × 3
+// policies + 1, so a grammar's expansion passed as a list groups as the
+// grammar does.
+const groupSpan = 19
+
+// List is a Source over a slice of points, indexed once: points equal
+// except for Gate share a compile group, as a grammar's gate siblings do,
+// while each lies within groupSpan indexes of the group's first; past
+// that, the next such point starts a new group.
 func List(points []Point) Source {
+	type open struct{ first, last, size int }
+	groups := make(map[Point]open)
+	next := make([]int64, len(points)) // next member of i's group, 0 for none
+	width := 1
+	for i, pt := range points {
+		pt.Gate = 0
+		g, ok := groups[pt]
+		if !ok || i-g.first >= groupSpan {
+			groups[pt] = open{first: i, last: i, size: 1}
+			continue
+		}
+		next[g.last] = int64(i)
+		g.last, g.size = i, g.size+1
+		groups[pt] = g
+		width = max(width, g.size)
+	}
 	return Source{
 		End:   int64(len(points)),
 		Point: func(i int64) Point { return points[i] },
-		Group: func(i int64) []int64 { return []int64{i} },
-		Width: 1,
+		Group: func(i int64) []int64 {
+			members := []int64{i}
+			for j := next[i]; j != 0; j = next[j] {
+				members = append(members, j)
+			}
+			return members
+		},
+		Width: width,
 	}
 }
 
@@ -101,6 +134,9 @@ func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit fu
 				// or closed, so it can never be stranded on an empty slot.
 				var group []*slot
 				for _, j := range src.Group(i) {
+					if j >= src.End {
+						break
+					}
 					member := &slot{idx: j, res: make(chan Row, 1)}
 					group = append(group, member)
 					if j != i {

@@ -168,14 +168,14 @@ func TestLinearRouteAdjacent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if route.SrcEnd != Right || route.DstEnd() != Left {
-		t.Errorf("route ends: src=%s dst=%s", route.SrcEnd, route.DstEnd())
+	if dstEnd := route.Hops[len(route.Hops)-1].EnterEnd; route.SrcEnd != Right || dstEnd != Left {
+		t.Errorf("route ends: src=%s dst=%s", route.SrcEnd, dstEnd)
 	}
 	if len(route.PassThroughs()) != 0 {
 		t.Errorf("adjacent route has pass-throughs: %v", route.PassThroughs())
 	}
-	if route.SegmentUnits(d) != 1 {
-		t.Errorf("segment units = %d", route.SegmentUnits(d))
+	if units := d.Segments[route.Hops[0].Segment].Length; len(route.Hops) != 1 || units != 1 {
+		t.Errorf("%d hops, first of %d segment units; want one of 1", len(route.Hops), units)
 	}
 }
 
@@ -286,7 +286,7 @@ func TestRoutePropertyAllPairs(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				if route.Dst() != dst || route.Src != src {
+				if route.Hops[len(route.Hops)-1].Node.Index != dst || route.Src != src {
 					return false
 				}
 				// Verify hop chain connectivity.
@@ -381,8 +381,8 @@ func TestRingWraparoundRoute(t *testing.T) {
 	if len(route.PassThroughs()) != 0 {
 		t.Errorf("wraparound route passes through traps: %s", route)
 	}
-	if route.SrcEnd != Left || route.DstEnd() != Right {
-		t.Errorf("wraparound ends: %s -> %s", route.SrcEnd, route.DstEnd())
+	if dstEnd := route.Hops[len(route.Hops)-1].EnterEnd; route.SrcEnd != Left || dstEnd != Right {
+		t.Errorf("wraparound ends: %s -> %s", route.SrcEnd, dstEnd)
 	}
 	// Maximum pass-through count on R6 is 2 (opposite side), vs 4 on L6.
 	worst, _ := r.Route(0, 3)

@@ -55,12 +55,6 @@ type Route struct {
 	Hops   []Hop
 }
 
-// Dst returns the destination trap index.
-func (r *Route) Dst() int { return r.Hops[len(r.Hops)-1].Node.Index }
-
-// DstEnd returns the chain end at which the ion enters the destination.
-func (r *Route) DstEnd() End { return r.Hops[len(r.Hops)-1].EnterEnd }
-
 // PassThroughs lists the intermediate traps the route merges through, in
 // order. Empty for junction-only routes.
 func (r *Route) PassThroughs() []Transit {
@@ -85,15 +79,6 @@ func (r *Route) Junctions() []int {
 		}
 	}
 	return out
-}
-
-// SegmentUnits sums the lengths of all traversed segments given d.
-func (r *Route) SegmentUnits(d *Device) int {
-	total := 0
-	for _, h := range r.Hops {
-		total += d.Segments[h.Segment].Length
-	}
-	return total
 }
 
 // String renders the route as "T0 -s0-> J1 -s3-> T2".

@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
-
-	"repro/internal/metrics"
 )
 
 // figRows appends long-format rows: figure,panel,series,capacity,value.
@@ -34,7 +33,7 @@ func (f *Fig6) WriteCSV(w io.Writer) error {
 	rows = figRows(rows, "fig6", "b_qft_split_s", "Communication", f.Capacities, f.QFTComm)
 	rows = figRows(rows, "fig6", "g_supremacy_ms_error", "Motional", f.Capacities, f.SupremacyMotional)
 	rows = figRows(rows, "fig6", "g_supremacy_ms_error", "Background", f.Capacities, f.SupremacyBackground)
-	return metrics.WriteCSV(w, figHeader, rows)
+	return writeCSV(w, figHeader, rows)
 }
 
 // WriteCSV emits every Figure 7 panel in long format; the series column
@@ -48,7 +47,7 @@ func (f *Fig7) WriteCSV(w io.Writer) error {
 		}
 		rows = figRows(rows, "fig7", "g_sqrt_motional_quanta", topo, f.Capacities, f.SqrtMotional[topo])
 	}
-	return metrics.WriteCSV(w, figHeader, rows)
+	return writeCSV(w, figHeader, rows)
 }
 
 // WriteCSV emits every Figure 8 panel in long format; the series column
@@ -62,5 +61,20 @@ func (f *Fig8) WriteCSV(w io.Writer) error {
 			rows = figRows(rows, "fig8", "time_s", label, f.Capacities, f.Time[app][combo.Label()])
 		}
 	}
-	return metrics.WriteCSV(w, figHeader, rows)
+	return writeCSV(w, figHeader, rows)
+}
+
+// writeCSV writes a header plus rows as CSV, after checking that every
+// row is as wide as the header.
+func writeCSV(w io.Writer, header []string, rows [][]string) error {
+	for _, row := range rows {
+		if len(row) != len(header) {
+			return fmt.Errorf("experiments: csv row has %d cells, header has %d", len(row), len(header))
+		}
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	return cw.WriteAll(rows)
 }

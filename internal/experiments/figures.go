@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sweep"
 )
@@ -97,29 +96,29 @@ func RunFig6(tf *core.Toolflow) (*Fig6, error) {
 func (f *Fig6) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 6: Trap sizing choices (L6, FM two-qubit gates, GS reordering)\n\n")
-	var timeSeries, fidSeries, motSeries []metrics.Series
+	var timeSeries, fidSeries, motSeries []Series
 	for _, app := range PaperApps {
-		timeSeries = append(timeSeries, metrics.Series{Name: app, Values: f.Time[app], Format: "%.4f"})
-		fidSeries = append(fidSeries, metrics.Series{Name: app, Values: f.Fidelity[app], Format: "%.3e"})
-		motSeries = append(motSeries, metrics.Series{Name: app, Values: f.MaxMotional[app], Format: "%.1f"})
+		timeSeries = append(timeSeries, Series{Name: app, Values: f.Time[app], Format: "%.4f"})
+		fidSeries = append(fidSeries, Series{Name: app, Values: f.Fidelity[app], Format: "%.3e"})
+		motSeries = append(motSeries, Series{Name: app, Values: f.MaxMotional[app], Format: "%.1f"})
 	}
-	b.WriteString(metrics.Table("(a) Application run time (seconds, lower is better)", "cap", f.Capacities, timeSeries))
+	b.WriteString(Table("(a) Application run time (seconds, lower is better)", "cap", f.Capacities, timeSeries))
 	b.WriteString("\n")
-	b.WriteString(metrics.Table("(b) QFT computation vs communication (serialized op time, seconds)", "cap", f.Capacities, []metrics.Series{
+	b.WriteString(Table("(b) QFT computation vs communication (serialized op time, seconds)", "cap", f.Capacities, []Series{
 		{Name: "Computation", Values: f.QFTCompute, Format: "%.4f"},
 		{Name: "Communication", Values: f.QFTComm, Format: "%.4f"},
 	}))
 	b.WriteString("\n")
-	b.WriteString(metrics.Table("(c-e) Application fidelity (higher is better)", "cap", f.Capacities, fidSeries))
+	b.WriteString(Table("(c-e) Application fidelity (higher is better)", "cap", f.Capacities, fidSeries))
 	b.WriteString("\n")
-	b.WriteString(metrics.Table("(f) Max motional energy across traps (quanta, lower is better)", "cap", f.Capacities, motSeries))
+	b.WriteString(Table("(f) Max motional energy across traps (quanta, lower is better)", "cap", f.Capacities, motSeries))
 	b.WriteString("\n")
-	b.WriteString(metrics.Table("(g) Supremacy mean MS-gate error contributions", "cap", f.Capacities, []metrics.Series{
+	b.WriteString(Table("(g) Supremacy mean MS-gate error contributions", "cap", f.Capacities, []Series{
 		{Name: "Motional", Values: f.SupremacyMotional, Format: "%.3e"},
 		{Name: "Background", Values: f.SupremacyBackground, Format: "%.3e"},
 	}))
 	fmt.Fprintf(&b, "\nSupremacy best/worst fidelity ratio: %.1fx (paper: ~15x)\n",
-		metrics.Ratio(f.Fidelity["Supremacy"]))
+		Ratio(f.Fidelity["Supremacy"]))
 	return b.String()
 }
 
@@ -183,8 +182,8 @@ func (f *Fig7) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 7: Communication topology choices (L6 vs G2x3, FM gates, GS reordering)\n\n")
 	for _, app := range PaperApps {
-		b.WriteString(metrics.Table(fmt.Sprintf("%s: run time (s) and fidelity by topology", app),
-			"cap", f.Capacities, []metrics.Series{
+		b.WriteString(Table(fmt.Sprintf("%s: run time (s) and fidelity by topology", app),
+			"cap", f.Capacities, []Series{
 				{Name: "L6 time", Values: f.Time["L6"][app], Format: "%.4f"},
 				{Name: "G2x3 time", Values: f.Time["G2x3"][app], Format: "%.4f"},
 				{Name: "L6 fid", Values: f.Fidelity["L6"][app], Format: "%.3e"},
@@ -192,7 +191,7 @@ func (f *Fig7) Render() string {
 			}))
 		b.WriteString("\n")
 	}
-	b.WriteString(metrics.Table("(g) SquareRoot max motional energy (quanta)", "cap", f.Capacities, []metrics.Series{
+	b.WriteString(Table("(g) SquareRoot max motional energy (quanta)", "cap", f.Capacities, []Series{
 		{Name: "Linear", Values: f.SqrtMotional["L6"], Format: "%.1f"},
 		{Name: "Grid", Values: f.SqrtMotional["G2x3"], Format: "%.1f"},
 	}))
@@ -293,14 +292,14 @@ func (f *Fig8) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 8: Microarchitecture choices (L6): 4 gate implementations x 2 reorder methods\n\n")
 	for _, app := range PaperApps {
-		var fid, tim []metrics.Series
+		var fid, tim []Series
 		for _, combo := range f.Combos {
-			fid = append(fid, metrics.Series{Name: combo.Label(), Values: f.Fidelity[app][combo.Label()], Format: "%.2e"})
-			tim = append(tim, metrics.Series{Name: combo.Label(), Values: f.Time[app][combo.Label()], Format: "%.3f"})
+			fid = append(fid, Series{Name: combo.Label(), Values: f.Fidelity[app][combo.Label()], Format: "%.2e"})
+			tim = append(tim, Series{Name: combo.Label(), Values: f.Time[app][combo.Label()], Format: "%.3f"})
 		}
-		b.WriteString(metrics.Table(app+" fidelity", "cap", f.Capacities, fid))
+		b.WriteString(Table(app+" fidelity", "cap", f.Capacities, fid))
 		b.WriteString("\n")
-		b.WriteString(metrics.Table(app+" time (s)", "cap", f.Capacities, tim))
+		b.WriteString(Table(app+" time (s)", "cap", f.Capacities, tim))
 		b.WriteString("\n")
 	}
 	return b.String()

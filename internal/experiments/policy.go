@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/models"
 )
 
@@ -198,5 +197,5 @@ func (p *PolicyComparison) WriteCSV(w io.Writer) error {
 			})
 		}
 	}
-	return metrics.WriteCSV(w, header, rows)
+	return writeCSV(w, header, rows)
 }

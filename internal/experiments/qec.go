@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -123,5 +122,5 @@ func (q *QEC) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%.3f", maxE),
 		})
 	}
-	return metrics.WriteCSV(w, header, rows)
+	return writeCSV(w, header, rows)
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -131,5 +130,5 @@ func (s *Scaling) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%.3f", maxE),
 		})
 	}
-	return metrics.WriteCSV(w, header, rows)
+	return writeCSV(w, header, rows)
 }

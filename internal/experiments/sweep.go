@@ -9,9 +9,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -65,44 +63,23 @@ func (e evaluated) Failures() []core.Outcome {
 	return fails
 }
 
-// evaluate compiles a study's grammars and streams them all through tf in
-// one worker pool, returning every outcome in grammar order, one grammar
-// after another. Gate siblings share one compiled program (see
-// sweep.Grid.Group), and small grammars, such as the scaling study's one
-// per size, run side by side.
+// evaluate compiles a study's grammars, expands them into one list, one
+// grammar after another, and sweeps it through tf, returning every
+// outcome in that order. Gate siblings share one compiled program (see
+// core.List), and small grammars, such as the scaling study's one per
+// size, run side by side.
 func evaluate(tf *core.Toolflow, spaces ...sweep.Space) (evaluated, error) {
 	var points []core.Point
-	var groups [][]int64
-	width := 1
 	for _, s := range spaces {
 		g, err := s.Compile()
 		if err != nil {
 			return nil, err
 		}
-		src := g.Source(g.FullWindow())
-		offset := int64(len(points))
-		for i := src.Start; i < src.End; i++ {
-			points = append(points, src.Point(i))
-			group := src.Group(i)
-			for j := range group {
-				group[j] += offset
-			}
-			groups = append(groups, group)
+		for i := range g.Size() {
+			points = append(points, g.PointAt(i))
 		}
-		width = max(width, src.Width)
 	}
-	joint := core.Source{
-		End:   int64(len(points)),
-		Point: func(i int64) core.Point { return points[i] },
-		Group: func(i int64) []int64 { return groups[i] },
-		Width: width,
-	}
-	outs := make(evaluated, 0, len(points))
-	tf.Stream(context.TODO(), joint, runtime.GOMAXPROCS(0), func(r core.Row) bool {
-		outs = append(outs, r.Outcome)
-		return true
-	})
-	return outs, nil
+	return tf.Sweep(points), nil
 }
 
 // studyCapacity is the per-trap ion limit of the sized studies (scaling,

@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"math"
@@ -46,7 +46,7 @@ func TestTableDefaultFormat(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	var b strings.Builder
-	err := WriteCSV(&b, []string{"a", "b"}, [][]string{
+	err := writeCSV(&b, []string{"a", "b"}, [][]string{
 		{"1", "2"},
 		{"with,comma", "with\"quote"},
 	})
@@ -61,7 +61,7 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWriteCSVRowWidthMismatch(t *testing.T) {
 	var b strings.Builder
-	if err := WriteCSV(&b, []string{"a"}, [][]string{{"1", "2"}}); err == nil {
+	if err := writeCSV(&b, []string{"a"}, [][]string{{"1", "2"}}); err == nil {
 		t.Error("mismatched row width should fail")
 	}
 }
@@ -79,46 +79,5 @@ func TestRatio(t *testing.T) {
 	// Non-positive values are ignored.
 	if got := Ratio([]float64{-1, 0, 2, 4}); got != 2 {
 		t.Errorf("ratio with junk = %g, want 2", got)
-	}
-}
-
-func TestLogicalErrorRate(t *testing.T) {
-	// Degenerate inputs produce 0.
-	if got := LogicalErrorRate(0, 3, 3); got != 0 {
-		t.Errorf("pPhys=0: %v, want 0", got)
-	}
-	if got := LogicalErrorRate(-1e-3, 3, 3); got != 0 {
-		t.Errorf("pPhys<0: %v, want 0", got)
-	}
-	if got := LogicalErrorRate(1e-3, 0, 3); got != 0 {
-		t.Errorf("d=0: %v, want 0", got)
-	}
-	if got := LogicalErrorRate(1e-3, 3, 0); got != 0 {
-		t.Errorf("rounds=0: %v, want 0", got)
-	}
-
-	// Below threshold, higher distance strictly suppresses the rate.
-	p := 1e-3
-	prev := 1.0
-	for _, d := range []int{3, 5, 7, 9} {
-		got := LogicalErrorRate(p, d, d)
-		if got <= 0 || got >= prev {
-			t.Errorf("d=%d: rate %v not in (0, %v)", d, got, prev)
-		}
-		prev = got
-	}
-
-	// More rounds means more exposure.
-	if a, b := LogicalErrorRate(p, 3, 3), LogicalErrorRate(p, 3, 30); b <= a {
-		t.Errorf("rounds 3 vs 30: %v vs %v, want increase", a, b)
-	}
-
-	// At or above threshold the per-round rate saturates: the total tends
-	// to 1/2 with rounds but never exceeds it.
-	if got := LogicalErrorRate(0.5, 9, 9); got > 0.5 {
-		t.Errorf("saturated rate %v > 0.5", got)
-	}
-	if lo, hi := LogicalErrorRate(0.02, 3, 1), 0.5; lo > hi {
-		t.Errorf("above-threshold single round %v > %v", lo, hi)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -145,5 +144,5 @@ func (t *Titan) WriteCSV(w io.Writer) error {
 			fmt.Sprint(links),
 		})
 	}
-	return metrics.WriteCSV(w, header, rows)
+	return writeCSV(w, header, rows)
 }

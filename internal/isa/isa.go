@@ -229,17 +229,6 @@ func (p *Program) CountKind(k OpKind) int {
 	return n
 }
 
-// CommOps returns the number of communication-category ops.
-func (p *Program) CommOps() int {
-	n := 0
-	for i := range p.Ops {
-		if p.Ops[i].Kind.Category() == CatComm {
-			n++
-		}
-	}
-	return n
-}
-
 // Validate checks structural well-formedness: dependency ordering, qubit
 // ranges, layout consistency (each qubit placed exactly once) and
 // kind-specific operand/resource fields.

@@ -79,8 +79,8 @@ func TestCounts(t *testing.T) {
 	if p.CountKind(OpGate1) != 1 || p.CountKind(OpMove) != 1 {
 		t.Error("CountKind")
 	}
-	if got := p.CommOps(); got != 3 {
-		t.Errorf("CommOps = %d, want 3", got)
+	if got := len(p.Ops) - p.CountKind(OpGate1) - p.CountKind(OpGate2) - p.CountKind(OpMeasure); got != 3 {
+		t.Errorf("comm ops = %d, want 3", got)
 	}
 }
 

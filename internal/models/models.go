@@ -301,7 +301,7 @@ func (p Params) Validate() error {
 // TwoQubitTime returns the MS gate duration in µs for ions separated by d
 // positions (adjacent: d=1) in a chain of n ions, under the configured
 // implementation (§VII.A).
-func (p Params) TwoQubitTime(d, n int) float64 {
+func (p *Params) TwoQubitTime(d, n int) float64 {
 	return TwoQubitTime(p.Gate, d, n)
 }
 
@@ -326,7 +326,7 @@ func TwoQubitTime(g GateImpl, d, n int) float64 {
 
 // JunctionTime returns the Table I crossing time for a junction kind.
 // Degree-2 pass junctions cost a single move unit.
-func (p Params) JunctionTime(k device.JunctionKind) float64 {
+func (p *Params) JunctionTime(k device.JunctionKind) float64 {
 	switch k {
 	case device.JunctionX:
 		return p.XJunctionTime
@@ -338,14 +338,14 @@ func (p Params) JunctionTime(k device.JunctionKind) float64 {
 }
 
 // IonSwapTime returns the duration of one IS hop: split + rotate + merge.
-func (p Params) IonSwapTime() float64 {
+func (p *Params) IonSwapTime() float64 {
 	return p.SplitTime + p.IonSwapRotateTime + p.MergeTime
 }
 
 // laserInstability returns A = A0 · N/ln(N) for a chain of n ions, the
 // thermal laser-beam instability factor of Eq. 1. Chains shorter than two
 // ions cannot host a two-qubit gate; n is clamped to 2 for safety.
-func (p Params) laserInstability(n int) float64 {
+func (p *Params) laserInstability(n int) float64 {
 	if n < 2 {
 		n = 2
 	}
@@ -379,7 +379,7 @@ func (e ErrorTerms) Fidelity() float64 { return 1 - e.Error() }
 
 // TwoQubitError evaluates Eq. 1 for an MS gate of duration tau (µs) in a
 // chain of n ions with per-ion motional occupancy nbar (quanta).
-func (p Params) TwoQubitError(tau float64, n int, nbar float64) ErrorTerms {
+func (p *Params) TwoQubitError(tau float64, n int, nbar float64) ErrorTerms {
 	return ErrorTerms{
 		Background: p.BackgroundRate * tau * 1e-6,
 		Motional:   p.laserInstability(n) * (2*nbar + 1),
@@ -387,7 +387,7 @@ func (p Params) TwoQubitError(tau float64, n int, nbar float64) ErrorTerms {
 }
 
 // OneQubitError evaluates the single-qubit analogue of Eq. 1.
-func (p Params) OneQubitError(nbar float64) ErrorTerms {
+func (p *Params) OneQubitError(nbar float64) ErrorTerms {
 	return ErrorTerms{
 		Background: p.BackgroundRate * p.OneQubitTime * 1e-6,
 		Motional:   p.A1Q * (2*nbar + 1),

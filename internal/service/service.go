@@ -7,11 +7,11 @@
 //
 //	POST /v1/run         evaluate a single design point
 //	POST /v1/sweep       evaluate a batch, streaming outcomes as NDJSON
-//	                     in input order; accepts either a materialized
-//	                     "points" list or a "space" sweep grammar expanded
-//	                     lazily server-side, with per-row resume cursors
-//	GET  /v1/sweeps      list tracked grammar sweeps with progress
-//	GET  /v1/sweeps/{id} report one grammar sweep's progress
+//	                     in input order with per-row resume cursors; the
+//	                     batch is a "points" list or a "space" sweep
+//	                     grammar expanded lazily server-side
+//	GET  /v1/sweeps      list tracked sweeps with progress
+//	GET  /v1/sweeps/{id} report one sweep's progress
 //	GET  /v1/apps        list the built-in Table II benchmarks and the
 //	                     sized "<app>@<n>" form
 //	GET  /v1/topologies  describe the device spec grammar with examples
@@ -26,6 +26,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -51,11 +52,10 @@ type Config struct {
 	// MaxWorkers caps the per-request sweep concurrency (default
 	// GOMAXPROCS).
 	MaxWorkers int
-	// MaxSpacePoints caps the design points one sweep request covers, in
-	// either form: a points list's length or a grammar window's size
-	// (default 10,000,000). Both forms stream with O(workers) residency,
-	// so this bound is about total compute; a list's memory is bounded by
-	// the 8 MiB request body cap.
+	// MaxSpacePoints caps the design points one sweep request streams:
+	// the size of its window (default 10,000,000). A sweep streams with
+	// O(workers) residency, so this bound is about total compute; a list's
+	// memory is bounded by the 8 MiB request body cap.
 	MaxSpacePoints int64
 	// CacheDir, when non-empty, mounts a persistent disk tier for the
 	// outcome cache on a directory that may be shared by many replicas:
@@ -195,14 +195,13 @@ type RunResponse struct {
 }
 
 // SweepLine is one NDJSON outcome line of POST /v1/sweep. Lines stream
-// in input order. For the materialized-points form, Seq is the zero-based
-// index of the point in the request. For the grammar form, Seq is the
-// point's index in the space expansion, and Cursor resumes the sweep
-// immediately after this row (pass it back as resume_from with the same
-// space).
+// in input order. Seq is the point's index in the request's grid: its
+// position in a points list, or its index in a grammar's expansion.
+// Cursor resumes the sweep immediately after this row (pass it back as
+// resume_from with the same points or space).
 type SweepLine struct {
 	Seq    int    `json:"seq"`
-	Cursor string `json:"cursor,omitempty"`
+	Cursor string `json:"cursor"`
 	RunResponse
 }
 
@@ -239,24 +238,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, runResponse(o, cached, time.Since(start)))
 }
 
-// SweepRequest is the body of POST /v1/sweep. Exactly one of Points
-// (the original materialized form) or Space (the sweep grammar, expanded
-// lazily server-side) must be set.
+// SweepRequest is the body of POST /v1/sweep. Exactly one of Points (a
+// materialized list) or Space (the sweep grammar, expanded lazily
+// server-side) must be set; both compile to one sweep.Grid, and every
+// other field applies to either.
 type SweepRequest struct {
 	Points []core.Point `json:"points,omitempty"`
 	// Space is the design-space grammar: the cross product of its axes
-	// is validated up front, expanded lazily in a stable order, and
-	// streamed with per-row resume cursors.
+	// is validated up front and expanded lazily in a stable order.
 	Space *sweep.Space `json:"space,omitempty"`
-	// ResumeFrom continues a grammar sweep from a cursor previously
-	// returned with the same space (grammar form only).
+	// ResumeFrom continues a sweep from a cursor previously returned with
+	// the same points or space.
 	ResumeFrom string `json:"resume_from,omitempty"`
-	// Limit caps the number of rows this response streams (grammar form
-	// only); the summary then carries next_cursor for the remainder.
+	// Limit caps the number of rows this response streams; the summary
+	// then carries next_cursor for the remainder.
 	Limit int64 `json:"limit,omitempty"`
-	// Shard restricts a grammar sweep to one index window of the
-	// expansion, so n replicas behind a load balancer can each stream a
-	// disjoint slice of one space (grammar form only).
+	// Shard restricts a sweep to one index window of its grid, so n
+	// replicas behind a load balancer can each stream a disjoint slice of
+	// one sweep.
 	Shard *ShardSpec `json:"shard,omitempty"`
 	// Params optionally overrides the server calibration for every point.
 	Params *models.Params `json:"params,omitempty"`
@@ -265,63 +264,119 @@ type SweepRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// grid compiles whichever form the request carries.
+func (req *SweepRequest) grid() (*sweep.Grid, error) {
+	switch {
+	case req.Space != nil && len(req.Points) > 0:
+		return nil, errors.New("sweep: points and space are mutually exclusive")
+	case req.Space != nil:
+		return req.Space.Compile()
+	case len(req.Points) == 0:
+		return nil, errors.New("sweep: no points and no space")
+	}
+	return sweep.List(req.Points)
+}
+
 // SweepSummary is the final NDJSON line of a sweep response. It is
 // written only after every row, so a stream without one ended early.
 type SweepSummary struct {
-	Done      bool  `json:"done"`
-	Total     int   `json:"total"`
-	Failed    int   `json:"failed"`
-	CacheHits int   `json:"cache_hits"`
-	ElapsedUS int64 `json:"elapsed_us"`
-	// SweepID and NextCursor are set on grammar sweeps only; NextCursor
-	// appears when a limit stopped the stream short of the space end.
-	SweepID    string `json:"sweep_id,omitempty"`
+	Done      bool   `json:"done"`
+	Total     int    `json:"total"`
+	Failed    int    `json:"failed"`
+	CacheHits int    `json:"cache_hits"`
+	ElapsedUS int64  `json:"elapsed_us"`
+	SweepID   string `json:"sweep_id"`
+	// NextCursor appears when a limit stopped the stream short of its
+	// window's end.
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
+// handleSweep streams a sweep's grid as NDJSON: a header, then one row
+// per point, then a summary. Points are evaluated concurrently, one
+// compile group per worker, but emitted strictly in grid order, each row
+// carrying the cursor that resumes immediately after it; peak
+// expanded-point residency is O(workers × group width), never O(grid).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decode(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if req.Space != nil && len(req.Points) > 0 {
-		writeError(w, http.StatusBadRequest, "sweep: points and space are mutually exclusive")
+	grid, err := req.grid()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Space != nil {
-		s.handleSpaceSweep(w, r, &req)
-		return
-	}
-	if req.ResumeFrom != "" || req.Limit != 0 || req.Shard != nil {
-		writeError(w, http.StatusBadRequest, "sweep: resume_from, limit and shard require a space grammar")
-		return
-	}
-	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "sweep: no points and no space")
-		return
-	}
-	if s.tooLarge(w, int64(len(req.Points))) {
-		return
-	}
-	for i, pt := range req.Points {
-		if err := pt.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "point %d: %v", i, err)
+	// A shard restricts the request to one window of the grid; the points
+	// cap then applies to what this request would actually stream, so a
+	// million-point space is admissible as long as each replica's slice is
+	// within bounds.
+	window := grid.FullWindow()
+	if req.Shard != nil {
+		if window, err = req.Shard.window(grid); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+	}
+	if s.tooLarge(w, window.Len()) {
+		return
+	}
+	if req.Limit < 0 {
+		writeError(w, http.StatusBadRequest, "sweep: limit must be >= 0, got %d", req.Limit)
+		return
 	}
 	params, err := s.params(req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "params: %v", err)
 		return
 	}
-
-	st := &sweepState{started: time.Now()}
-	out := newNDJSONWriter(w, st)
-	emit := func(row core.Row) bool { return out.row(row, "") }
-	if s.root.WithParams(params).Stream(r.Context(), core.List(req.Points), s.workers(req.Workers), emit) {
-		out.write(st.summary())
+	start := window.Start
+	if req.ResumeFrom != "" {
+		idx, err := grid.Resume(req.ResumeFrom)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		// Cursors are minted against the full grid; inside a shard they
+		// resume within the window only. Clamping (never rejecting) means a
+		// cursor taken from any replica's stream composes with any shard:
+		// out-of-window cursors yield the window start or an empty
+		// remainder instead of leaking another shard's rows.
+		start = window.Clamp(idx)
 	}
+	end := window.End
+	// Compared with what is left of the window, a huge limit cannot
+	// overflow start+limit.
+	if req.Limit > 0 && req.Limit < end-start {
+		end = start + req.Limit
+	}
+
+	st := s.sweeps.add(grid, start, end, req.Shard)
+	out := newNDJSONWriter(w, st)
+	emit := func(row core.Row) bool { return out.row(row, grid.Cursor(row.Index+1)) }
+	src := grid.Source(sweep.Window{Start: start, End: end})
+	complete := out.write(SweepHeader{
+		SweepID:    st.status.ID,
+		SpaceHash:  grid.Hash(),
+		GridSize:   grid.Size(),
+		Start:      start,
+		End:        end,
+		ShardIndex: st.status.ShardIndex,
+		ShardCount: st.status.ShardCount,
+	}) && s.root.WithParams(params).Stream(r.Context(), src, s.workers(req.Workers), emit)
+	if complete {
+		summary := st.summary()
+		// A limited request that stopped short of its window end gets the
+		// continuation cursor in the summary, so paginating clients need
+		// not track per-row cursors. A completed shard window is done — its
+		// summary carries no cursor even when the grid continues beyond it;
+		// the next window belongs to another replica.
+		if end < window.End {
+			summary.NextCursor = grid.Cursor(end)
+		}
+		complete = out.write(summary)
+	}
+	st.finish(!complete)
 }
 
 // tooLarge rejects a sweep request covering more than MaxSpacePoints
@@ -527,9 +582,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // replica re-serving known work).
 type CacheResponse struct {
 	Store cache.StoreStats `json:"store"`
-	// Compiles counts the programs this process has compiled. A grammar
-	// sweep compiles once per compile group, so on a cold paper grammar
-	// it is a quarter of Store.Computes.
+	// Compiles counts the programs this process has compiled. A sweep
+	// compiles once per compile group, so on a cold paper grid it is a
+	// quarter of Store.Computes.
 	Compiles uint64 `json:"compiles"`
 	// Persistent reports whether a disk tier is mounted; Dir and
 	// DiskMaxBytes echo its configuration.

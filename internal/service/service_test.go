@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -177,9 +175,9 @@ func TestSweepBodyOverCapRejected(t *testing.T) {
 
 func TestSweepStreamsNDJSONWithCacheHits(t *testing.T) {
 	srv, ts := newTestServer(t)
-	// Four submissions over two unique points: at least two must be
-	// served by the cache or an in-flight duplicate. Rows stream in input
-	// order.
+	// Four submissions over two unique points. A repeated point shares its
+	// first copy's compile group, so the later copy is always the cache
+	// hit. Rows stream in input order, framed like a grammar sweep's.
 	pt14 := `{"app":"BV","topology":"L6","capacity":14}`
 	pt18 := `{"app":"BV","topology":"L6","capacity":18}`
 	body := `{"points":[` + pt14 + `,` + pt18 + `,` + pt14 + `,` + pt18 + `],"workers":2}`
@@ -192,53 +190,33 @@ func TestSweepStreamsNDJSONWithCacheHits(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type = %q", ct)
 	}
-	var (
-		lines   []SweepLine
-		summary *SweepSummary
-	)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if summary != nil {
-			t.Fatal("summary must be the last line")
-		}
-		if bytes.Contains(sc.Bytes(), []byte(`"done":true`)) {
-			var s SweepSummary
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-				t.Fatal(err)
-			}
-			summary = &s
-			continue
-		}
-		if !bytes.Contains(sc.Bytes(), []byte(`"seq":`)) {
-			t.Errorf("line missing explicit seq: %q", sc.Text())
-		}
-		var line SweepLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
+	header, lines, summary := ndjson(t, resp.Body)
+	if header == nil || len(lines) != 4 || summary == nil {
+		t.Fatalf("header = %v, lines = %d, summary = %v", header, len(lines), summary)
+	}
+	if header.GridSize != 4 || header.Start != 0 || header.End != 4 || header.SweepID == "" {
+		t.Errorf("header = %+v", header)
+	}
+	for i, line := range lines {
 		if line.Error != "" || line.Result == nil {
 			t.Errorf("line %+v", line)
 		}
-		if line.Seq != len(lines) {
-			t.Errorf("row %d has seq %d: points rows must stream in input order", len(lines), line.Seq)
+		if line.Seq != i {
+			t.Errorf("row %d has seq %d: points rows must stream in input order", i, line.Seq)
 		}
-		lines = append(lines, line)
+		if line.Cursor == "" {
+			t.Errorf("row %d has no cursor", i)
+		}
+		if want := i >= 2; line.Cached != want {
+			t.Errorf("row %d cached = %v, want %v", i, line.Cached, want)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 4 || summary == nil {
-		t.Fatalf("lines = %d, summary = %v", len(lines), summary)
-	}
-	if summary.Total != 4 || summary.Failed != 0 {
+	if summary.Total != 4 || summary.Failed != 0 || summary.SweepID != header.SweepID {
 		t.Errorf("summary = %+v", summary)
 	}
 	st := srv.CacheStats()
-	if st.Misses != 2 {
-		t.Errorf("unique computes = %d, want 2 (stats %+v)", st.Misses, st)
-	}
-	if reused := st.Hits + st.Shared; reused != 2 {
-		t.Errorf("reused = %d, want 2 (stats %+v)", reused, st)
+	if st.Misses != 2 || st.Hits != 2 {
+		t.Errorf("computes = %d, hits = %d, want 2 and 2 (stats %+v)", st.Misses, st.Hits, st)
 	}
 	if summary.CacheHits != 2 {
 		t.Errorf("summary cache hits = %d, want 2", summary.CacheHits)
@@ -250,28 +228,12 @@ func TestSweepReportsFailedPoints(t *testing.T) {
 	body := `{"points":[{"app":"BV","topology":"L6","capacity":20},{"app":"nope","topology":"L6","capacity":20}]}`
 	resp := postJSON(t, ts.URL+"/v1/sweep", body)
 	defer resp.Body.Close()
-	var failed, ok int
-	var summary SweepSummary
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if bytes.Contains(sc.Bytes(), []byte(`"done":true`)) {
-			if err := json.Unmarshal(sc.Bytes(), &summary); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		var line SweepLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Error != "" {
-			failed++
-		} else {
-			ok++
-		}
+	header, rows, summary := ndjson(t, resp.Body)
+	if header == nil || summary == nil || len(rows) != 2 {
+		t.Fatalf("header = %v, rows = %d, summary = %v", header, len(rows), summary)
 	}
-	if failed != 1 || ok != 1 {
-		t.Errorf("failed = %d ok = %d", failed, ok)
+	if rows[0].Error != "" || rows[1].Error == "" {
+		t.Errorf("row errors = %q, %q: want only the unknown app to fail", rows[0].Error, rows[1].Error)
 	}
 	if summary.Total != 2 || summary.Failed != 1 {
 		t.Errorf("summary = %+v", summary)

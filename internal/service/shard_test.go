@@ -235,7 +235,7 @@ func TestShardBadRequests(t *testing.T) {
 		{"inverted window", shardBody(`,"shard":{"start":5,"end":4}`)},
 		{"negative start", shardBody(`,"shard":{"start":-1,"end":4}`)},
 		{"unknown shard field", shardBody(`,"shard":{"index":0,"count":2,"bogus":1}`)},
-		{"shard with points form", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"shard":{"index":0,"count":2}}`},
+		{"points window out of range", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"shard":{"start":0,"end":2}}`},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/sweep", tc.body)

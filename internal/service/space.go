@@ -8,17 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
-// ShardSpec restricts a grammar sweep to one index window of the
-// expansion's stable total order. Exactly one of the two forms must be
-// used: Index/Count selects one window of the balanced count-way
-// partition (the form a fleet of identical replicas uses), while
-// Start/End names an explicit half-open [start, end) window. Because the
+// ShardSpec restricts a sweep to one index window of its grid's stable
+// total order. Exactly one of the two forms must be used: Index/Count
+// selects one window of the balanced count-way partition (the form a
+// fleet of identical replicas uses), while Start/End names an explicit
+// half-open [start, end) window. Because the
 // partition is exact — disjoint, gap-free, union the full grid — n
-// replicas each sweeping shard {i, n} of one space together stream every
+// replicas each sweeping shard {i, n} of one sweep together stream every
 // point exactly once, and a shared cache directory dedupes any work that
 // overlaps across requests.
 type ShardSpec struct {
@@ -51,14 +50,15 @@ func (sp *ShardSpec) window(grid *sweep.Grid) (sweep.Window, error) {
 	}
 }
 
-// SweepHeader is the first NDJSON line of a grammar sweep response: it
-// names the sweep for GET /v1/sweeps/{id}, pins the space identity the
-// row cursors are minted against, and states exactly which index window
-// this response will stream.
+// SweepHeader is the first NDJSON line of a sweep response: it names the
+// sweep for GET /v1/sweeps/{id}, pins the grid identity the row cursors
+// are minted against, and states exactly which index window this
+// response will stream.
 type SweepHeader struct {
 	SweepID   string `json:"sweep_id"`
 	SpaceHash string `json:"space_hash"`
-	// GridSize is the full expansion size of the grammar.
+	// GridSize is the full size of the grid: a list's length or a
+	// grammar's expansion size.
 	GridSize int64 `json:"grid_size"`
 	// Start and End bound this response's half-open index window; Start
 	// is nonzero when resuming or sharding, End < GridSize when a limit
@@ -71,7 +71,7 @@ type SweepHeader struct {
 }
 
 // SweepStatus is the body of GET /v1/sweeps/{id}: a snapshot of one
-// grammar sweep's progress.
+// sweep's progress.
 type SweepStatus struct {
 	ID        string `json:"id"`
 	SpaceHash string `json:"space_hash"`
@@ -94,8 +94,8 @@ type SweepStatus struct {
 	ElapsedUS     int64 `json:"elapsed_us"`
 }
 
-// sweepState is the mutable progress record of one sweep. For a grammar
-// sweep it backs the SweepStatus the registry reports.
+// sweepState is the mutable progress record of one sweep; it backs the
+// SweepStatus the registry reports.
 type sweepState struct {
 	mu      sync.Mutex
 	status  SweepStatus
@@ -131,6 +131,7 @@ func (st *sweepState) summary() SweepSummary {
 		Failed:    int(snap.Failed),
 		CacheHits: int(snap.CacheHits),
 		ElapsedUS: snap.ElapsedUS,
+		SweepID:   snap.ID,
 	}
 }
 
@@ -149,7 +150,7 @@ func (st *sweepState) snapshot() SweepStatus {
 // observable under churn.
 const maxTrackedSweeps = 256
 
-// sweepRegistry tracks grammar sweeps for the progress endpoint.
+// sweepRegistry tracks sweeps for the progress endpoint.
 type sweepRegistry struct {
 	mu     sync.Mutex
 	order  []string // insertion order, for eviction
@@ -244,88 +245,4 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sweeps.snapshotAll())
-}
-
-// handleSpaceSweep streams the lazy expansion of a sweep grammar as
-// NDJSON. Points are evaluated concurrently, one compile group per
-// worker, but emitted strictly in expansion order, each row carrying the
-// cursor that resumes immediately after it; peak expanded-point
-// residency is O(workers×|gates|), never O(grid).
-func (s *Server) handleSpaceSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest) {
-	grid, err := req.Space.Compile()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// A shard restricts the request to one window of the expansion; the
-	// points cap then applies to what this request would actually stream,
-	// so a million-point space is admissible as long as each replica's
-	// slice is within bounds.
-	window := grid.FullWindow()
-	if req.Shard != nil {
-		if window, err = req.Shard.window(grid); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if s.tooLarge(w, window.Len()) {
-		return
-	}
-	if req.Limit < 0 {
-		writeError(w, http.StatusBadRequest, "sweep: limit must be >= 0, got %d", req.Limit)
-		return
-	}
-	params, err := s.params(req.Params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "params: %v", err)
-		return
-	}
-	start := window.Start
-	if req.ResumeFrom != "" {
-		idx, err := grid.Resume(req.ResumeFrom)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// Cursors are minted against the full expansion; inside a shard
-		// they resume within the window only. Clamping (never rejecting)
-		// means a cursor taken from any replica's stream composes with any
-		// shard: out-of-window cursors yield the window start or an empty
-		// remainder instead of leaking another shard's rows.
-		start = window.Clamp(idx)
-	}
-	end := window.End
-	// Compared with what is left of the window, a huge limit cannot
-	// overflow start+limit.
-	if req.Limit > 0 && req.Limit < end-start {
-		end = start + req.Limit
-	}
-
-	st := s.sweeps.add(grid, start, end, req.Shard)
-	out := newNDJSONWriter(w, st)
-	emit := func(row core.Row) bool { return out.row(row, grid.Cursor(row.Index+1)) }
-	src := grid.Source(sweep.Window{Start: start, End: end})
-	complete := out.write(SweepHeader{
-		SweepID:    st.status.ID,
-		SpaceHash:  grid.Hash(),
-		GridSize:   grid.Size(),
-		Start:      start,
-		End:        end,
-		ShardIndex: st.status.ShardIndex,
-		ShardCount: st.status.ShardCount,
-	}) && s.root.WithParams(params).Stream(r.Context(), src, s.workers(req.Workers), emit)
-	if complete {
-		summary := st.summary()
-		summary.SweepID = st.status.ID
-		// A limited request that stopped short of its window end gets the
-		// continuation cursor in the summary, so paginating clients need
-		// not track per-row cursors. A completed shard window is done — its
-		// summary carries no cursor even when the grid continues beyond it;
-		// the next window belongs to another replica.
-		if end < window.End {
-			summary.NextCursor = grid.Cursor(end)
-		}
-		complete = out.write(summary)
-	}
-	st.finish(!complete)
 }

@@ -22,7 +22,7 @@ const testSpaceBody = `{
 
 const testSpaceSize = 12
 
-// ndjson splits a grammar-sweep NDJSON stream into its three line kinds.
+// ndjson splits a sweep NDJSON stream into its three line kinds.
 func ndjson(t *testing.T, r io.Reader) (header *SweepHeader, rows []SweepLine, summary *SweepSummary) {
 	t.Helper()
 	sc := bufio.NewScanner(r)
@@ -399,8 +399,9 @@ func TestSpaceSweepBadRequests(t *testing.T) {
 		name, body string
 	}{
 		{"points and space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"space":` + testSpaceBody + `}`},
-		{"resume without space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"resume_from":"abc"}`},
-		{"limit without space", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"limit":5}`},
+		{"garbage cursor on points", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"resume_from":"abc"}`},
+		{"negative limit on points", `{"points":[{"app":"BV","topology":"L6","capacity":14}],"limit":-1}`},
+		{"no points and no space", `{"points":[]}`},
 		{"empty space", `{"space":{}}`},
 		{"space with no capacities", `{"space":{"apps":["BV"],"topologies":["L2"]}}`},
 		{"unknown app", `{"space":{"apps":["Nope"],"topologies":["L2"],"capacities":[14]}}`},

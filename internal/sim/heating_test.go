@@ -1,4 +1,4 @@
-package heating
+package sim
 
 import (
 	"math"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestSplitProportionalShares(t *testing.T) {
-	eA, eB := Split(10, 1, 4, 0.1)
+	eA, eB := splitEnergy(10, 1, 4, 0.1)
 	if math.Abs(eA-(10.0/5+0.1)) > 1e-12 {
 		t.Errorf("eA = %g", eA)
 	}
@@ -24,7 +24,7 @@ func TestSplitConservationPlusK1(t *testing.T) {
 		nA := int(nARaw%20) + 1
 		nB := int(nBRaw%20) + 1
 		const k1 = 0.1
-		eA, eB := Split(e, nA, nB, k1)
+		eA, eB := splitEnergy(e, nA, nB, k1)
 		if eA < k1 || eB < k1 {
 			return false
 		}
@@ -38,23 +38,23 @@ func TestSplitConservationPlusK1(t *testing.T) {
 func TestSplitPanicsOnBadSizes(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Split with zero-size part should panic")
+			t.Fatal("splitEnergy with zero-size part should panic")
 		}
 	}()
-	Split(1, 0, 3, 0.1)
+	splitEnergy(1, 0, 3, 0.1)
 }
 
 func TestMergeAddsK1(t *testing.T) {
-	if got := Merge(1.5, 2.5, 0.1); math.Abs(got-4.1) > 1e-12 {
-		t.Errorf("Merge = %g, want 4.1", got)
+	if got := mergeEnergy(1.5, 2.5, 0.1); math.Abs(got-4.1) > 1e-12 {
+		t.Errorf("mergeEnergy = %g, want 4.1", got)
 	}
 }
 
 func TestMovePerUnit(t *testing.T) {
-	if got := Move(1, 7, 0.01); math.Abs(got-1.07) > 1e-12 {
-		t.Errorf("Move = %g, want 1.07", got)
+	if got := moveEnergy(1, 7, 0.01); math.Abs(got-1.07) > 1e-12 {
+		t.Errorf("moveEnergy = %g, want 1.07", got)
 	}
-	if got := Move(1, 0, 0.01); got != 1 {
+	if got := moveEnergy(1, 0, 0.01); got != 1 {
 		t.Errorf("zero-unit move changed energy: %g", got)
 	}
 }
@@ -65,12 +65,12 @@ func TestMovePanicsOnNegative(t *testing.T) {
 			t.Fatal("negative move should panic")
 		}
 	}()
-	Move(1, -1, 0.01)
+	moveEnergy(1, -1, 0.01)
 }
 
 func TestIonSwapHop(t *testing.T) {
-	if got := IonSwapHop(2, 0.1); math.Abs(got-2.3) > 1e-12 {
-		t.Errorf("IonSwapHop = %g, want 2.3", got)
+	if got := ionSwapEnergy(2, 0.1); math.Abs(got-2.3) > 1e-12 {
+		t.Errorf("ionSwapEnergy = %g, want 2.3", got)
 	}
 }
 
@@ -88,22 +88,22 @@ func TestEnergyMonotoneUnderAnySequence(t *testing.T) {
 			switch op % 3 {
 			case 0: // split one ion off chain 0 into chain 1 (if possible)
 				if n[0] > 1 {
-					ion, rest := Split(e[0], 1, n[0]-1, k1)
+					ion, rest := splitEnergy(e[0], 1, n[0]-1, k1)
 					e[0] = rest
-					e[1] = Merge(e[1], Move(ion, int(op%4), k2), k1)
+					e[1] = mergeEnergy(e[1], moveEnergy(ion, int(op%4), k2), k1)
 					n[0]--
 					n[1]++
 				}
 			case 1: // same, other direction
 				if n[1] > 1 {
-					ion, rest := Split(e[1], 1, n[1]-1, k1)
+					ion, rest := splitEnergy(e[1], 1, n[1]-1, k1)
 					e[1] = rest
-					e[0] = Merge(e[0], Move(ion, int(op%4), k2), k1)
+					e[0] = mergeEnergy(e[0], moveEnergy(ion, int(op%4), k2), k1)
 					n[1]--
 					n[0]++
 				}
 			default:
-				e[0] = IonSwapHop(e[0], k1)
+				e[0] = ionSwapEnergy(e[0], k1)
 			}
 			if e[0]+e[1] < prev-1e-9 {
 				return false

@@ -59,3 +59,44 @@ func TestPhysicalErrorRate(t *testing.T) {
 		t.Errorf("perfect fidelity: %v, want 0", got)
 	}
 }
+
+func TestLogicalErrorRate(t *testing.T) {
+	// Degenerate inputs produce 0.
+	if got := logicalErrorRate(0, 3, 3); got != 0 {
+		t.Errorf("pPhys=0: %v, want 0", got)
+	}
+	if got := logicalErrorRate(-1e-3, 3, 3); got != 0 {
+		t.Errorf("pPhys<0: %v, want 0", got)
+	}
+	if got := logicalErrorRate(1e-3, 0, 3); got != 0 {
+		t.Errorf("d=0: %v, want 0", got)
+	}
+	if got := logicalErrorRate(1e-3, 3, 0); got != 0 {
+		t.Errorf("rounds=0: %v, want 0", got)
+	}
+
+	// Below threshold, higher distance strictly suppresses the rate.
+	p := 1e-3
+	prev := 1.0
+	for _, d := range []int{3, 5, 7, 9} {
+		got := logicalErrorRate(p, d, d)
+		if got <= 0 || got >= prev {
+			t.Errorf("d=%d: rate %v not in (0, %v)", d, got, prev)
+		}
+		prev = got
+	}
+
+	// More rounds means more exposure.
+	if a, b := logicalErrorRate(p, 3, 3), logicalErrorRate(p, 3, 30); b <= a {
+		t.Errorf("rounds 3 vs 30: %v vs %v, want increase", a, b)
+	}
+
+	// At or above threshold the per-round rate saturates: the total tends
+	// to 1/2 with rounds but never exceeds it.
+	if got := logicalErrorRate(0.5, 9, 9); got > 0.5 {
+		t.Errorf("saturated rate %v > 0.5", got)
+	}
+	if lo, hi := logicalErrorRate(0.02, 3, 1), 0.5; lo > hi {
+		t.Errorf("above-threshold single round %v > %v", lo, hi)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/isa"
-	"repro/internal/metrics"
 )
 
 // Result is the outcome of simulating one program: the application-level
@@ -87,7 +86,7 @@ type Result struct {
 	// syndrome-extraction round count; LogicalErrorRate is the estimated
 	// probability of a logical error over the full run, derived from the
 	// simulated physical fidelity via the surface-code threshold ansatz
-	// (metrics.LogicalErrorRate).
+	// (logicalErrorRate).
 	CodeDistance     int     `json:"code_distance,omitempty"`
 	QECRounds        int     `json:"qec_rounds,omitempty"`
 	LogicalErrorRate float64 `json:"logical_error_rate,omitempty"`
@@ -111,7 +110,41 @@ func (r *Result) PhysicalErrorRate() float64 {
 func (r *Result) AttachQEC(d, rounds int) {
 	r.CodeDistance = d
 	r.QECRounds = rounds
-	r.LogicalErrorRate = metrics.LogicalErrorRate(r.PhysicalErrorRate(), d, rounds)
+	r.LogicalErrorRate = logicalErrorRate(r.PhysicalErrorRate(), d, rounds)
+}
+
+// Surface-code logical-error model. The toolflow's reliability output is
+// a fidelity product over physical operations (§V.B); for QEC workloads
+// the question is what that physical error rate buys at the logical
+// level. logicalErrorRate applies the standard threshold scaling ansatz
+// (Fowler et al., "Surface codes: towards practical large-scale quantum
+// computation", PRA 86, 032324, Eq. 11): below threshold, each extra
+// unit of code distance suppresses the per-round logical failure
+// probability by another factor of (p/p_th).
+const (
+	// surfaceThreshold is the circuit-level depolarizing threshold p_th.
+	surfaceThreshold = 0.01
+	// surfaceScaleA is the empirical prefactor of the scaling ansatz.
+	surfaceScaleA = 0.03
+)
+
+// logicalErrorRate estimates the probability that a distance-d rotated
+// surface code patch suffers a logical error over `rounds` rounds of
+// syndrome extraction, given a mean physical error rate pPhys per
+// operation: per round p_L = A·(pPhys/p_th)^((d+1)/2) (clamped to the
+// random-guessing ceiling ½), compounded over rounds as an odd-number-
+// of-flips probability ½·(1−(1−2·p_L)^rounds). Degenerate inputs
+// (non-positive d or rounds, pPhys <= 0) return 0; pPhys at or above
+// threshold saturates at ½.
+func logicalErrorRate(pPhys float64, d, rounds int) float64 {
+	if d <= 0 || rounds <= 0 || pPhys <= 0 {
+		return 0
+	}
+	perRound := surfaceScaleA * math.Pow(pPhys/surfaceThreshold, float64(d+1)/2)
+	if perRound > 0.5 {
+		perRound = 0.5
+	}
+	return 0.5 * (1 - math.Pow(1-2*perRound, float64(rounds)))
 }
 
 // TotalSeconds returns the makespan in seconds (the unit of the paper's

@@ -46,7 +46,6 @@ import (
 	"math"
 
 	"repro/internal/device"
-	"repro/internal/heating"
 	"repro/internal/isa"
 	"repro/internal/models"
 )
@@ -481,7 +480,7 @@ func (e *engine) apply(op *isa.Op) error {
 		}
 
 	case isa.OpIonSwap:
-		e.energy[t] = heating.IonSwapHop(e.energy[t], p.K1)
+		e.energy[t] = ionSwapEnergy(e.energy[t], p.K1)
 		e.observe(t)
 
 	case isa.OpSplit:
@@ -491,13 +490,13 @@ func (e *engine) apply(op *isa.Op) error {
 			e.transitE[q] = e.energy[t] + p.K1
 			e.energy[t] = 0
 		} else {
-			e.transitE[q], e.energy[t] = heating.Split(e.energy[t], 1, rest, p.K1)
+			e.transitE[q], e.energy[t] = splitEnergy(e.energy[t], 1, rest, p.K1)
 		}
 		e.observe(t)
 		e.observeTransit(q)
 
 	case isa.OpMove:
-		e.transitE[q] = heating.Move(e.transitE[q], e.dev.Segments[op.Segment].Length, p.K2)
+		e.transitE[q] = moveEnergy(e.transitE[q], e.dev.Segments[op.Segment].Length, p.K2)
 		e.observeTransit(q)
 
 	case isa.OpLinkTransit:
@@ -513,7 +512,7 @@ func (e *engine) apply(op *isa.Op) error {
 		e.observeTransit(q)
 
 	case isa.OpMerge:
-		e.energy[t] = heating.Merge(e.energy[t], e.transitE[q], p.K1)
+		e.energy[t] = mergeEnergy(e.energy[t], e.transitE[q], p.K1)
 		e.observe(t)
 	}
 	return nil

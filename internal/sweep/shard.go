@@ -31,7 +31,7 @@ func (w Window) Clamp(i int64) int64 {
 }
 
 // FullWindow returns the window covering the whole expansion.
-func (g *Grid) FullWindow() Window { return Window{Start: 0, End: g.size} }
+func (g *Grid) FullWindow() Window { return Window{Start: 0, End: g.Size()} }
 
 // Shard returns the index window of shard `index` out of `count`: the
 // balanced contiguous partition of [0, Size()) in which every shard gets
@@ -47,7 +47,7 @@ func (g *Grid) Shard(index, count int) (Window, error) {
 	if index < 0 || index >= count {
 		return Window{}, fmt.Errorf("sweep: shard index %d out of range [0, %d)", index, count)
 	}
-	q, r := g.size/int64(count), g.size%int64(count)
+	q, r := g.Size()/int64(count), g.Size()%int64(count)
 	i := int64(index)
 	start := i*q + min64(i, r)
 	end := start + q
@@ -60,8 +60,8 @@ func (g *Grid) Shard(index, count int) (Window, error) {
 // Window validates an explicit half-open [start, end) index window
 // against the expansion bounds.
 func (g *Grid) Window(start, end int64) (Window, error) {
-	if start < 0 || end < start || end > g.size {
-		return Window{}, fmt.Errorf("sweep: window [%d, %d) out of range [0, %d]", start, end, g.size)
+	if start < 0 || end < start || end > g.Size() {
+		return Window{}, fmt.Errorf("sweep: window [%d, %d) out of range [0, %d]", start, end, g.Size())
 	}
 	return Window{Start: start, End: end}, nil
 }
@@ -71,23 +71,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Group returns the indexes inside window w of the rows that share row
-// i's compiled program, in increasing order: i's gate siblings, which
-// differ from it only in the gate axis. The gate implementation enters
-// only the simulator, so one compiled program serves the whole group. In
-// the expansion order gate siblings sit at stride |reorders|×|policies|
-// inside their (app, topology, capacity) block. i must lie in w.
-func (g *Grid) Group(i int64, w Window) []int64 {
-	stride := int64(len(g.reorders) * len(g.policies))
-	block := stride * int64(len(g.gates))
-	first := i - i%block + i%stride
-	members := make([]int64, 0, len(g.gates))
-	for j := first; j < first+block; j += stride {
-		if j >= w.Start && j < w.End {
-			members = append(members, j)
-		}
-	}
-	return members
 }

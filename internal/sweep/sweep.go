@@ -1,22 +1,26 @@
-// Package sweep implements the server-side design-space sweep grammar: a
-// compact cross-product description of design points (apps × topologies ×
-// capacities × gates × reorder methods × compiler policies) that is
-// validated up front and expanded lazily, one point at a time, in a
-// stable total order.
+// Package sweep implements the server-side design-space sweep. A Grid is
+// an ordered set of design points, validated up front and expanded
+// lazily, one point at a time; it reports its exact size and hash and
+// mints index windows, shards, resume cursors and compile groups, in the
+// same way whichever of its two constructors built it.
 //
-// A Space is the wire-level grammar. Compiling it yields a Grid: the
-// validated, normalized form that can report its exact size, materialize
-// any single point by index without enumerating the rest, and mint/verify
-// resume cursors. A TITAN-scale million-point search therefore costs the
-// server O(1) memory per in-flight point, never O(grid).
+// Space.Compile builds a Grid from the wire-level grammar, a compact
+// cross product of apps × topologies × capacities × gates × reorder
+// methods × compiler policies. Any point materializes by index without
+// enumerating the rest, so a TITAN-scale million-point search costs the
+// server O(1) memory per in-flight point, never O(grid). Apps vary
+// slowest, then topologies, capacities, gates and reorder methods, with
+// policies fastest: the nesting of the paper's evaluation grid, with
+// adjacent points comparing policies on an otherwise identical
+// configuration. A grammar's compile groups are gate siblings.
 //
-// Expansion order is fixed and documented: apps vary slowest, then
-// topologies, then capacities, then gates, then reorder methods, with
-// compiler policies varying fastest — the same nesting as the paper's
-// evaluation grid, with the policy axis innermost so adjacent points
-// compare policies on an otherwise identical configuration. The order is
-// part of the cursor contract: a cursor is (space identity, next index),
-// so resuming can neither skip nor duplicate points.
+// List builds a Grid from a points list, in list order, grouped by
+// core.List: points equal but for their gate, within a fixed span of
+// their group's first index. A grammar's expansion passed as a list
+// therefore groups exactly as the grammar does.
+//
+// The order is part of the cursor contract: a cursor is (grid identity,
+// next index), so resuming can neither skip nor duplicate points.
 package sweep
 
 import (
@@ -48,16 +52,21 @@ type Space struct {
 	Policies []string `json:"policies,omitempty"`
 }
 
-// Grid is a compiled Space: validated, normalized, and ready for lazy
-// indexed expansion. Construct with Space.Compile; safe for concurrent
-// use.
+// Grid is a validated, ordered set of design points, ready for lazy
+// indexed expansion. Construct with Space.Compile or List; safe for
+// concurrent use.
 type Grid struct {
+	src  core.Source // the whole expansion, [0, Size())
+	hash string
+}
+
+// grammar is a compiled Space: the request's axes, with the enumerated
+// ones parsed (and defaulted when empty).
+type grammar struct {
 	space    Space
 	gates    []models.GateImpl
 	reorders []models.ReorderMethod
 	policies []models.PolicyName
-	size     int64
-	hash     string
 }
 
 // Compile validates the grammar and returns its lazy expansion. Every
@@ -117,17 +126,17 @@ func (s Space) Compile() (*Grid, error) {
 		seenTopos[key] = true
 	}
 
-	gates, gateNames, err := enumAxis(s.Gates, []string{models.FM.String()},
+	gates, err := enumAxis(s.Gates, []string{models.FM.String()},
 		"gates", "gate", models.ParseGateImpl)
 	if err != nil {
 		return nil, err
 	}
-	reorders, reorderNames, err := enumAxis(s.Reorders, []string{models.GS.String()},
+	reorders, err := enumAxis(s.Reorders, []string{models.GS.String()},
 		"reorders", "reorder", models.ParseReorderMethod)
 	if err != nil {
 		return nil, err
 	}
-	policies, policyNames, err := enumAxis(s.Policies, []string{models.PolicyBaseline},
+	policies, err := enumAxis(s.Policies, []string{models.PolicyBaseline},
 		"policies", "policy", models.ParsePolicy)
 	if err != nil {
 		return nil, err
@@ -141,52 +150,54 @@ func (s Space) Compile() (*Grid, error) {
 		}
 	}
 
-	norm := Space{
-		Apps:       s.Apps,
-		Topologies: s.Topologies,
-		Capacities: s.Capacities,
-		// Store canonical spellings so the space hash (and therefore the
-		// cursor) does not depend on the client's capitalization or on
-		// whether the defaults were spelled out.
-		Gates:    gateNames,
-		Reorders: reorderNames,
-		Policies: policyNames,
+	x := &grammar{space: s, gates: gates, reorders: reorders, policies: policies}
+	return &Grid{
+		src:  core.Source{End: size, Point: x.pointAt, Group: x.group, Width: len(gates)},
+		hash: x.hash(),
+	}, nil
+}
+
+// List validates a points list and returns it as a grid whose expansion
+// is the list, in order, grouped by core.List. Its hash covers the
+// canonical points under a tag no grammar hash starts with, so a cursor
+// resumes only an equal list.
+func List(points []core.Point) (*Grid, error) {
+	var c models.Canon
+	c.Str("list", "v1")
+	c.Int("n_points", len(points))
+	for i, pt := range points {
+		if err := pt.Validate(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+		pt.AppendCanonical(&c)
 	}
-	g := &Grid{space: norm, gates: gates, reorders: reorders, policies: policies, size: size}
-	g.hash = g.computeHash()
-	return g, nil
+	return &Grid{src: core.List(points), hash: c.Sum()}, nil
 }
 
 // enumAxis validates one enumerated sweep axis: substitutes defaults when
 // the axis is empty, parses every name through parse, and rejects
 // duplicates after normalization (so "fm" and "FM", or "baseline" and
-// "BASELINE", collide). It returns the parsed values alongside their
-// canonical spellings for the normalized Space. The gates, reorders and
-// policies axes all compile through this one helper, so a future axis
-// inherits validation, normalization and error wording for free.
-func enumAxis[T interface {
-	comparable
-	fmt.Stringer
-}](names, defaults []string, plural, singular string, parse func(string) (T, error)) ([]T, []string, error) {
+// "BASELINE", collide). The gates, reorders and policies axes all compile
+// through this one helper, so a future axis inherits validation,
+// normalization and error wording for free.
+func enumAxis[T comparable](names, defaults []string, plural, singular string, parse func(string) (T, error)) ([]T, error) {
 	if len(names) == 0 {
 		names = defaults
 	}
 	vals := make([]T, 0, len(names))
-	canon := make([]string, 0, len(names))
 	seen := make(map[T]bool, len(names))
 	for i, name := range names {
 		v, err := parse(name)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sweep: space: %s[%d]: %w", plural, i, err)
+			return nil, fmt.Errorf("sweep: space: %s[%d]: %w", plural, i, err)
 		}
 		if seen[v] {
-			return nil, nil, fmt.Errorf("sweep: space: duplicate %s %q", singular, name)
+			return nil, fmt.Errorf("sweep: space: duplicate %s %q", singular, name)
 		}
 		seen[v] = true
 		vals = append(vals, v)
-		canon = append(canon, v.String())
 	}
-	return vals, canon, nil
+	return vals, nil
 }
 
 // mul64 multiplies checking for int64 overflow.
@@ -201,93 +212,112 @@ func mul64(a, b int64) (int64, bool) {
 	return p, true
 }
 
-// Space returns the normalized grammar (defaults filled, canonical gate
-// and reorder spellings).
-func (g *Grid) Space() Space { return g.space }
+// Size returns the exact number of points the grid expands to.
+func (g *Grid) Size() int64 { return g.src.End }
 
-// Size returns the exact number of points the grammar expands to.
-func (g *Grid) Size() int64 { return g.size }
-
-// Hash content-addresses the normalized grammar: equal design spaces hash
-// equally, and any change to an axis (values or order) changes the hash.
-// It is the space-identity half of every cursor.
+// Hash content-addresses the grid: equal grammars, or equal lists, hash
+// equally, and any change to an axis or a point (value or order) changes
+// the hash. It is the identity half of every cursor.
 func (g *Grid) Hash() string { return g.hash }
 
-func (g *Grid) computeHash() string {
+func (x *grammar) hash() string {
 	var c models.Canon
 	c.Str("space", "v1")
-	c.Int("n_apps", len(g.space.Apps))
-	for _, a := range g.space.Apps {
+	c.Int("n_apps", len(x.space.Apps))
+	for _, a := range x.space.Apps {
 		c.Str("app", a)
 	}
-	c.Int("n_topologies", len(g.space.Topologies))
-	for _, t := range g.space.Topologies {
+	c.Int("n_topologies", len(x.space.Topologies))
+	for _, t := range x.space.Topologies {
 		c.Str("topology", t)
 	}
-	c.Int("n_capacities", len(g.space.Capacities))
-	for _, cap := range g.space.Capacities {
+	c.Int("n_capacities", len(x.space.Capacities))
+	for _, cap := range x.space.Capacities {
 		c.Int("capacity", cap)
 	}
-	c.Int("n_gates", len(g.space.Gates))
-	for _, gt := range g.space.Gates {
-		c.Str("gate", gt)
+	// Enumerated axes hash by canonical name, so the hash (and therefore
+	// the cursor) does not depend on the client's capitalization or on
+	// whether the defaults were spelled out.
+	c.Int("n_gates", len(x.gates))
+	for _, gt := range x.gates {
+		c.Str("gate", gt.String())
 	}
-	c.Int("n_reorders", len(g.space.Reorders))
-	for _, r := range g.space.Reorders {
-		c.Str("reorder", r)
+	c.Int("n_reorders", len(x.reorders))
+	for _, r := range x.reorders {
+		c.Str("reorder", r.String())
 	}
-	c.Int("n_policies", len(g.space.Policies))
-	for _, p := range g.space.Policies {
-		c.Str("policy", p)
+	c.Int("n_policies", len(x.policies))
+	for _, p := range x.policies {
+		c.Str("policy", p.String())
 	}
 	return c.Sum()
 }
 
 // PointAt materializes the i-th point of the expansion without touching
-// any other point. The total order is mixed-radix over the axes with
-// policy fastest: index i decomposes as
+// any other point.
+func (g *Grid) PointAt(i int64) core.Point {
+	if i < 0 || i >= g.Size() {
+		panic(fmt.Sprintf("sweep: point index %d out of range [0, %d)", i, g.Size()))
+	}
+	return g.src.Point(i)
+}
+
+// pointAt is a grammar's expansion order: mixed-radix over the axes with
+// policy fastest, so index i decomposes as
 //
 //	i = (((((app·|T| + topo)·|C| + cap)·|G| + gate)·|R| + reorder)·|P| + policy)
 //
 // matching the nesting of the paper's evaluation grid with the policy
 // axis innermost.
-func (g *Grid) PointAt(i int64) core.Point {
-	if i < 0 || i >= g.size {
-		panic(fmt.Sprintf("sweep: point index %d out of range [0, %d)", i, g.size))
-	}
-	nP := int64(len(g.policies))
+func (x *grammar) pointAt(i int64) core.Point {
+	nP := int64(len(x.policies))
 	p := i % nP
 	i /= nP
-	nR := int64(len(g.reorders))
+	nR := int64(len(x.reorders))
 	r := i % nR
 	i /= nR
-	nG := int64(len(g.gates))
+	nG := int64(len(x.gates))
 	gt := i % nG
 	i /= nG
-	nC := int64(len(g.space.Capacities))
+	nC := int64(len(x.space.Capacities))
 	c := i % nC
 	i /= nC
-	nT := int64(len(g.space.Topologies))
+	nT := int64(len(x.space.Topologies))
 	t := i % nT
 	i /= nT
 	return core.Point{
-		App:      g.space.Apps[i],
-		Topology: g.space.Topologies[t],
-		Capacity: g.space.Capacities[c],
-		Gate:     g.gates[gt],
-		Reorder:  g.reorders[r],
-		Policy:   g.policies[p],
+		App:      x.space.Apps[i],
+		Topology: x.space.Topologies[t],
+		Capacity: x.space.Capacities[c],
+		Gate:     x.gates[gt],
+		Reorder:  x.reorders[r],
+		Policy:   x.policies[p],
 	}
 }
 
-// Source returns window w of the expansion as a stream source whose
-// compile groups are gate siblings (see Group).
-func (g *Grid) Source(w Window) core.Source {
-	return core.Source{
-		Start: w.Start,
-		End:   w.End,
-		Point: g.PointAt,
-		Group: func(i int64) []int64 { return g.Group(i, w) },
-		Width: len(g.gates),
+// Group returns i and the later indexes of i's compile group, in
+// increasing order: a grammar's later gate siblings of i, or the later
+// members of i's group in a list (see core.List). The gate
+// implementation enters only the simulator, so points that differ only
+// in their gate share one program.
+func (g *Grid) Group(i int64) []int64 { return g.src.Group(i) }
+
+// group returns i and its later gate siblings in a grammar: they sit at stride
+// |reorders|×|policies| inside i's (app, topology, capacity) block.
+func (x *grammar) group(i int64) []int64 {
+	stride := int64(len(x.reorders) * len(x.policies))
+	block := stride * int64(len(x.gates))
+	members := make([]int64, 0, len(x.gates))
+	for j := i; j < i-i%block+block; j += stride {
+		members = append(members, j)
 	}
+	return members
+}
+
+// Source returns window w of the expansion as a stream source whose
+// compile groups are the grid's (see Group).
+func (g *Grid) Source(w Window) core.Source {
+	src := g.src
+	src.Start, src.End = w.Start, w.End
+	return src
 }

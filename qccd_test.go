@@ -2,6 +2,7 @@ package qccd
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,33 @@ func TestPublicExplorer(t *testing.T) {
 	}
 	if o.Result.Fidelity <= 0 {
 		t.Error("explorer result")
+	}
+}
+
+// TestExplorerSweepCompilesPerGroup sweeps ExampleExplorer_Sweep's
+// points: its 12 points are 6 pairs of gate siblings, so the sweep
+// compiles 6 programs, and each outcome equals the point run on its own.
+func TestExplorerSweepCompilesPerGroup(t *testing.T) {
+	var points []DesignPoint
+	for _, topology := range []string{"L6", "G2x3"} {
+		for _, capacity := range []int{14, 22, 30} {
+			for _, gate := range []GateImpl{AM2, FM} {
+				points = append(points, DesignPoint{
+					App: "SquareRoot", Topology: topology, Capacity: capacity, Gate: gate, Reorder: GS,
+				})
+			}
+		}
+	}
+	ex := NewExplorer(DefaultParams())
+	outcomes := ex.Sweep(points)
+	if n := ex.Compiles(); n != 6 {
+		t.Errorf("sweeping %d points compiled %d programs, want 6", len(points), n)
+	}
+	for i, o := range outcomes {
+		alone := NewExplorer(DefaultParams()).Run(points[i])
+		if o.Err != nil || alone.Err != nil || !reflect.DeepEqual(o.Result, alone.Result) {
+			t.Errorf("%s: swept %+v, run alone %+v", points[i], o, alone)
+		}
 	}
 }
 

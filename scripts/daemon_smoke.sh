@@ -7,9 +7,10 @@
 # and resumes from the last received row's cursor. The union of sequence
 # numbers from the partial and resumed streams must be exactly the full
 # expansion range, each index once — no gaps, no duplicates. Then checks
-# the sweep progress registry, and streams a materialized points list
-# with one repeated point: its rows must arrive in input order, and the
-# repeat must be served by the cache.
+# the sweep progress registry, and pages a materialized points list with
+# one repeated point by limit and next_cursor: the pages must carry the
+# header line and together cover every index once, and the repeat's
+# later copy must be served by the cache.
 #
 # Part 2 (multi-replica scale-out): starts two replicas sharing one
 # -cache-dir, streams disjoint shards of the full paper grammar to each,
@@ -120,17 +121,23 @@ echo "   registry: $HASHES"
 [ "$(echo "$HASHES" | wc -l)" -eq 1 ] || fail "registry has sweeps for more than one space"
 [ "$(echo "$HASHES" | sed 's/ .*//')" -eq 3 ] || fail "registry does not list all three sweeps"
 
-echo "== points form: rows in input order, the repeated point a cache hit"
-# The two copies of the repeated point may run concurrently, so which of
-# them is the cached one is not fixed; exactly one is.
+echo "== points form: framed like a grammar, paged by limit and next_cursor"
+# A points list streams a header, rows with cursors and a summary, as a
+# grammar does. The later copy of the repeated point is always the cache
+# hit: it shares its first copy's compile group, or, as here, comes on a
+# later page.
 POINTS='[{"app":"BV@8","topology":"L4","capacity":14},{"app":"BV@8","topology":"L4","capacity":18},{"app":"BV@8","topology":"L4","capacity":14},{"app":"BV@12","topology":"L4","capacity":14}]'
-curl -sN -X POST "$BASE/v1/sweep" -d "{\"points\":$POINTS}" > "$TMP/points.ndjson"
-SEQS=$(grep -o '"seq":[0-9]*' "$TMP/points.ndjson" | sed 's/"seq"://' | tr '\n' ' ')
-[ "$SEQS" = "0 1 2 3 " ] || { cat "$TMP/points.ndjson" >&2; fail "points rows arrived as seq $SEQS, want 0 1 2 3 in order"; }
-SUMMARY=$(tail -n 1 "$TMP/points.ndjson")
-echo "$SUMMARY" | grep -q '"done":true' || fail "points stream: no summary line"
-echo "$SUMMARY" | grep -q '"total":4,' || fail "points summary $SUMMARY: want total 4"
-echo "$SUMMARY" | grep -q '"cache_hits":1,' || fail "points summary $SUMMARY: want cache_hits 1"
+curl -sN -X POST "$BASE/v1/sweep" -d "{\"points\":$POINTS,\"limit\":2}" > "$TMP/points1.ndjson"
+head -n 1 "$TMP/points1.ndjson" | grep -q '"grid_size":4,' || { cat "$TMP/points1.ndjson" >&2; fail "points page 1: no header line"; }
+NEXT=$(tail -n 1 "$TMP/points1.ndjson" | grep -o '"next_cursor":"[^"]*"' | sed 's/"next_cursor":"//;s/"$//')
+[ -n "$NEXT" ] || { cat "$TMP/points1.ndjson" >&2; fail "points page 1: no next_cursor"; }
+curl -sN -X POST "$BASE/v1/sweep" -d "{\"points\":$POINTS,\"resume_from\":\"$NEXT\"}" > "$TMP/points2.ndjson"
+head -n 1 "$TMP/points2.ndjson" | grep -q '"start_index":2,' || { cat "$TMP/points2.ndjson" >&2; fail "points page 2: header does not start at index 2"; }
+grep -q '"done":true' "$TMP/points2.ndjson" || fail "points page 2: no summary line"
+cat "$TMP/points1.ndjson" "$TMP/points2.ndjson" | grep -o '"seq":[0-9]*' | sed 's/"seq"://' | sort -n > "$TMP/points-seqs.txt"
+seq 0 3 | diff -u - "$TMP/points-seqs.txt" || fail "the points pages' seqs do not cover 0-3 exactly once"
+grep '"seq":2,' "$TMP/points2.ndjson" | grep -q '"cached":true' || { cat "$TMP/points2.ndjson" >&2; fail "the repeated point's later copy was not a cache hit"; }
+tail -n 1 "$TMP/points2.ndjson" | grep -q '"cache_hits":1,' || fail "points page 2: want cache_hits 1"
 
 kill "$DAEMON_PID" 2>/dev/null || true
 wait "$DAEMON_PID" 2>/dev/null || true
