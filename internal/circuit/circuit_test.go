@@ -113,13 +113,21 @@ func TestCircuitValidateErrors(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	c := New("orig", 2)
+	c := New("orig", 3)
 	c.Append(NewGate2(GateCNOT, 0, 1))
+	c.Append(Gate{Kind: GateBarrier, Qubits: []int{2, 0, 1}})
 	d := c.Clone()
 	d.Gates[0].Qubits[0] = 1
 	d.Gates[0].Qubits[1] = 0
 	if c.Gates[0].Qubits[0] != 0 {
 		t.Error("Clone shares qubit slices with original")
+	}
+	if got := d.Gates[1].Qubits; len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 1 {
+		t.Fatalf("clone's barrier operands = %v, want [2 0 1]", got)
+	}
+	d.Gates[1].Qubits[0] = 1
+	if c.Gates[1].Qubits[0] != 2 {
+		t.Error("Clone shares barrier operands with original")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/difftest"
 	"repro/internal/isa"
 	"repro/internal/models"
 )
@@ -101,5 +102,51 @@ func hashProgram(h hash.Hash, p *isa.Program) {
 			buf = le.AppendUint32(buf, uint32(d))
 		}
 		h.Write(buf)
+	}
+}
+
+// TestBarrierProgramsPinned pins the programs compiled from seeded
+// difftest.RandomClifford circuits, which carry barriers over random
+// qubit subsets, under the baseline and lookahead policies on two small
+// devices. The lookahead order builds its dependency DAG from barrier
+// operands, and the mapper's first-use order reads them too, so a change
+// to how a circuit stores or returns a barrier's operands moves a digest.
+func TestBarrierProgramsPinned(t *testing.T) {
+	want := map[string]string{
+		"baseline":  "a206a8f0237df20a560df46d2749b7dcd154c5bd1d4ae2c0f3f5af1db5251a32",
+		"lookahead": "7b35a986ab7f89ca7b7a0895ffffa34b427aa35f70b3baf329131f95613f56c6",
+	}
+	var devs []*device.Device
+	for _, spec := range []string{"L4", "G2x2"} {
+		d, err := device.Parse(spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, d)
+	}
+	barriers := 0
+	for _, name := range []string{"baseline", "lookahead"} {
+		h := sha256.New()
+		for seed := int64(1); seed <= 200; seed++ {
+			c := difftest.RandomClifford(seed, difftest.DefaultGenOptions())
+			if name == "baseline" {
+				barriers += c.CountKind(circuit.GateBarrier)
+			}
+			for _, d := range devs {
+				opts := DefaultOptions()
+				opts.Policy = models.PolicyName(name)
+				prog, err := Compile(c, d, opts)
+				if err != nil {
+					t.Fatalf("seed %d on %s (%s): %v", seed, d.Name, name, err)
+				}
+				hashProgram(h, prog)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: programs digest = %s, want %s", name, got, want[name])
+		}
+	}
+	if barriers == 0 {
+		t.Fatal("the seeded circuits hold no barrier")
 	}
 }
