@@ -3,11 +3,12 @@ package qccd
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (run with `go test -bench=. -benchmem`), plus per-stage
 // compiler/simulator benchmarks and ablations over the design choices
-// DESIGN.md calls out (buffer slots, reordering method, gate
-// implementation, routing weights).
+// (buffer slots, reordering method, gate implementation, routing
+// weights).
 //
 // The figure benchmarks report headline shape metrics via b.ReportMetric
-// so a bench run doubles as a reproduction check (see EXPERIMENTS.md).
+// so a bench run doubles as a reproduction check (the README section
+// "Regenerate the paper's evaluation" runs the full evaluation).
 
 import (
 	"context"

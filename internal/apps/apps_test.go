@@ -137,7 +137,8 @@ func TestAdderCounts(t *testing.T) {
 	}
 	got := c.TwoQubitGates()
 	// 31 MAJ (8 each) + 31 UMA (8 each) + 1 carry CNOT = 497, within 9%
-	// of the paper's 545 (see DESIGN.md §3).
+	// of the paper's 545 (see the substitution note in the package
+	// comment).
 	if got != 497 {
 		t.Errorf("Adder 2Q = %d, want 497", got)
 	}
@@ -296,5 +297,49 @@ func TestSizedBenchmarks(t *testing.T) {
 	if a.NumQubits != b.NumQubits || len(a.Gates) != len(b.Gates) {
 		t.Errorf("QFT and QFT@64 differ: %d/%d qubits, %d/%d gates",
 			a.NumQubits, b.NumQubits, len(a.Gates), len(b.Gates))
+	}
+}
+
+// TestGeneratorsPresize checks that every generator presizes its gate
+// array to exactly the gates it emits: a short count regrows the array,
+// and a long one leaves capacity that a memoized circuit holds for the
+// life of the process.
+func TestGeneratorsPresize(t *testing.T) {
+	names := append(Names(), "QFT@7", "QAOA@9", "BV@5", "Adder@10", "SquareRoot@14",
+		"SquareRoot@12", "Supremacy@24", "Supremacy@16", "Surface@3", "Surface@5")
+	for _, name := range names {
+		c, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(c.Gates) != len(c.Gates) {
+			t.Errorf("%s: %d gates in an array of %d", name, len(c.Gates), cap(c.Gates))
+		}
+	}
+	for _, tc := range []struct {
+		rows, cols, gates int
+	}{{2, 2, 0}, {2, 3, 7}, {3, 2, 5}, {3, 5, 41}, {8, 8, 560}} {
+		c, err := Supremacy(tc.rows, tc.cols, tc.gates, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(c.Gates) != len(c.Gates) {
+			t.Errorf("Supremacy(%d, %d, %d): %d gates in an array of %d",
+				tc.rows, tc.cols, tc.gates, len(c.Gates), cap(c.Gates))
+		}
+	}
+}
+
+// TestByNameAllocs bounds the heap objects one build takes, so a heap
+// object per gate cannot come back unnoticed: QFT@128 is 40,896 gates.
+func TestByNameAllocs(t *testing.T) {
+	const limit = 16
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ByName("QFT@128"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > limit {
+		t.Errorf("ByName(QFT@128) takes %.0f allocations, want at most %d", allocs, limit)
 	}
 }

@@ -87,7 +87,14 @@ func Surface(d, rounds int) (*circuit.Circuit, error) {
 		return nil, err
 	}
 	n := 2*d*d - 1
-	b := circuit.NewBuilder(fmt.Sprintf("Surface%dr%d", d, rounds), n)
+	perRound := 0 // each plaquette's CNOTs and measurement, X-type's two H
+	for _, p := range ps {
+		perRound += len(p.Data) + 1
+		if p.XType {
+			perRound += 2
+		}
+	}
+	b := circuit.NewBuilder(fmt.Sprintf("Surface%dr%d", d, rounds), n).Grow(rounds*perRound + d*d)
 	for round := 0; round < rounds; round++ {
 		for _, p := range ps {
 			if p.XType {

@@ -126,7 +126,7 @@ func TestSurfaceSyndromeDeterminism(t *testing.T) {
 				}
 				continue
 			}
-			q := g.Qubits[0]
+			q := g.Qubit(0)
 			out, random := tab.Measure(q, rng)
 			if q < d*d {
 				continue // final data readout: unconstrained

@@ -14,8 +14,20 @@ type Builder struct {
 // NewBuilder starts a circuit named name over n qubits.
 func NewBuilder(name string, n int) *Builder {
 	b := &Builder{c: New(name, n)}
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		b.err = fmt.Errorf("circuit %q: non-positive qubit count %d", name, n)
+	case n > MaxQubits:
+		b.err = fmt.Errorf("circuit %q: %d qubits, at most %d fit", name, n, MaxQubits)
+	}
+	return b
+}
+
+// Grow presizes the circuit for n more gates, so a generator that knows
+// its gate count appends every gate without regrowing the array.
+func (b *Builder) Grow(n int) *Builder {
+	if gs := b.c.Gates; n > cap(gs)-len(gs) {
+		b.c.Gates = append(make([]Gate, 0, len(gs)+n), gs...)
 	}
 	return b
 }
@@ -32,7 +44,20 @@ func (b *Builder) Add(g Gate) *Builder {
 		b.err = fmt.Errorf("gate %d: %w", len(b.c.Gates), err)
 		return b
 	}
-	b.c.Gates = append(b.c.Gates, g)
+	b.c.add(g)
+	return b
+}
+
+// Barrier appends a barrier over qs after validating it.
+func (b *Builder) Barrier(qs ...int) *Builder {
+	if b.err != nil {
+		return b
+	}
+	b.c.AppendBarrier(qs...)
+	last := len(b.c.Gates) - 1
+	if err := validate(GateBarrier, b.c.Qubits(last), b.c.NumQubits); err != nil {
+		b.err = fmt.Errorf("gate %d: %w", last, err)
+	}
 	return b
 }
 

@@ -4,9 +4,20 @@
 // in §V.A and §VI of the paper. It also provides the dependency DAG used by
 // the earliest-ready-gate-first scheduler and the workload statistics that
 // drive the architectural study (Table II).
+//
+// The IR is flat: a Gate is a 24-byte record with no pointers that holds
+// its at most two operands inline, as isa.Op does, so a circuit is one
+// gate array plus, when it has barriers, one array of their operands. A
+// generator that knows its gate count presizes the array (Builder.Grow),
+// so building QFT@512's 655 k gates takes a handful of allocations, and
+// the toolflow's memoized circuits hold no per-gate heap objects.
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Circuit is a fully unrolled quantum program: a named, ordered gate list
 // over NumQubits program qubits. The zero value is an empty, unusable
@@ -19,6 +30,9 @@ type Circuit struct {
 	// Gates is the program order. Dependencies are implied: each gate
 	// depends on the previous gate touching any of its operands.
 	Gates []Gate
+	// barriers holds every barrier's operands back to back; each barrier
+	// gate records its span.
+	barriers []int32
 }
 
 // New returns an empty circuit over n qubits.
@@ -27,16 +41,59 @@ func New(name string, n int) *Circuit {
 }
 
 // Append adds gates to the end of the program without validation. Use
-// Validate (or a Builder) to check the result.
-func (c *Circuit) Append(gs ...Gate) { c.Gates = append(c.Gates, gs...) }
+// Validate (or a Builder) to check the result. A barrier's operands live
+// in its own circuit's table, so Append panics on a barrier that names
+// any: add barriers with AppendBarrier.
+func (c *Circuit) Append(gs ...Gate) {
+	for _, g := range gs {
+		c.add(g)
+	}
+}
+
+// add appends one gate as Append does.
+func (c *Circuit) add(g Gate) {
+	if g.Kind == GateBarrier && g.q[1] != 0 {
+		panic("circuit: Append of a barrier with operands; use AppendBarrier")
+	}
+	c.Gates = append(c.Gates, g)
+}
+
+// AppendBarrier adds a barrier over qs to the end of the program without
+// validation, keeping its operands in the circuit's barrier table.
+func (c *Circuit) AppendBarrier(qs ...int) {
+	off := len(c.barriers)
+	if len(qs) > math.MaxInt32-off {
+		panic("circuit: barrier operands overflow the circuit's table")
+	}
+	for _, q := range qs {
+		c.barriers = append(c.barriers, operand(q))
+	}
+	c.Gates = append(c.Gates, Gate{Kind: GateBarrier, q: [2]int32{int32(off), int32(len(qs))}})
+}
+
+// Qubits returns gate i's operands, control first for a controlled gate,
+// without allocating. The slice aliases the circuit — the gate's inline
+// operands, or a barrier's span of the barrier table — so writes through
+// it change the gate.
+func (c *Circuit) Qubits(i int) []int32 {
+	g := &c.Gates[i]
+	if g.Kind == GateBarrier {
+		off, end := g.q[0], g.q[0]+g.q[1]
+		return c.barriers[off:end:end]
+	}
+	return g.q[:g.n]
+}
 
 // Validate checks every gate against the qubit bound and arity rules.
 func (c *Circuit) Validate() error {
 	if c.NumQubits <= 0 {
 		return fmt.Errorf("circuit %q: non-positive qubit count %d", c.Name, c.NumQubits)
 	}
-	for i, g := range c.Gates {
-		if err := g.Validate(c.NumQubits); err != nil {
+	if c.NumQubits > MaxQubits {
+		return fmt.Errorf("circuit %q: %d qubits, at most %d fit", c.Name, c.NumQubits, MaxQubits)
+	}
+	for i := range c.Gates {
+		if err := validate(c.Gates[i].Kind, c.Qubits(i), c.NumQubits); err != nil {
 			return fmt.Errorf("gate %d: %w", i, err)
 		}
 	}
@@ -79,15 +136,13 @@ func (c *Circuit) SingleQubitGates() int {
 // Measurements returns the number of measurement operations.
 func (c *Circuit) Measurements() int { return c.CountKind(GateMeasure) }
 
-// Clone returns a deep copy of the circuit.
+// Clone returns a deep copy of the circuit: its gates and barrier
+// operands share no memory with c's.
 func (c *Circuit) Clone() *Circuit {
-	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: make([]Gate, len(c.Gates))}
-	for i, g := range c.Gates {
-		q := make([]int, len(g.Qubits))
-		copy(q, g.Qubits)
-		out.Gates[i] = Gate{Kind: g.Kind, Qubits: q, Param: g.Param}
+	return &Circuit{
+		Name: c.Name, NumQubits: c.NumQubits,
+		Gates: slices.Clone(c.Gates), barriers: slices.Clone(c.barriers),
 	}
-	return out
 }
 
 // MeasureAll appends a measurement on every qubit, as the NISQ benchmarks
@@ -105,11 +160,11 @@ func (c *Circuit) MeasureAll() {
 func (c *Circuit) FirstUseOrder() []int {
 	order := make([]int, 0, c.NumQubits)
 	seen := make([]bool, c.NumQubits)
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
+	for i := range c.Gates {
+		for _, q := range c.Qubits(i) {
 			if !seen[q] {
 				seen[q] = true
-				order = append(order, q)
+				order = append(order, int(q))
 			}
 		}
 	}

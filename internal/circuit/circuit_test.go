@@ -1,9 +1,12 @@
 package circuit
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -63,12 +66,9 @@ func TestGateValidate(t *testing.T) {
 		{NewGate2(GateCNOT, 1, 1), 1, "circuit: gate cx operand 1 out of range [0,1)"},
 		{NewGate1(GateH, 5), 2, "circuit: gate h operand 5 out of range [0,2)"},
 		{NewGate1(GateH, -1), 2, "circuit: gate h operand -1 out of range [0,2)"},
-		{Gate{Kind: GateCNOT, Qubits: []int{0}}, 2, "circuit: gate cx wants 2 qubits, has 1"},
+		{NewGate1(GateCNOT, 0), 2, "circuit: gate cx wants 2 qubits, has 1"},
 		{Gate{}, 2, "circuit: invalid gate kind"},
-		{Gate{Kind: GateBarrier, Qubits: []int{3, 70, 3}}, 100, "circuit: gate barrier repeats operand 3"},
-		{Gate{Kind: GateBarrier, Qubits: []int{0, 1, 2, 99, 98, 97}}, 100, ""},
-		{Gate{Kind: GateBarrier, Qubits: all}, 130, ""},
-		{Gate{Kind: GateBarrier, Qubits: []int{0, 130}}, 130, "circuit: gate barrier operand 130 out of range [0,130)"},
+		{NewGate1(GateH, 1<<40), 2, "circuit: gate h operand 2147483647 out of range [0,2)"},
 	}
 	for i, tt := range tests {
 		err := tt.g.Validate(tt.n)
@@ -78,6 +78,32 @@ func TestGateValidate(t *testing.T) {
 		}
 		if got != tt.want {
 			t.Errorf("case %d: Validate() err=%q, want %q", i, got, tt.want)
+		}
+	}
+	// A barrier's operands live in its circuit, which checks them.
+	barriers := []struct {
+		qs   []int
+		n    int
+		want string
+	}{
+		{[]int{3, 70, 3}, 100, "gate 0: circuit: gate barrier repeats operand 3"},
+		{[]int{0, 1, 2, 99, 98, 97}, 100, ""},
+		{all, 130, ""},
+		{[]int{0, 130}, 130, "gate 0: circuit: gate barrier operand 130 out of range [0,130)"},
+	}
+	for i, tt := range barriers {
+		c := New("barrier", tt.n)
+		c.AppendBarrier(tt.qs...)
+		got := ""
+		if err := c.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != tt.want {
+			t.Errorf("barrier case %d: Validate() err=%q, want %q", i, got, tt.want)
+		}
+		berr := NewBuilder("barrier", tt.n).Barrier(tt.qs...).Err()
+		if got := fmt.Sprint(berr); berr != nil && got != tt.want || berr == nil && tt.want != "" {
+			t.Errorf("barrier case %d: Builder.Barrier err=%v, want %q", i, berr, tt.want)
 		}
 	}
 }
@@ -115,19 +141,61 @@ func TestCircuitValidateErrors(t *testing.T) {
 func TestClone(t *testing.T) {
 	c := New("orig", 3)
 	c.Append(NewGate2(GateCNOT, 0, 1))
-	c.Append(Gate{Kind: GateBarrier, Qubits: []int{2, 0, 1}})
+	c.AppendBarrier(2, 0, 1)
 	d := c.Clone()
-	d.Gates[0].Qubits[0] = 1
-	d.Gates[0].Qubits[1] = 0
-	if c.Gates[0].Qubits[0] != 0 {
-		t.Error("Clone shares qubit slices with original")
+	d.Qubits(0)[0] = 1
+	d.Qubits(0)[1] = 0
+	if c.Qubits(0)[0] != 0 {
+		t.Error("Clone shares gate operands with original")
 	}
-	if got := d.Gates[1].Qubits; len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 1 {
+	if got := d.Qubits(1); !slices.Equal(got, []int32{2, 0, 1}) {
 		t.Fatalf("clone's barrier operands = %v, want [2 0 1]", got)
 	}
-	d.Gates[1].Qubits[0] = 1
-	if c.Gates[1].Qubits[0] != 2 {
+	d.Qubits(1)[0] = 1
+	if c.Qubits(1)[0] != 2 {
 		t.Error("Clone shares barrier operands with original")
+	}
+}
+
+// TestBarrierTable covers the barrier side table: Qubits returns each
+// gate's operands, a barrier's span stays put as gates follow it, Append
+// refuses a barrier that names operands of another circuit's table, and a
+// gate record stays 24 bytes.
+func TestBarrierTable(t *testing.T) {
+	c := New("b", 4)
+	c.AppendBarrier(3, 1)
+	c.Append(NewGate2(GateCZ, 0, 2), Gate{Kind: GateBarrier})
+	c.AppendBarrier(0, 1, 2, 3)
+	want := [][]int32{{3, 1}, {0, 2}, {}, {0, 1, 2, 3}}
+	for i, w := range want {
+		if got := c.Qubits(i); !slices.Equal(got, w) {
+			t.Errorf("Qubits(%d) = %v, want %v", i, got, w)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Gates[0].String(); got != "barrier" {
+		t.Errorf("barrier String = %q, want %q", got, "barrier")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Append of another circuit's barrier did not panic")
+			}
+		}()
+		New("other", 4).Append(c.Gates[3])
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Qubit on a barrier did not panic")
+			}
+		}()
+		_ = c.Gates[0].Qubit(0)
+	}()
+	if size := unsafe.Sizeof(Gate{}); size != 24 {
+		t.Errorf("Gate is %d bytes, want 24", size)
 	}
 }
 

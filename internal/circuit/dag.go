@@ -32,13 +32,13 @@ func BuildDAG(c *Circuit) *DAG {
 	}
 	maxEdges := 0
 	for i := range c.Gates {
-		maxEdges += len(c.Gates[i].Qubits)
+		maxEdges += len(c.Qubits(i))
 	}
 	predsFlat := make([]int, 0, maxEdges)
 	succCount := make([]int, n)
-	for i, g := range c.Gates {
+	for i := range c.Gates {
 		base := len(predsFlat)
-		for _, q := range g.Qubits {
+		for _, q := range c.Qubits(i) {
 			if p := last[q]; p >= 0 {
 				// Dedupe: a multi-qubit gate may depend on one pred via
 				// several qubits. The scan is over this gate's preds only.

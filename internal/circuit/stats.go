@@ -50,7 +50,7 @@ func ComputeStats(c *Circuit) Stats {
 		if !g.IsTwoQubit() {
 			continue
 		}
-		d := g.Qubits[0] - g.Qubits[1]
+		d := g.Qubit(0) - g.Qubit(1)
 		if d < 0 {
 			d = -d
 		}

@@ -89,7 +89,7 @@ func (s *lookaheadOrder) score(gi int) float64 {
 	if !g.Kind.IsTwoQubit() {
 		return 0
 	}
-	a, b := g.Qubits[0], g.Qubits[1]
+	a, b := g.Qubit(0), g.Qubit(1)
 	ta, tb := s.cc.chains.Trap(a), s.cc.chains.Trap(b)
 	score := 0.0
 	if ta != tb {
@@ -123,9 +123,9 @@ func (s *lookaheadOrder) affinity(q, gi, ta, tb int) int {
 		if !g.Kind.IsTwoQubit() {
 			continue
 		}
-		partner := g.Qubits[0]
+		partner := g.Qubit(0)
 		if partner == q {
-			partner = g.Qubits[1]
+			partner = g.Qubit(1)
 		}
 		if tp := cc.chains.Trap(partner); tp >= 0 && (tp == ta || tp == tb) {
 			count++

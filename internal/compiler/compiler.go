@@ -31,7 +31,16 @@
 // the list of the program before, so the list grows only for a program
 // larger than any the worker has compiled. The use lists and per-qubit
 // and per-trap arrays, the chains, the router's search state and each
-// shuttle's route are still allocated per compile.
+// shuttle's route are still allocated per compile. The router prices
+// each route once, when it builds it, so the move-cost and lookahead
+// scores that ask for a distance on every gate read a stored number.
+//
+// Checks: Compile checks the circuit and device it is given and the
+// program it emits. CompileInto, the toolflow's entry, checks none of
+// them, since the toolflow checks each input once where it is made: the
+// circuit by its builder, the device by device.Parse and the program by
+// sim.Prepare. It still checks what only the pair can show, such as a
+// circuit too large for the device, and every placement it makes.
 //
 // The decision heuristics — gate issue order, initial placement, and
 // shuttle scoring and eviction — form the policy axis: Options.Policy
@@ -85,22 +94,34 @@ func DefaultOptions() Options {
 const maxEvictionDepth = 16
 
 // Compile lowers circuit c onto device d, producing an executable program.
+// It checks all three: the circuit and device before compiling, and the
+// program it emits.
 func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, error) {
-	return CompileInto(nil, c, d, opts)
-}
-
-// CompileInto is Compile emitting into ops' storage: when ops has room
-// for the op list's seed, the program's Ops start at ops[:0], so a caller
-// compiling many programs in turn can hand each the last one's Ops. The
-// program then shares that storage, and the caller must not reuse it
-// while the program is in use.
-func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
+	prog, err := CompileInto(nil, c, d, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := prog.Validate(); err != nil {
+		return nil, fmt.Errorf("compiler: produced invalid program: %w", err)
+	}
+	return prog, nil
+}
+
+// CompileInto is Compile without its checks, emitting into ops' storage.
+// Each input is checked once where it is made: c must be valid, as a
+// Builder or qasm.Parse returns it, and d too, as device.Parse returns it;
+// the program is left for sim.Prepare to check. When ops has room for the
+// op list's seed, the program's Ops start at ops[:0], so a caller
+// compiling many programs in turn can hand each the last one's Ops. The
+// program then shares that storage, and the caller must not reuse it
+// while the program is in use.
+func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, error) {
 	if c.NumQubits > d.MaxIons() {
 		return nil, fmt.Errorf("compiler: %d qubits exceed device capacity %d (%s)",
 			c.NumQubits, d.MaxIons(), d.Name)
@@ -144,17 +165,13 @@ func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Option
 	if err := cc.run(sched); err != nil {
 		return nil, err
 	}
-	prog := &isa.Program{
+	return &isa.Program{
 		Name:          c.Name,
 		NumQubits:     c.NumQubits,
 		DeviceName:    d.Name,
 		InitialLayout: layout,
 		Ops:           cc.ops,
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("compiler: produced invalid program: %w", err)
-	}
-	return prog, nil
+	}, nil
 }
 
 // schedule yields gate indices in an order that respects the circuit's
@@ -235,7 +252,7 @@ func (cc *compilation) mapQubits() ([][]int, error) {
 		if c.Gates[gi].Kind == circuit.GateBarrier {
 			continue
 		}
-		for _, q := range c.Gates[gi].Qubits {
+		for _, q := range c.Qubits(gi) {
 			counts[q]++
 			total++
 		}
@@ -246,11 +263,11 @@ func (cc *compilation) mapQubits() ([][]int, error) {
 		cc.useLists[q] = flat[off : off : off+n]
 		off += n
 	}
-	for gi, g := range c.Gates {
-		if g.Kind == circuit.GateBarrier {
+	for gi := range c.Gates {
+		if c.Gates[gi].Kind == circuit.GateBarrier {
 			continue
 		}
-		for _, q := range g.Qubits {
+		for _, q := range c.Qubits(gi) {
 			cc.useLists[q] = append(cc.useLists[q], gi)
 		}
 	}
@@ -274,13 +291,13 @@ func (cc *compilation) run(sched schedule) error {
 			// Barriers only constrain the IR schedule; the schedule
 			// already respects their ordering, so they emit nothing.
 		case g.Kind == circuit.GateMeasure:
-			q := g.Qubits[0]
+			q := g.Qubit(0)
 			cc.addOp(isa.Op{
 				Kind: isa.OpMeasure, Trap: int32(cc.chains.Trap(q)),
 				Gate: g.Kind, GateIndex: int32(gi),
 			}, false, q)
 		case g.Kind.IsSingleQubit():
-			q := g.Qubits[0]
+			q := g.Qubit(0)
 			cc.addOp(isa.Op{
 				Kind: isa.OpGate1, Trap: int32(cc.chains.Trap(q)),
 				Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
@@ -303,7 +320,7 @@ func (cc *compilation) run(sched schedule) error {
 // emits the entangling gate. Which operand moves is moveCost's call: the
 // cheaper-scoring direction wins, ties moving the first operand.
 func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
-	a, b := g.Qubits[0], g.Qubits[1]
+	a, b := g.Qubit(0), g.Qubit(1)
 	ta, tb := cc.chains.Trap(a), cc.chains.Trap(b)
 	if ta != tb {
 		mover, src, dst := a, ta, tb

@@ -29,57 +29,74 @@ func LowerToNative(c *circuit.Circuit) (*circuit.Circuit, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: lower: %w", err)
 	}
-	out := circuit.New(c.Name, c.NumQubits)
-	for _, g := range c.Gates {
+	size := 0
+	for i := range c.Gates {
+		size += loweredLen(c.Gates[i].Kind)
+	}
+	out := circuit.NewBuilder(c.Name, c.NumQubits).Grow(size)
+	for i, g := range c.Gates {
 		switch g.Kind {
 		case circuit.GateCNOT:
-			emitCNOT(out, g.Qubits[0], g.Qubits[1])
+			emitCNOT(out, g.Qubit(0), g.Qubit(1))
 		case circuit.GateCZ:
 			// CZ = (I ⊗ H) CNOT (I ⊗ H).
-			out.Append(circuit.NewGate1(circuit.GateH, g.Qubits[1]))
-			emitCNOT(out, g.Qubits[0], g.Qubits[1])
-			out.Append(circuit.NewGate1(circuit.GateH, g.Qubits[1]))
+			out.H(g.Qubit(1))
+			emitCNOT(out, g.Qubit(0), g.Qubit(1))
+			out.H(g.Qubit(1))
 		case circuit.GateZZ:
 			// exp(-iθ/2 Z⊗Z) = (H⊗H) exp(-iθ/2 X⊗X) (H⊗H).
-			out.Append(
-				circuit.NewGate1(circuit.GateH, g.Qubits[0]),
-				circuit.NewGate1(circuit.GateH, g.Qubits[1]),
-				circuit.NewGate2P(circuit.GateMS, g.Qubits[0], g.Qubits[1], g.Param),
-				circuit.NewGate1(circuit.GateH, g.Qubits[0]),
-				circuit.NewGate1(circuit.GateH, g.Qubits[1]),
-			)
+			a, b := g.Qubit(0), g.Qubit(1)
+			out.H(a).H(b).MS(a, b, g.Param).H(a).H(b)
 		case circuit.GateCPhase:
 			// CP(θ) = RZ(θ/2) a · CNOT · RZ(-θ/2) b · CNOT · RZ(θ/2) b.
-			a, b := g.Qubits[0], g.Qubits[1]
-			out.Append(circuit.NewGate1P(circuit.GateRZ, a, g.Param/2))
+			a, b := g.Qubit(0), g.Qubit(1)
+			out.RZ(a, g.Param/2)
 			emitCNOT(out, a, b)
-			out.Append(circuit.NewGate1P(circuit.GateRZ, b, -g.Param/2))
+			out.RZ(b, -g.Param/2)
 			emitCNOT(out, a, b)
-			out.Append(circuit.NewGate1P(circuit.GateRZ, b, g.Param/2))
+			out.RZ(b, g.Param/2)
 		case circuit.GateSwap:
-			a, b := g.Qubits[0], g.Qubits[1]
+			a, b := g.Qubit(0), g.Qubit(1)
 			emitCNOT(out, a, b)
 			emitCNOT(out, b, a)
 			emitCNOT(out, a, b)
+		case circuit.GateBarrier:
+			qs := c.Qubits(i)
+			ints := make([]int, len(qs))
+			for j, q := range qs {
+				ints[j] = int(q)
+			}
+			out.Barrier(ints...)
 		default:
-			out.Append(g)
+			out.Add(g)
 		}
 	}
-	if err := out.Validate(); err != nil {
+	lowered, err := out.Circuit()
+	if err != nil {
 		return nil, fmt.Errorf("compiler: lower produced invalid circuit: %w", err)
 	}
-	return out, nil
+	return lowered, nil
+}
+
+// loweredLen is how many gates LowerToNative emits for one gate of kind k.
+func loweredLen(k circuit.Kind) int {
+	switch k {
+	case circuit.GateCNOT, circuit.GateZZ:
+		return 5
+	case circuit.GateCZ:
+		return 7
+	case circuit.GateCPhase:
+		return 13
+	case circuit.GateSwap:
+		return 15
+	}
+	return 1
 }
 
 // emitCNOT appends the 1-MS CNOT construction (Maslov 2017): Ry(π/2) on
 // the control, the fully-entangling XX interaction (exp(-i π/4 X⊗X),
 // θ = π/2 in our exp(-i θ/2 X⊗X) convention), then local -π/2 rotations.
-func emitCNOT(out *circuit.Circuit, ctrl, tgt int) {
-	out.Append(
-		circuit.NewGate1P(circuit.GateRY, ctrl, math.Pi/2),
-		circuit.NewGate2P(circuit.GateMS, ctrl, tgt, math.Pi/2),
-		circuit.NewGate1P(circuit.GateRX, ctrl, -math.Pi/2),
-		circuit.NewGate1P(circuit.GateRX, tgt, -math.Pi/2),
-		circuit.NewGate1P(circuit.GateRY, ctrl, -math.Pi/2),
-	)
+func emitCNOT(out *circuit.Builder, ctrl, tgt int) {
+	out.RY(ctrl, math.Pi/2).MS(ctrl, tgt, math.Pi/2).
+		RX(ctrl, -math.Pi/2).RX(tgt, -math.Pi/2).RY(ctrl, -math.Pi/2)
 }

@@ -49,17 +49,18 @@ func TestLowerCPhaseAndSwap(t *testing.T) {
 
 func TestLowerPassesThroughMeasureAndBarrier(t *testing.T) {
 	c := circuit.New("l", 2)
-	c.Append(
-		circuit.NewGate1(circuit.GateH, 0),
-		circuit.Gate{Kind: circuit.GateBarrier, Qubits: []int{0, 1}},
-		circuit.Measure(0),
-	)
+	c.Append(circuit.NewGate1(circuit.GateH, 0))
+	c.AppendBarrier(1, 0)
+	c.Append(circuit.Measure(0))
 	out, err := LowerToNative(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Gates) != 3 {
 		t.Errorf("pass-through gates = %d, want 3", len(out.Gates))
+	}
+	if got := out.Qubits(1); out.Gates[1].Kind != circuit.GateBarrier || len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Errorf("lowered barrier = %s over %v, want a barrier over [1 0]", out.Gates[1].Kind, got)
 	}
 }
 

@@ -27,8 +27,7 @@ func randomCircuit(rng *rand.Rand, nq, ng int) *circuit.Circuit {
 			}
 			c.Append(circuit.NewGate2(circuit.GateCNOT, a, b))
 		case 2:
-			qs := rng.Perm(nq)[:1+rng.Intn(nq)]
-			c.Append(circuit.Gate{Kind: circuit.GateBarrier, Qubits: qs})
+			c.AppendBarrier(rng.Perm(nq)[:1+rng.Intn(nq)]...)
 		default:
 			c.Append(circuit.Measure(rng.Intn(nq)))
 		}

@@ -270,7 +270,10 @@ func (g *Group) compute(pt Point) Outcome {
 }
 
 // compile builds the circuit and device of key, compiles the program and
-// prepares it for simulation, emitting into buf's op list.
+// prepares it for simulation, emitting into buf's op list. Each input is
+// checked once: the circuit by the builder that made it, the device by
+// device.Parse and the program by sim.Prepare, so the compile itself
+// (compiler.CompileInto) checks none of them again.
 func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 	p := &program{key: key}
 	c, err := tf.circuitFor(key.App)

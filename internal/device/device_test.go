@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -398,5 +399,98 @@ func TestParseRing(t *testing.T) {
 	}
 	if _, err := Parse("Rx", 10); err == nil {
 		t.Error("Parse(Rx) should fail")
+	}
+}
+
+// walkPrice prices a route by walking its hops: each intermediate node's
+// transit or crossing weight in hop order, then the shuttle units and
+// photonic links, each aggregated before one multiply.
+func walkPrice(d *Device, costs RouteCosts, route *Route) float64 {
+	cost := 0.0
+	for _, h := range route.Hops[:len(route.Hops)-1] {
+		switch {
+		case h.Node.Kind == NodeTrap:
+			cost += costs.TrapTransit
+		case d.Junctions[h.Node.Index].Kind() == JunctionX:
+			cost += costs.JunctionX
+		default:
+			cost += costs.JunctionY
+		}
+	}
+	units, links := 0, 0
+	for _, h := range route.Hops {
+		if seg := d.Segments[h.Segment]; seg.Kind == SegPhotonic {
+			links++
+		} else {
+			units += seg.Length
+		}
+	}
+	cost += float64(units) * costs.Segment
+	cost += float64(links) * costs.Link
+	return cost
+}
+
+// TestDistanceIsRoutePrice pins the price the router stores with each
+// route: on every family's example devices and a multi-module device,
+// under the default weights and under weights whose sums round, Distance
+// must equal, bit for bit, the cost of walking Route's hops, for every
+// ordered trap pair. Route's error texts stay as they were.
+func TestDistanceIsRoutePrice(t *testing.T) {
+	specs := []string{"Mod3:G2x5"}
+	for _, f := range Families() {
+		specs = append(specs, f.Examples...)
+	}
+	odd := RouteCosts{Segment: 0.1, JunctionY: 0.7, JunctionX: 1.3, TrapTransit: 0.3, Link: 2.9}
+	for _, spec := range specs {
+		d, err := Parse(spec, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, costs := range []RouteCosts{DefaultRouteCosts(), odd} {
+			r := NewRouter(d, costs)
+			for src := 0; src < d.NumTraps(); src++ {
+				for dst := 0; dst < d.NumTraps(); dst++ {
+					got, err := r.Distance(src, dst)
+					if err != nil {
+						t.Fatalf("%s: Distance(%d, %d): %v", spec, src, dst, err)
+					}
+					want := 0.0
+					if src != dst {
+						route, err := r.Route(src, dst)
+						if err != nil {
+							t.Fatalf("%s: Route(%d, %d): %v", spec, src, dst, err)
+						}
+						want = walkPrice(d, costs, route)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %+v: Distance(%d, %d) = %v, walking the route gives %v",
+							spec, costs, src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	d, _ := NewLinear(3, 20)
+	d.Traps[2].Seg[Left] = -1
+	d.Traps[1].Seg[Right] = -1
+	d.Segments = d.Segments[:1]
+	r := NewRouter(d, DefaultRouteCosts())
+	for _, tc := range []struct {
+		src, dst int
+		want     string
+	}{
+		{0, 0, "device: route 0->0 within one trap"},
+		{-1, 2, "device: route -1->2 out of range [0,3)"},
+		{0, 3, "device: route 0->3 out of range [0,3)"},
+		{0, 2, "device: no route from trap 0 to trap 2"},
+		{2, 0, "device: no route from trap 2 to trap 0"},
+	} {
+		if _, err := r.Route(tc.src, tc.dst); err == nil || err.Error() != tc.want {
+			t.Errorf("Route(%d, %d) error = %v, want %q", tc.src, tc.dst, err, tc.want)
+		}
+		if _, err := r.Distance(tc.src, tc.dst); tc.src != tc.dst && (err == nil || err.Error() != tc.want) {
+			t.Errorf("Distance(%d, %d) error = %v, want %q", tc.src, tc.dst, err, tc.want)
+		}
 	}
 }

@@ -53,6 +53,9 @@ type Route struct {
 	Src    int
 	SrcEnd End // chain end of the source trap where the ion exits
 	Hops   []Hop
+	// cost is the route's price under its router's weights, which
+	// Distance returns.
+	cost float64
 }
 
 // PassThroughs lists the intermediate traps the route merges through, in
@@ -91,18 +94,20 @@ func (r *Route) String() string {
 	return b.String()
 }
 
-// Router computes and caches shortest routes between traps of one device.
-// It is not safe for concurrent use.
+// Router computes and caches shortest routes between traps of one device,
+// and prices each once, when it builds it. It is not safe for concurrent
+// use.
 type Router struct {
 	dev   *Device
 	costs RouteCosts
-	// routes[src][dst] built lazily per source.
-	routes map[int]map[int]*Route
+	// routes[src] is built on the first request from src: routes[src][dst]
+	// is the route to dst, nil for src itself and for unreachable traps.
+	routes [][]*Route
 }
 
 // NewRouter returns a router over d with the given cost weights.
 func NewRouter(d *Device, costs RouteCosts) *Router {
-	return &Router{dev: d, costs: costs, routes: make(map[int]map[int]*Route)}
+	return &Router{dev: d, costs: costs, routes: make([][]*Route, d.NumTraps())}
 }
 
 // Route returns the cached shortest route from trap src to trap dst.
@@ -115,17 +120,18 @@ func (r *Router) Route(src, dst int) (*Route, error) {
 	if src == dst {
 		return nil, fmt.Errorf("device: route %d->%d within one trap", src, dst)
 	}
-	if _, ok := r.routes[src]; !ok {
+	if r.routes[src] == nil {
 		r.routes[src] = r.dijkstra(src)
 	}
-	route, ok := r.routes[src][dst]
-	if !ok {
+	route := r.routes[src][dst]
+	if route == nil {
 		return nil, fmt.Errorf("device: no route from trap %d to trap %d", src, dst)
 	}
 	return route, nil
 }
 
-// Distance returns the route cost between two traps (0 when src == dst).
+// Distance returns the route cost between two traps (0 when src == dst):
+// the price the router gave the route when it built it.
 func (r *Router) Distance(src, dst int) (float64, error) {
 	if src == dst {
 		return 0, nil
@@ -134,13 +140,21 @@ func (r *Router) Distance(src, dst int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return route.cost, nil
+}
+
+// price returns route's cost: each intermediate node's transit or
+// crossing weight, in hop order, then the shuttle units and photonic
+// links. Units are aggregated before the single multiply (bit-identical to
+// the pre-photonic cost on link-free devices); links price per traversal,
+// not per unit. The search's running distance adds the same terms in
+// another order, which can round differently, so the price is taken over
+// the finished route.
+func (r *Router) price(route *Route) float64 {
 	cost := 0.0
 	for _, h := range route.Hops[:len(route.Hops)-1] {
 		cost += r.nodeCost(h.Node)
 	}
-	// Aggregate shuttle units before the single multiply (bit-identical to
-	// the pre-photonic cost on link-free devices); links price per
-	// traversal, not per unit.
 	units, links := 0, 0
 	for _, h := range route.Hops {
 		if seg := r.dev.Segments[h.Segment]; seg.Kind == SegPhotonic {
@@ -151,7 +165,7 @@ func (r *Router) Distance(src, dst int) (float64, error) {
 	}
 	cost += float64(units) * r.costs.Segment
 	cost += float64(links) * r.costs.Link
-	return cost, nil
+	return cost
 }
 
 func (r *Router) nodeCost(n NodeRef) float64 {
@@ -183,8 +197,9 @@ func (q *priorityQueue) Pop() interface{} {
 	return item
 }
 
-// dijkstra computes shortest routes from trap src to every other trap.
-func (r *Router) dijkstra(src int) map[int]*Route {
+// dijkstra computes and prices the shortest routes from trap src to every
+// other trap, indexed by destination.
+func (r *Router) dijkstra(src int) []*Route {
 	type parentLink struct {
 		prev NodeRef
 		seg  int
@@ -221,7 +236,7 @@ func (r *Router) dijkstra(src int) map[int]*Route {
 			}
 		}
 	}
-	out := make(map[int]*Route)
+	out := make([]*Route, r.dev.NumTraps())
 	for dst := 0; dst < r.dev.NumTraps(); dst++ {
 		if dst == src {
 			continue
@@ -250,6 +265,7 @@ func (r *Router) dijkstra(src int) map[int]*Route {
 		firstSeg := r.dev.Segments[route.Hops[0].Segment]
 		ep, _ := firstSeg.EndpointAt(start)
 		route.SrcEnd = ep.TrapEnd
+		route.cost = r.price(route)
 		out[dst] = route
 	}
 	return out

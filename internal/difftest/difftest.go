@@ -55,7 +55,7 @@ func RandomClifford(seed int64, opts GenOptions) *circuit.Circuit {
 		kind := CliffordKinds[rng.Intn(len(CliffordKinds))]
 		switch kind.Arity() {
 		case 1:
-			c.Append(circuit.Gate{Kind: kind, Qubits: []int{rng.Intn(n)}})
+			c.Append(circuit.NewGate1(kind, rng.Intn(n)))
 		case 2:
 			if n < 2 {
 				continue
@@ -65,11 +65,10 @@ func RandomClifford(seed int64, opts GenOptions) *circuit.Circuit {
 			if b >= a {
 				b++
 			}
-			c.Append(circuit.Gate{Kind: kind, Qubits: []int{a, b}})
+			c.Append(circuit.NewGate2(kind, a, b))
 		default: // barrier: a random non-empty distinct qubit subset
 			k := 1 + rng.Intn(n)
-			qs := rng.Perm(n)[:k]
-			c.Append(circuit.Gate{Kind: kind, Qubits: qs})
+			c.AppendBarrier(rng.Perm(n)[:k]...)
 		}
 	}
 	return c
@@ -89,11 +88,9 @@ func Inverse(c *circuit.Circuit) *circuit.Circuit {
 		case circuit.GateMeasure, circuit.GateBarrier:
 			continue
 		case circuit.GateS:
-			g = circuit.Gate{Kind: circuit.GateSdg, Qubits: append([]int(nil), g.Qubits...)}
+			g.Kind = circuit.GateSdg
 		case circuit.GateSdg:
-			g = circuit.Gate{Kind: circuit.GateS, Qubits: append([]int(nil), g.Qubits...)}
-		default:
-			g = circuit.Gate{Kind: g.Kind, Qubits: append([]int(nil), g.Qubits...), Param: g.Param}
+			g.Kind = circuit.GateS
 		}
 		out.Append(g)
 	}
@@ -107,7 +104,7 @@ func Inverse(c *circuit.Circuit) *circuit.Circuit {
 func CommuteDisjoint(c *circuit.Circuit, seed int64) (out *circuit.Circuit, ok bool) {
 	var sites []int
 	for i := 0; i+1 < len(c.Gates); i++ {
-		if disjoint(c.Gates[i], c.Gates[i+1]) {
+		if disjoint(c.Qubits(i), c.Qubits(i+1)) {
 			sites = append(sites, i)
 		}
 	}
@@ -122,9 +119,9 @@ func CommuteDisjoint(c *circuit.Circuit, seed int64) (out *circuit.Circuit, ok b
 	return out, true
 }
 
-func disjoint(a, b circuit.Gate) bool {
-	for _, qa := range a.Qubits {
-		for _, qb := range b.Qubits {
+func disjoint(a, b []int32) bool {
+	for _, qa := range a {
+		for _, qb := range b {
 			if qa == qb {
 				return false
 			}

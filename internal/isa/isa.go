@@ -10,11 +10,15 @@
 // An Op is a fixed-size 56-byte record with no pointers: its operands
 // (at most two qubits) and its dependencies (at most three earlier ops)
 // are held inline, and IDs, gate indices, resources and qubits are
-// 32-bit. A
+// 32-bit, as the circuit.Gate records a program is compiled from are. A
 // program of hundreds of thousands of ops is then one flat allocation
 // that the garbage collector never scans. The 32-bit fields bound a
 // program below 2^31 ops and qubits, far beyond any that fits in memory:
 // 2^31 ops would take more than 100 GiB.
+//
+// Program.Validate is the program's structural check. compiler.Compile
+// runs it on what it emits, and sim.Prepare on what it is given, which on
+// the toolflow's path is the one check a program gets.
 package isa
 
 import (

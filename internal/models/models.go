@@ -204,9 +204,10 @@ type Params struct {
 
 // Default returns the paper-faithful constants: Table I shuttle times, the
 // published gate-time formulas, k1 = 0.1 and k2 = 0.01 (an order of
-// magnitude below Honeywell's measured heating, §VII.B), and the
-// calibrated fidelity constants discussed in DESIGN.md §3. The gate
-// implementation defaults to FM as in the Figure 6/7 experiments.
+// magnitude below Honeywell's measured heating, §VII.B), and calibrated
+// fidelity constants whose calibration record is not in the repository.
+// The gate implementation defaults to FM as in the Figure 6/7
+// experiments.
 func Default() Params {
 	return Params{
 		Gate:              FM,

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -30,6 +31,8 @@ func FuzzQASMParse(f *testing.F) {
 		"OPENQASM 2.0;\nqreg q[1];\nrx(1e309) q[0];",
 		"OPENQASM 2.0;\nqreg q[1];\nh\x00q[0];",
 		"OPENQASM 2.0;\nqreg a[2];\nqreg b[3];\ncreg c[5];\ncx a[1],b[0];\nbarrier a,b[2];\nbarrier b;\nmeasure a -> c;\n",
+		fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\nbarrier q;\n", MaxQubits+1),
+		"OPENQASM 2.0;\nqreg q[1];\nrx(1e308*10) q[0];\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -74,7 +77,7 @@ func sameGates(a, b *circuit.Circuit) (int, bool) {
 	}
 	for i, ga := range a.Gates {
 		gb := b.Gates[i]
-		if ga.Kind != gb.Kind || !slices.Equal(ga.Qubits, gb.Qubits) ||
+		if ga.Kind != gb.Kind || !slices.Equal(a.Qubits(i), b.Qubits(i)) ||
 			ga.Kind.Parameterized() && math.Float64bits(ga.Param) != math.Float64bits(gb.Param) {
 			return i, false
 		}

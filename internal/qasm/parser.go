@@ -8,24 +8,30 @@ import (
 	"repro/internal/circuit"
 )
 
+// MaxQubits bounds the total size of a program's quantum registers. A
+// whole-register operand expands to one index per qubit, so without a
+// bound a few bytes of source could ask for gigabytes. It is far above
+// any benchmark the repository builds (apps.MaxSizedQubits) and far below
+// what a circuit's 32-bit operands hold (circuit.MaxQubits).
+const MaxQubits = 1 << 20
+
 // Parse reads OpenQASM 2.0 source and produces circuit IR. Multiple
 // quantum registers are flattened into one index space in declaration
 // order. Classical registers are accepted and ignored beyond measure
 // targets. name becomes the circuit name.
 func Parse(name, src string) (*circuit.Circuit, error) {
-	p := &parser{lex: newLexer(src), regs: map[string]qreg{}}
+	p := &parser{lex: newLexer(src), regs: map[string]qreg{}, c: circuit.New(name, 0)}
 	if err := p.parse(); err != nil {
 		return nil, err
 	}
-	c := circuit.New(name, p.totalQubits)
-	c.Gates = p.gates
 	if p.totalQubits == 0 {
 		return nil, fmt.Errorf("qasm: no qreg declared")
 	}
-	if err := c.Validate(); err != nil {
+	p.c.NumQubits = p.totalQubits
+	if err := p.c.Validate(); err != nil {
 		return nil, fmt.Errorf("qasm: %w", err)
 	}
-	return c, nil
+	return p.c, nil
 }
 
 // qreg records a quantum register's position in the flat index space.
@@ -40,7 +46,9 @@ type parser struct {
 	regs        map[string]qreg
 	cregs       map[string]int
 	totalQubits int
-	gates       []circuit.Gate
+	// c collects the gates; its qubit count is set once every qreg is
+	// declared.
+	c *circuit.Circuit
 }
 
 // aliasKinds maps QASM gate names that differ from our IR mnemonics.
@@ -171,6 +179,10 @@ func (p *parser) parseReg(quantum bool) error {
 		if _, dup := p.regs[name.text]; dup {
 			return fmt.Errorf("qasm: line %d: duplicate qreg %q", name.line, name.text)
 		}
+		if size > MaxQubits-p.totalQubits {
+			return fmt.Errorf("qasm: line %d: qreg %s[%d] takes the registers past %d qubits",
+				name.line, name.text, size, MaxQubits)
+		}
 		p.regs[name.text] = qreg{offset: p.totalQubits, size: size}
 		p.totalQubits += size
 	} else {
@@ -257,7 +269,7 @@ func (p *parser) parseMeasure() error {
 		return err
 	}
 	for _, q := range qs {
-		p.gates = append(p.gates, circuit.Measure(q))
+		p.c.Append(circuit.Measure(q))
 	}
 	return nil
 }
@@ -282,7 +294,7 @@ func (p *parser) parseBarrier() error {
 		}
 		return fmt.Errorf("qasm: line %d: expected , or ; in barrier, found %s", t.line, t)
 	}
-	p.gates = append(p.gates, circuit.Gate{Kind: circuit.GateBarrier, Qubits: qubits})
+	p.c.AppendBarrier(qubits...)
 	return nil
 }
 
@@ -305,6 +317,9 @@ func (p *parser) parseGate(name token) error {
 		param, err = p.parseExpr()
 		if err != nil {
 			return err
+		}
+		if math.IsInf(param, 0) || math.IsNaN(param) {
+			return fmt.Errorf("qasm: line %d: gate %s parameter is not finite", name.line, name.text)
 		}
 		if err := p.expectSymbol(")"); err != nil {
 			return err
@@ -348,16 +363,19 @@ func (p *parser) emit(kind circuit.Kind, param float64, operands [][]int, line i
 			width = len(op)
 		}
 	}
-	for i := 0; i < width; i++ {
-		qubits := make([]int, len(operands))
-		for j, op := range operands {
-			if len(op) == 1 {
-				qubits[j] = op[0]
-			} else {
-				qubits[j] = op[i]
-			}
+	// The operand count matches the kind's arity of one or two.
+	at := func(op []int, i int) int {
+		if len(op) == 1 {
+			return op[0]
 		}
-		p.gates = append(p.gates, circuit.Gate{Kind: kind, Qubits: qubits, Param: param})
+		return op[i]
+	}
+	for i := 0; i < width; i++ {
+		if len(operands) == 1 {
+			p.c.Append(circuit.NewGate1P(kind, at(operands[0], i), param))
+		} else {
+			p.c.Append(circuit.NewGate2P(kind, at(operands[0], i), at(operands[1], i), param))
+		}
 	}
 	return nil
 }

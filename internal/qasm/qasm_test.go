@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -75,9 +76,8 @@ func TestMultipleQregsFlatten(t *testing.T) {
 	if c.NumQubits != 4 {
 		t.Errorf("qubits = %d", c.NumQubits)
 	}
-	g := c.Gates[0]
-	if g.Qubits[0] != 1 || g.Qubits[1] != 2 {
-		t.Errorf("flattened operands = %v, want [1 2]", g.Qubits)
+	if qs := c.Qubits(0); len(qs) != 2 || qs[0] != 1 || qs[1] != 2 {
+		t.Errorf("flattened operands = %v, want [1 2]", qs)
 	}
 }
 
@@ -141,6 +141,48 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestRegisterBound rejects registers whose total passes MaxQubits, with
+// the line of the register that passes it, before any operand list of
+// that size is built; a total at the bound parses.
+func TestRegisterBound(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\nbarrier q;\n", MaxQubits+1),
+			fmt.Sprintf("qasm: line 2: qreg q[%d] takes the registers past %d qubits", MaxQubits+1, MaxQubits)},
+		{fmt.Sprintf("OPENQASM 2.0;\nqreg a[%d];\nh a[0];\nqreg b[2];\n", MaxQubits-1),
+			fmt.Sprintf("qasm: line 4: qreg b[2] takes the registers past %d qubits", MaxQubits)},
+		{"OPENQASM 2.0;\nqreg q[2000000000];\nbarrier q;\n",
+			fmt.Sprintf("qasm: line 2: qreg q[2000000000] takes the registers past %d qubits", MaxQubits)},
+	} {
+		if _, err := Parse("big", tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%.40q) error = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+	c, err := Parse("edge", fmt.Sprintf("OPENQASM 2.0;\nqreg a[%d];\nqreg b[1];\ncx a[0],b[0];\n", MaxQubits-1))
+	if err != nil {
+		t.Fatalf("registers totalling MaxQubits: %v", err)
+	}
+	if c.NumQubits != MaxQubits || c.Qubits(0)[1] != MaxQubits-1 {
+		t.Errorf("got %d qubits and operands %v, want %d and [0 %d]", c.NumQubits, c.Qubits(0), MaxQubits, MaxQubits-1)
+	}
+	if MaxQubits < apps.MaxSizedQubits || MaxQubits > circuit.MaxQubits {
+		t.Errorf("MaxQubits %d outside [%d, %d]", MaxQubits, apps.MaxSizedQubits, circuit.MaxQubits)
+	}
+}
+
+// TestNonFiniteParameter rejects an angle that overflows to infinity or
+// NaN, which Write could not render back as a number.
+func TestNonFiniteParameter(t *testing.T) {
+	for _, expr := range []string{"1e308*10", "-1e308*10", "1e308*10-1e308*10", "pi/1e-320"} {
+		src := "OPENQASM 2.0;\nqreg q[1];\nrx(" + expr + ") q[0];\n"
+		want := "qasm: line 3: gate rx parameter is not finite"
+		if _, err := Parse("inf", src); err == nil || err.Error() != want {
+			t.Errorf("rx(%s): error = %v, want %q", expr, err, want)
+		}
+	}
+}
+
 func TestWriteParseRoundTrip(t *testing.T) {
 	orig := circuit.NewBuilder("rt", 4).
 		H(0).CNOT(0, 1).RZ(2, 0.125).CPhase(1, 3, math.Pi/8).ZZ(2, 3, 1.5).
@@ -162,9 +204,9 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		if a.Kind != b.Kind || math.Abs(a.Param-b.Param) > 1e-15 {
 			t.Errorf("gate %d: %v != %v", i, a, b)
 		}
-		for j := range a.Qubits {
-			if a.Qubits[j] != b.Qubits[j] {
-				t.Errorf("gate %d operand %d: %d != %d", i, j, a.Qubits[j], b.Qubits[j])
+		for j, q := range orig.Qubits(i) {
+			if q != parsed.Qubits(i)[j] {
+				t.Errorf("gate %d operand %d: %d != %d", i, j, q, parsed.Qubits(i)[j])
 			}
 		}
 	}

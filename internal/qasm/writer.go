@@ -19,13 +19,14 @@ func Write(c *circuit.Circuit) (string, error) {
 	b.WriteString("include \"qelib1.inc\";\n")
 	fmt.Fprintf(&b, "qreg q[%d];\n", c.NumQubits)
 	fmt.Fprintf(&b, "creg c[%d];\n", c.NumQubits)
-	for _, g := range c.Gates {
+	for gi, g := range c.Gates {
+		qs := c.Qubits(gi)
 		switch g.Kind {
 		case circuit.GateMeasure:
-			fmt.Fprintf(&b, "measure q[%d] -> c[%d];\n", g.Qubits[0], g.Qubits[0])
+			fmt.Fprintf(&b, "measure q[%d] -> c[%d];\n", qs[0], qs[0])
 		case circuit.GateBarrier:
 			b.WriteString("barrier ")
-			for i, q := range g.Qubits {
+			for i, q := range qs {
 				if i > 0 {
 					b.WriteString(",")
 				}
@@ -38,7 +39,7 @@ func Write(c *circuit.Circuit) (string, error) {
 				fmt.Fprintf(&b, "(%.17g)", g.Param)
 			}
 			b.WriteString(" ")
-			for i, q := range g.Qubits {
+			for i, q := range qs {
 				if i > 0 {
 					b.WriteString(",")
 				}

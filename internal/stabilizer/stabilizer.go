@@ -312,23 +312,23 @@ func (t *Tableau) Apply(g circuit.Gate) error {
 	case circuit.GateBarrier:
 		return nil
 	case circuit.GateX:
-		t.X(g.Qubits[0])
+		t.X(g.Qubit(0))
 	case circuit.GateY:
-		t.Y(g.Qubits[0])
+		t.Y(g.Qubit(0))
 	case circuit.GateZ:
-		t.Z(g.Qubits[0])
+		t.Z(g.Qubit(0))
 	case circuit.GateH:
-		t.H(g.Qubits[0])
+		t.H(g.Qubit(0))
 	case circuit.GateS:
-		t.S(g.Qubits[0])
+		t.S(g.Qubit(0))
 	case circuit.GateSdg:
-		t.Sdg(g.Qubits[0])
+		t.Sdg(g.Qubit(0))
 	case circuit.GateCNOT:
-		t.CNOT(g.Qubits[0], g.Qubits[1])
+		t.CNOT(g.Qubit(0), g.Qubit(1))
 	case circuit.GateCZ:
-		t.CZ(g.Qubits[0], g.Qubits[1])
+		t.CZ(g.Qubit(0), g.Qubit(1))
 	case circuit.GateSwap:
-		t.Swap(g.Qubits[0], g.Qubits[1])
+		t.Swap(g.Qubit(0), g.Qubit(1))
 	default:
 		return fmt.Errorf("stabilizer: non-Clifford gate %s", g.Kind)
 	}

@@ -228,8 +228,8 @@ func TestIsClifford(t *testing.T) {
 		circuit.NewGate2(circuit.GateCZ, 0, 1),
 		circuit.NewGate2(circuit.GateSwap, 0, 1),
 		circuit.Measure(0),
-		circuit.Gate{Kind: circuit.GateBarrier, Qubits: []int{0, 1}},
 	)
+	b.AppendBarrier(0, 1)
 	if !IsClifford(b) {
 		t.Error("all-Clifford circuit reported non-Clifford")
 	}
@@ -257,8 +257,8 @@ func TestRun(t *testing.T) {
 	c.Append(
 		circuit.NewGate1(circuit.GateH, 0),
 		circuit.NewGate2(circuit.GateCNOT, 0, 1),
-		circuit.Gate{Kind: circuit.GateBarrier, Qubits: []int{0, 1}},
 	)
+	c.AppendBarrier(0, 1)
 	c.MeasureAll() // skipped, like statevec.Run
 	tab, err := Run(c)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestApplyValidates(t *testing.T) {
 	if err := tab.Apply(circuit.Measure(0)); err == nil {
 		t.Error("Apply(measure): want error (non-unitary)")
 	}
-	if err := tab.Apply(circuit.Gate{Kind: circuit.GateBarrier, Qubits: []int{0}}); err != nil {
+	if err := tab.Apply(circuit.Gate{Kind: circuit.GateBarrier}); err != nil {
 		t.Errorf("Apply(barrier): %v", err)
 	}
 }

@@ -152,42 +152,42 @@ func (s *State) Apply(g circuit.Gate) error {
 	case circuit.GateBarrier, circuit.GateMeasure:
 		return nil
 	case circuit.GateX:
-		s.apply1(g.Qubits[0], [2][2]complex128{{0, 1}, {1, 0}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{0, 1}, {1, 0}})
 	case circuit.GateY:
-		s.apply1(g.Qubits[0], [2][2]complex128{{0, -ii}, {ii, 0}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{0, -ii}, {ii, 0}})
 	case circuit.GateZ:
-		s.apply1(g.Qubits[0], [2][2]complex128{{1, 0}, {0, -1}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{1, 0}, {0, -1}})
 	case circuit.GateH:
-		s.apply1(g.Qubits[0], [2][2]complex128{{inv, inv}, {inv, -inv}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{inv, inv}, {inv, -inv}})
 	case circuit.GateS:
-		s.apply1(g.Qubits[0], [2][2]complex128{{1, 0}, {0, ii}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{1, 0}, {0, ii}})
 	case circuit.GateSdg:
-		s.apply1(g.Qubits[0], [2][2]complex128{{1, 0}, {0, -ii}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{1, 0}, {0, -ii}})
 	case circuit.GateT:
-		s.apply1(g.Qubits[0], [2][2]complex128{{1, 0}, {0, cmplx.Exp(ii * math.Pi / 4)}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{1, 0}, {0, cmplx.Exp(ii * math.Pi / 4)}})
 	case circuit.GateTdg:
-		s.apply1(g.Qubits[0], [2][2]complex128{{1, 0}, {0, cmplx.Exp(-ii * math.Pi / 4)}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{1, 0}, {0, cmplx.Exp(-ii * math.Pi / 4)}})
 	case circuit.GateRX:
 		c := complex(math.Cos(g.Param/2), 0)
 		sn := complex(0, -math.Sin(g.Param/2))
-		s.apply1(g.Qubits[0], [2][2]complex128{{c, sn}, {sn, c}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{c, sn}, {sn, c}})
 	case circuit.GateRY:
 		c := complex(math.Cos(g.Param/2), 0)
 		sn := complex(math.Sin(g.Param/2), 0)
-		s.apply1(g.Qubits[0], [2][2]complex128{{c, -sn}, {sn, c}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{c, -sn}, {sn, c}})
 	case circuit.GateRZ:
 		em := cmplx.Exp(-ii * complex(g.Param/2, 0))
 		ep := cmplx.Exp(ii * complex(g.Param/2, 0))
-		s.apply1(g.Qubits[0], [2][2]complex128{{em, 0}, {0, ep}})
+		s.apply1(g.Qubit(0), [2][2]complex128{{em, 0}, {0, ep}})
 	case circuit.GateCNOT:
-		s.apply2(g.Qubits[0], g.Qubits[1], [4][4]complex128{
+		s.apply2(g.Qubit(0), g.Qubit(1), [4][4]complex128{
 			{1, 0, 0, 0},
 			{0, 1, 0, 0},
 			{0, 0, 0, 1},
 			{0, 0, 1, 0},
 		})
 	case circuit.GateCZ:
-		s.apply2(g.Qubits[0], g.Qubits[1], [4][4]complex128{
+		s.apply2(g.Qubit(0), g.Qubit(1), [4][4]complex128{
 			{1, 0, 0, 0},
 			{0, 1, 0, 0},
 			{0, 0, 1, 0},
@@ -195,7 +195,7 @@ func (s *State) Apply(g circuit.Gate) error {
 		})
 	case circuit.GateCPhase:
 		ph := cmplx.Exp(ii * complex(g.Param, 0))
-		s.apply2(g.Qubits[0], g.Qubits[1], [4][4]complex128{
+		s.apply2(g.Qubit(0), g.Qubit(1), [4][4]complex128{
 			{1, 0, 0, 0},
 			{0, 1, 0, 0},
 			{0, 0, 1, 0},
@@ -205,7 +205,7 @@ func (s *State) Apply(g circuit.Gate) error {
 		// exp(-i θ/2 Z⊗Z): diagonal phases by parity.
 		em := cmplx.Exp(-ii * complex(g.Param/2, 0))
 		ep := cmplx.Exp(ii * complex(g.Param/2, 0))
-		s.apply2(g.Qubits[0], g.Qubits[1], [4][4]complex128{
+		s.apply2(g.Qubit(0), g.Qubit(1), [4][4]complex128{
 			{em, 0, 0, 0},
 			{0, ep, 0, 0},
 			{0, 0, ep, 0},
@@ -215,14 +215,14 @@ func (s *State) Apply(g circuit.Gate) error {
 		// exp(-i θ/2 X⊗X).
 		c := complex(math.Cos(g.Param/2), 0)
 		sn := -ii * complex(math.Sin(g.Param/2), 0)
-		s.apply2(g.Qubits[0], g.Qubits[1], [4][4]complex128{
+		s.apply2(g.Qubit(0), g.Qubit(1), [4][4]complex128{
 			{c, 0, 0, sn},
 			{0, c, sn, 0},
 			{0, sn, c, 0},
 			{sn, 0, 0, c},
 		})
 	case circuit.GateSwap:
-		s.apply2(g.Qubits[0], g.Qubits[1], [4][4]complex128{
+		s.apply2(g.Qubit(0), g.Qubit(1), [4][4]complex128{
 			{1, 0, 0, 0},
 			{0, 0, 1, 0},
 			{0, 1, 0, 0},

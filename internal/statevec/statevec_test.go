@@ -270,8 +270,8 @@ func TestQFTInvertsItself(t *testing.T) {
 		if g.Kind == circuit.GateMeasure {
 			continue
 		}
-		inv := circuit.Gate{Kind: g.Kind, Qubits: g.Qubits, Param: -g.Param}
-		full.Append(inv)
+		g.Param = -g.Param
+		full.Append(g)
 	}
 	s := run(t, full)
 	want := (1 << 1) | (1 << 3)
@@ -329,7 +329,7 @@ func TestStateErrors(t *testing.T) {
 		t.Error("invalid circuit should fail")
 	}
 	s, _ := NewState(2)
-	if err := s.Apply(circuit.Gate{Kind: circuit.Kind(99), Qubits: []int{0}}); err == nil {
+	if err := s.Apply(circuit.NewGate1(circuit.Kind(99), 0)); err == nil {
 		t.Error("unknown kind should fail")
 	}
 	if _, err := s.FidelityWith(&State{n: 3}); err == nil {

@@ -52,7 +52,9 @@ import (
 type (
 	// Circuit is the program IR: a named gate list over n qubits.
 	Circuit = circuit.Circuit
-	// Gate is one IR operation.
+	// Gate is one IR operation: a 24-byte record holding a one- or
+	// two-qubit gate's operands inline (Gate.Qubit). A barrier's operands
+	// live in its circuit (Circuit.Qubits returns any gate's).
 	Gate = circuit.Gate
 	// Builder incrementally constructs validated circuits.
 	Builder = circuit.Builder
@@ -143,8 +145,9 @@ func ValidateTopology(spec string, capacity int) error {
 	return device.ValidateSpec(spec, capacity)
 }
 
-// DefaultParams returns the paper-faithful physical constants (§VII,
-// Table I, with the calibrations documented in DESIGN.md §3).
+// DefaultParams returns the paper-faithful physical constants (the
+// paper's §VII and Table I, plus fidelity calibrations whose source is
+// not in the repository; see models.Default).
 func DefaultParams() Params { return models.Default() }
 
 // LoadParams parses and validates a JSON parameter file (the format
