@@ -120,7 +120,7 @@ func KindByName(name string) Kind {
 }
 
 // Gate is a single operation in the program IR: a 24-byte record with no
-// pointers, so a circuit of any size is one flat allocation the garbage
+// pointers, so a circuit's gates are one flat allocation the garbage
 // collector never scans. A one- or two-qubit gate holds its operands
 // inline (control first for controlled gates); Qubit reads them. A
 // barrier's operands, which any number of qubits may make up, live in a
@@ -182,8 +182,8 @@ func (g Gate) IsTwoQubit() bool { return g.Kind.IsTwoQubit() }
 // live in its circuit, has none.
 func (g Gate) Qubit(i int) int { return int(g.q[:g.n][i]) }
 
-// Validate checks arity and operand distinctness against numQubits. It
-// runs for every gate a Builder adds and again for every gate of a
+// Validate checks arity and operand distinctness against numQubits. The
+// same check runs for every gate a Builder adds and every gate of a
 // validated circuit, so fixed-arity gates compare their operands instead
 // of hashing them. A barrier's operands live in its circuit, so for a
 // barrier Validate checks the kind alone; Circuit.Validate and
