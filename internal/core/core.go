@@ -300,9 +300,9 @@ func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 	return p
 }
 
-// Sweep streams points as List does, one compile group per worker on up
-// to GOMAXPROCS workers, so gate siblings near each other in the list
-// compile once; it returns the outcomes in input order.
+// Sweep streams points as a List on up to GOMAXPROCS workers, so gate
+// siblings near each other in the list compile once (see Stream); it
+// returns the outcomes in input order.
 func (tf *Toolflow) Sweep(points []Point) []Outcome {
 	out := make([]Outcome, 0, len(points))
 	tf.Stream(context.TODO(), List(points), runtime.GOMAXPROCS(0), func(r Row) bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +45,42 @@ func TestToolflowBadParams(t *testing.T) {
 	o := tf.Run(Point{App: "BV", Topology: "L6", Capacity: 20, Gate: models.FM})
 	if o.Err == nil {
 		t.Error("invalid params should surface as an outcome error")
+	}
+}
+
+// TestCapacityDoesNotSizeMemory evaluates BV on L6 at capacity 10^7,
+// which a ~60-byte request can name: chain storage follows the program's
+// 64 qubits, not the capacity, so the point allocates well under
+// maxAlloc (sizing the chains by capacity took about 915 MB), and its
+// Result encodes exactly as at capacity 100, where every trap also holds
+// the whole program.
+func TestCapacityDoesNotSizeMemory(t *testing.T) {
+	const maxAlloc = 4 << 20
+	tf := New(models.Default())
+	if _, err := tf.circuitFor("BV"); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(capacity int) (raw []byte, alloc uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o := tf.Run(Point{App: "BV", Topology: "L6", Capacity: capacity})
+		runtime.ReadMemStats(&after)
+		if o.Err != nil {
+			t.Fatalf("capacity %d: %v", capacity, o.Err)
+		}
+		raw, err := json.Marshal(o.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, after.TotalAlloc - before.TotalAlloc
+	}
+	want, _ := encode(100)
+	got, alloc := encode(10_000_000)
+	if string(got) != string(want) {
+		t.Errorf("capacity 10^7 result differs from capacity 100's\n got %s\nwant %s", got, want)
+	}
+	if alloc > maxAlloc {
+		t.Errorf("capacity 10^7 allocated %d bytes, want at most %d", alloc, maxAlloc)
 	}
 }
 

@@ -51,30 +51,6 @@ func compileKey(pt core.Point) core.Point {
 	return pt
 }
 
-// listSource streams pts, each compile group being a point and the later
-// points of its compile key.
-func listSource(pts []core.Point) core.Source {
-	src := core.Source{
-		End:   int64(len(pts)),
-		Point: func(i int64) core.Point { return pts[i] },
-		Group: func(i int64) []int64 {
-			var group []int64
-			for j := i; j < int64(len(pts)); j++ {
-				if compileKey(pts[j]) == compileKey(pts[i]) {
-					group = append(group, j)
-				}
-			}
-			return group
-		},
-	}
-	width := map[core.Point]int{}
-	for _, pt := range pts {
-		width[compileKey(pt)]++
-		src.Width = max(src.Width, width[compileKey(pt)])
-	}
-	return src
-}
-
 // reverseGroups returns pts with its compile groups in reverse order of
 // first appearance, each group's points in their own order.
 func reverseGroups(pts []core.Point) []core.Point {
@@ -174,13 +150,19 @@ func compileFresh(key core.Point) *sim.Prepared {
 // to smaller ones and back. A point whose app does not fit its device
 // fails mid-stream. Every row must give the outcome fresh buffers give:
 // its Result encodes exactly as sim.Run's on a freshly compiled program,
-// and a failing row has a fresh toolflow's error.
+// and a failing row has a fresh toolflow's error. No compile key has
+// points more than a compile group's span apart, so the stream compiles
+// each key once.
 func TestStreamReusedBuffersMatchFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("both golden grids, twice; skipped in -short mode")
 	}
 	pts := goldenPoints(t)
 	want := freshOutcomes(t, pts)
+	keys := map[core.Point]bool{}
+	for _, pt := range pts {
+		keys[compileKey(pt)] = true
+	}
 	for _, order := range []struct {
 		name string
 		pts  []core.Point
@@ -191,7 +173,7 @@ func TestStreamReusedBuffersMatchFresh(t *testing.T) {
 		t.Run(order.name, func(t *testing.T) {
 			tf := core.New(models.Default())
 			failed := 0
-			complete := tf.Stream(context.Background(), listSource(order.pts), 1, func(r core.Row) bool {
+			complete := tf.Stream(context.Background(), core.List(order.pts), 1, func(r core.Row) bool {
 				pt := order.pts[r.Index]
 				w, o := want[pt], r.Outcome
 				if o.Err != nil {
@@ -212,6 +194,9 @@ func TestStreamReusedBuffersMatchFresh(t *testing.T) {
 			})
 			if !complete || failed != 1 {
 				t.Errorf("complete = %v with %d failed rows, want every row and 1 failure", complete, failed)
+			}
+			if got := tf.Compiles(); got != uint64(len(keys)) {
+				t.Errorf("%d compiles, want one per compile key, %d", got, len(keys))
 			}
 		})
 	}

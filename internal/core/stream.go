@@ -4,64 +4,57 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"repro/internal/models"
 )
 
 // Source is an index window of design points for Stream. The engine
-// never materializes the window: it asks for a point only when a worker
-// evaluates it.
+// never materializes the window: it asks for a point only when it groups
+// or evaluates it.
 type Source struct {
 	// Start and End bound the half-open index window [Start, End).
 	Start, End int64
 	// Point returns the design point at index i.
 	Point func(i int64) Point
-	// Group returns i and the later indexes whose points share i's
-	// compiled program, in increasing order; Stream drops those at or
-	// past End. i is the first index of its group the engine asks for.
-	Group func(i int64) []int64
-	// Width is the largest group size; it sizes the emission buffer.
+	// Width is the number of gate implementations the points use; it
+	// sizes the emission buffer.
 	Width int
 }
 
-// groupSpan bounds a list's compile groups: every member lies fewer than
-// groupSpan indexes past its group's first, so the rows the engine holds
-// pending stay O(workers × groupSpan) for any list. It is the widest
-// gate-sibling span of any sweep grammar, (4-1) gates × 2 reorders × 3
-// policies + 1, so a grammar's expansion passed as a list groups as the
-// grammar does.
-const groupSpan = 19
+// groupSpan bounds a compile group: members lie fewer than groupSpan
+// indexes past its first. It is the gate-sibling span of a sweep grammar
+// over every gate, reorder method and policy, so it holds the gate
+// siblings of any grammar, streamed as one or as its expansion's list.
+var groupSpan = int64((len(models.GateImpls())-1)*len(models.ReorderMethods())*len(models.Policies()) + 1)
 
-// List is a Source over a slice of points, indexed once: points equal
-// except for Gate share a compile group, as a grammar's gate siblings do,
-// while each lies within groupSpan indexes of the group's first; past
-// that, the next such point starts a new group.
-func List(points []Point) Source {
-	type open struct{ first, last, size int }
-	groups := make(map[Point]open)
-	next := make([]int64, len(points)) // next member of i's group, 0 for none
-	width := 1
-	for i, pt := range points {
+// group returns the compile group Stream starts at an index i that no
+// earlier group holds: i, then each later index of the window fewer than
+// groupSpan past i whose point equals i's but for Gate, which enters only
+// the simulator. None of these is in an earlier group, or i would be too.
+func (s Source) group(i int64) []int64 {
+	key := s.Point(i)
+	key.Gate = 0
+	members := []int64{i}
+	for j := i + 1; j < min(i+groupSpan, s.End); j++ {
+		pt := s.Point(j)
 		pt.Gate = 0
-		g, ok := groups[pt]
-		if !ok || i-g.first >= groupSpan {
-			groups[pt] = open{first: i, last: i, size: 1}
-			continue
+		if pt == key {
+			members = append(members, j)
 		}
-		next[g.last] = int64(i)
-		g.last, g.size = i, g.size+1
-		groups[pt] = g
-		width = max(width, g.size)
+	}
+	return members
+}
+
+// List is a Source over a slice of points, in order.
+func List(points []Point) Source {
+	gates := make(map[models.GateImpl]bool)
+	for _, pt := range points {
+		gates[pt.Gate] = true
 	}
 	return Source{
 		End:   int64(len(points)),
 		Point: func(i int64) Point { return points[i] },
-		Group: func(i int64) []int64 {
-			members := []int64{i}
-			for j := next[i]; j != 0; j = next[j] {
-				members = append(members, j)
-			}
-			return members
-		},
-		Width: width,
+		Width: len(gates),
 	}
 }
 
@@ -88,9 +81,10 @@ type slot struct {
 
 // Stream evaluates src on up to workers goroutines and calls emit with
 // each row in index order, on the calling goroutine. Rows are dispatched
-// by compile group: a worker takes a whole group, compiles its program
-// once and simulates each row from it (see Group), checking ctx between
-// rows. Each worker keeps one scratch for its groups' op lists and
+// by compile group, the points that differ only in Gate within groupSpan
+// indexes of the group's first (see group): a worker takes a whole group,
+// compiles its program once and simulates each row from it, checking ctx
+// between rows. Each worker keeps one scratch for its groups' op lists and
 // per-op run arrays, and drops it when the stream ends. Once ctx is done
 // or emit returns false, Stream feeds no further point and emits no
 // further row; it returns after its goroutines have exited, each worker
@@ -104,8 +98,9 @@ func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit fu
 	// order is the emission sequence and the backpressure bound: the
 	// feeder stalls once workers×Width slots are pending emission. A
 	// group's later rows wait there for the rows between them, so that is
-	// room for every worker to hold a group while the emitter waits on the
-	// earliest one.
+	// room for every worker to hold a group of gate siblings while the
+	// emitter waits on the earliest one. A list that repeats a point can
+	// make a larger group; its later rows wait for the feeder.
 	order := make(chan *slot, workers*src.Width)
 	work := make(chan []*slot)
 	var wg sync.WaitGroup
@@ -133,10 +128,7 @@ func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit fu
 				// every slot the emitter sees is then guaranteed to be filled
 				// or closed, so it can never be stranded on an empty slot.
 				var group []*slot
-				for _, j := range src.Group(i) {
-					if j >= src.End {
-						break
-					}
+				for _, j := range src.group(i) {
 					member := &slot{idx: j, res: make(chan Row, 1)}
 					group = append(group, member)
 					if j != i {

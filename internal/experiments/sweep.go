@@ -65,9 +65,9 @@ func (e evaluated) Failures() []core.Outcome {
 
 // evaluate compiles a study's grammars, expands them into one list, one
 // grammar after another, and sweeps it through tf, returning every
-// outcome in that order. Gate siblings share one compiled program (see
-// core.List), and small grammars, such as the scaling study's one per
-// size, run side by side.
+// outcome in that order. Gate siblings share one compiled program, as in
+// any stream (see core.Toolflow.Stream), and small grammars, such as the
+// scaling study's one per size, run side by side.
 func evaluate(tf *core.Toolflow, spaces ...sweep.Space) (evaluated, error) {
 	var points []core.Point
 	for _, s := range spaces {

@@ -24,7 +24,8 @@ type Chains struct {
 	slot  []int // qubit → ring slot within its trap (valid while resident)
 }
 
-// ring is one trap's chain; len(buf) is the trap capacity.
+// ring is one trap's chain; len(buf) is the trap capacity, or the qubit
+// count if smaller: a merge still overflows only a trap at capacity.
 type ring struct {
 	buf     []int
 	head, n int // slot of position 0, chain length
@@ -53,6 +54,7 @@ func NewChains(layout [][]int, numQubits, capacity int) Chains {
 	for q := range c.trap {
 		c.trap[q] = -1
 	}
+	capacity = min(capacity, numQubits) // no chain holds more ions than there are qubits
 	store := make([]int, len(layout)*capacity)
 	for t, chain := range layout {
 		r := &c.rings[t]

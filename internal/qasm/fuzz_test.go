@@ -32,6 +32,7 @@ func FuzzQASMParse(f *testing.F) {
 		"OPENQASM 2.0;\nqreg q[1];\nh\x00q[0];",
 		"OPENQASM 2.0;\nqreg a[2];\nqreg b[3];\ncreg c[5];\ncx a[1],b[0];\nbarrier a,b[2];\nbarrier b;\nmeasure a -> c;\n",
 		fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\nbarrier q;\n", MaxQubits+1),
+		fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\ncreg c[1];\nbarrier q,q,q;\n", MaxQubits),
 		"OPENQASM 2.0;\nqreg q[1];\nrx(1e308*10) q[0];\n",
 	}
 	for _, s := range seeds {

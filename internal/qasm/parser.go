@@ -3,6 +3,7 @@ package qasm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/circuit"
@@ -14,6 +15,12 @@ import (
 // any benchmark the repository builds (apps.MaxSizedQubits) and far below
 // what a circuit's 32-bit operands hold (circuit.MaxQubits).
 const MaxQubits = 1 << 20
+
+// MaxRecords bounds a program's gate records plus barrier operands: each
+// whole-register operand adds a register's worth of them for a few bytes
+// of source. It admits QFT@1024, the largest circuit the repository
+// builds (2,620,928 gates), so every built-in app's OpenQASM parses back.
+const MaxRecords = 3 << 20
 
 // Parse reads OpenQASM 2.0 source and produces circuit IR. Multiple
 // quantum registers are flattened into one index space in declaration
@@ -46,6 +53,7 @@ type parser struct {
 	regs        map[string]qreg
 	cregs       map[string]int
 	totalQubits int
+	records     int // gate records and barrier operands, against MaxRecords
 	// c collects the gates; its qubit count is set once every qreg is
 	// declared.
 	c *circuit.Circuit
@@ -136,11 +144,11 @@ func (p *parser) parse() error {
 				return err
 			}
 		case t.kind == tokIdent && t.text == "barrier":
-			if err := p.parseBarrier(); err != nil {
+			if err := p.parseBarrier(t.line); err != nil {
 				return err
 			}
 		case t.kind == tokIdent && t.text == "measure":
-			if err := p.parseMeasure(); err != nil {
+			if err := p.parseMeasure(t.line); err != nil {
 				return err
 			}
 		case t.kind == tokIdent:
@@ -191,42 +199,55 @@ func (p *parser) parseReg(quantum bool) error {
 	return nil
 }
 
+// operand denotes the n flat qubit indexes from first, unexpanded.
+type operand struct{ first, n int }
+
+// at is op's qubit in gate i of a broadcast, which a one-qubit op joins.
+func (op operand) at(i int) int { return op.first + min(i, op.n-1) }
+
 // parseOperand parses "name" (whole register) or "name[i]" and returns the
-// flat qubit indices it denotes.
-func (p *parser) parseOperand() ([]int, error) {
+// flat qubit indexes it denotes.
+func (p *parser) parseOperand() (operand, error) {
 	name, err := p.expectIdent()
 	if err != nil {
-		return nil, err
+		return operand{}, err
 	}
 	reg, ok := p.regs[name.text]
 	if !ok {
-		return nil, fmt.Errorf("qasm: line %d: unknown qreg %q", name.line, name.text)
+		return operand{}, fmt.Errorf("qasm: line %d: unknown qreg %q", name.line, name.text)
 	}
 	t, err := p.peek()
 	if err != nil {
-		return nil, err
+		return operand{}, err
 	}
 	if t.kind == tokSymbol && t.text == "[" {
 		p.peeked = false
 		idxTok, err := p.next()
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
 		idx, err := strconv.Atoi(idxTok.text)
 		if err != nil || idx < 0 || idx >= reg.size {
-			return nil, fmt.Errorf("qasm: line %d: index %q out of range for %s[%d]",
+			return operand{}, fmt.Errorf("qasm: line %d: index %q out of range for %s[%d]",
 				idxTok.line, idxTok.text, name.text, reg.size)
 		}
 		if err := p.expectSymbol("]"); err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		return []int{reg.offset + idx}, nil
+		return operand{first: reg.offset + idx, n: 1}, nil
 	}
-	all := make([]int, reg.size)
-	for i := range all {
-		all[i] = reg.offset + i
+	return operand{first: reg.offset, n: reg.size}, nil
+}
+
+// reserve counts n records before they are appended, naming line if they
+// would take the program past MaxRecords.
+func (p *parser) reserve(n, line int) error {
+	if n > MaxRecords-p.records {
+		return fmt.Errorf("qasm: line %d: statement takes the program past %d gate records and barrier operands",
+			line, MaxRecords)
 	}
-	return all, nil
+	p.records += n
+	return nil
 }
 
 // parseClassicalOperand consumes a creg reference (measure target).
@@ -254,8 +275,8 @@ func (p *parser) parseClassicalOperand() error {
 	return nil
 }
 
-func (p *parser) parseMeasure() error {
-	qs, err := p.parseOperand()
+func (p *parser) parseMeasure(line int) error {
+	op, err := p.parseOperand()
 	if err != nil {
 		return err
 	}
@@ -268,20 +289,26 @@ func (p *parser) parseMeasure() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
-	for _, q := range qs {
-		p.c.Append(circuit.Measure(q))
-	}
-	return nil
+	return p.emit(circuit.GateMeasure, 0, []operand{op}, line)
 }
 
-func (p *parser) parseBarrier() error {
+func (p *parser) parseBarrier(line int) error {
+	if err := p.reserve(1, line); err != nil { // the barrier's own record
+		return err
+	}
 	var qubits []int
 	for {
-		qs, err := p.parseOperand()
+		op, err := p.parseOperand()
 		if err != nil {
 			return err
 		}
-		qubits = append(qubits, qs...)
+		if err := p.reserve(op.n, line); err != nil {
+			return err
+		}
+		qubits = slices.Grow(qubits, op.n)
+		for i := range op.n {
+			qubits = append(qubits, op.first+i)
+		}
 		t, err := p.next()
 		if err != nil {
 			return err
@@ -325,13 +352,13 @@ func (p *parser) parseGate(name token) error {
 			return err
 		}
 	}
-	var operands [][]int
+	var operands []operand
 	for {
-		qs, err := p.parseOperand()
+		op, err := p.parseOperand()
 		if err != nil {
 			return err
 		}
-		operands = append(operands, qs)
+		operands = append(operands, op)
 		t, err := p.next()
 		if err != nil {
 			return err
@@ -348,7 +375,7 @@ func (p *parser) parseGate(name token) error {
 }
 
 // emit expands whole-register broadcasts and appends the gates.
-func (p *parser) emit(kind circuit.Kind, param float64, operands [][]int, line int) error {
+func (p *parser) emit(kind circuit.Kind, param float64, operands []operand, line int) error {
 	arity := kind.Arity()
 	if arity > 0 && len(operands) != arity {
 		return fmt.Errorf("qasm: line %d: gate %s wants %d operands, got %d", line, kind, arity, len(operands))
@@ -356,25 +383,22 @@ func (p *parser) emit(kind circuit.Kind, param float64, operands [][]int, line i
 	// Broadcast length: all multi-qubit operands must agree.
 	width := 1
 	for _, op := range operands {
-		if len(op) > 1 {
-			if width != 1 && width != len(op) {
+		if op.n > 1 {
+			if width != 1 && width != op.n {
 				return fmt.Errorf("qasm: line %d: mismatched register widths", line)
 			}
-			width = len(op)
+			width = op.n
 		}
+	}
+	if err := p.reserve(width, line); err != nil {
+		return err
 	}
 	// The operand count matches the kind's arity of one or two.
-	at := func(op []int, i int) int {
-		if len(op) == 1 {
-			return op[0]
-		}
-		return op[i]
-	}
 	for i := 0; i < width; i++ {
 		if len(operands) == 1 {
-			p.c.Append(circuit.NewGate1P(kind, at(operands[0], i), param))
+			p.c.Append(circuit.NewGate1P(kind, operands[0].at(i), param))
 		} else {
-			p.c.Append(circuit.NewGate2P(kind, at(operands[0], i), at(operands[1], i), param))
+			p.c.Append(circuit.NewGate2P(kind, operands[0].at(i), operands[1].at(i), param))
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package qasm
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,55 @@ func TestRegisterBound(t *testing.T) {
 	}
 	if MaxQubits < apps.MaxSizedQubits || MaxQubits > circuit.MaxQubits {
 		t.Errorf("MaxQubits %d outside [%d, %d]", MaxQubits, apps.MaxSizedQubits, circuit.MaxQubits)
+	}
+}
+
+// TestRecordBound rejects a statement that would take the gate records
+// plus barrier operands past MaxRecords, naming its line, before it
+// appends the broadcast or operand that would pass. Each source is just
+// past the bound: three register-wide barrier operands, or two and a
+// register-wide broadcast, on a MaxQubits register, and each allocates
+// at most about 100 MB. The bound admits QFT@1024, the largest circuit
+// the repository builds.
+func TestRecordBound(t *testing.T) {
+	if MaxRecords != 3*MaxQubits {
+		t.Fatalf("MaxRecords = %d: the sources below assume 3×MaxQubits", MaxRecords)
+	}
+	regs := fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\ncreg c[1];\n", MaxQubits)
+	for _, tc := range []struct {
+		src      string
+		line     int
+		maxAlloc uint64
+	}{
+		{regs + "barrier q,q,q;\n", 4, 100 << 20},
+		{regs + "barrier q,q;\nh q;\n", 5, 100 << 20},
+		{regs + "barrier q,q;\nmeasure q -> c;\n", 5, 100 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse("big", tc.src)
+		runtime.ReadMemStats(&after)
+		want := fmt.Sprintf("qasm: line %d: statement takes the program past %d gate records and barrier operands", tc.line, MaxRecords)
+		if err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error = %v, want %q", tc.src, err, want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > tc.maxAlloc {
+			t.Errorf("Parse(%q) allocated %d bytes, want at most %d", tc.src, alloc, tc.maxAlloc)
+		}
+	}
+
+	c, err := apps.ByName("QFT@1024")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := len(c.Gates)
+	for i := range c.Gates {
+		if c.Gates[i].Kind == circuit.GateBarrier {
+			records += len(c.Qubits(i))
+		}
+	}
+	if records > MaxRecords {
+		t.Errorf("QFT@1024 has %d gate records and barrier operands, past MaxRecords %d", records, MaxRecords)
 	}
 }
 

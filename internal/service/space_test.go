@@ -8,8 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // testSpaceBody is a 12-point grammar (3 apps × 2 topologies × 2
@@ -544,5 +548,62 @@ func TestSweepStatusUnknownID(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSweepRegistryEviction tracks maxTrackedSweeps sweeps, then streams
+// one more. Registering it evicts the oldest finished sweep, or the oldest
+// overall when every tracked sweep is still in flight; the list stays at
+// maxTrackedSweeps entries, in registration order, and the evicted
+// sweep's status is a 404.
+func TestSweepRegistryEviction(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		finished []int // indexes of the tracked sweeps that have finished
+		victim   int
+	}{
+		{"every sweep in flight", nil, 0},
+		{"oldest finished sweep", []int{7, 100}, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			grid, err := sweep.List([]core.Point{{App: "BV@4", Topology: "L2", Capacity: 14}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, maxTrackedSweeps)
+			for i := range ids {
+				ids[i] = srv.sweeps.add(grid, 0, 1, nil).status.ID
+			}
+			for _, i := range tc.finished {
+				st, _ := srv.sweeps.get(ids[i])
+				st.finish(false)
+			}
+
+			resp := postJSON(t, ts.URL+"/v1/sweep", `{"points":[{"app":"BV@4","topology":"L2","capacity":14}]}`)
+			header, _, summary := ndjson(t, resp.Body)
+			resp.Body.Close()
+			if header == nil || summary == nil {
+				t.Fatalf("header = %v, summary = %v", header, summary)
+			}
+
+			want := append(slices.Delete(slices.Clone(ids), tc.victim, tc.victim+1), header.SweepID)
+			var got []string
+			for _, st := range decodeBody[[]SweepStatus](t, getOK(t, ts.URL+"/v1/sweeps")) {
+				got = append(got, st.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("listed %d sweeps, want the %d tracked without sweep %d, newest last", len(got), len(want), tc.victim)
+			}
+			resp, err = http.Get(ts.URL + "/v1/sweeps/" + ids[tc.victim])
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("evicted sweep's status = %d, want 404", resp.StatusCode)
+			}
+			getOK(t, ts.URL+"/v1/sweeps/"+header.SweepID).Body.Close()
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/models"
 )
 
 func shardGrid(t *testing.T) *Grid {
@@ -142,14 +144,15 @@ func TestWindowClampComposesWithResume(t *testing.T) {
 	}
 }
 
-// TestGroupIsGateSiblingsInWindow checks Grid.Group against its
-// definition: row i and the later rows whose points equal row i's in
-// every field but the gate, in increasing order. Inside a window, the
-// members a stream keeps are those before the window's end.
+// TestGroupIsGateSiblingsInWindow streams windows of a grammar, each on
+// a fresh toolflow: the stream compiles once per compile group, and a
+// grammar window's groups are its rows' gate siblings inside the window,
+// so it compiles once per distinct compile key (the point, gate zeroed)
+// the window holds.
 func TestGroupIsGateSiblingsInWindow(t *testing.T) {
 	g, err := Space{
-		Apps:       []string{"BV", "QFT"},
-		Topologies: []string{"L6", "G2x3"},
+		Apps:       []string{"BV@8", "QFT@8"},
+		Topologies: []string{"L2", "G2x3"},
 		Capacities: []int{14, 18},
 		Gates:      []string{"AM1", "AM2", "PM"},
 		Reorders:   []string{"GS", "IS"},
@@ -158,32 +161,27 @@ func TestGroupIsGateSiblingsInWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	program := func(i int64) core.Point {
-		pt := g.PointAt(i)
-		pt.Gate = 0
-		return pt
-	}
 	for _, w := range []Window{g.FullWindow(), {Start: 5, End: 20}, {Start: 13, End: 14}} {
+		keys := map[core.Point]bool{}
 		for i := w.Start; i < w.End; i++ {
-			var want, got []int64
-			for j := i; j < w.End; j++ {
-				if program(j) == program(i) {
-					want = append(want, j)
-				}
+			pt := g.PointAt(i)
+			pt.Gate = 0
+			keys[pt] = true
+		}
+		tf := core.New(models.Default())
+		rows := 0
+		tf.Stream(context.Background(), g.Source(w), 2, func(r core.Row) bool {
+			if r.Outcome.Err != nil {
+				t.Errorf("window %+v: row %d: %v", w, r.Index, r.Outcome.Err)
 			}
-			for _, j := range g.Group(i) {
-				if j < w.End {
-					got = append(got, j)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("window %+v: Group(%d) = %v, want %v", w, i, got, want)
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("window %+v: Group(%d) = %v, want %v", w, i, got, want)
-				}
-			}
+			rows++
+			return true
+		})
+		if int64(rows) != w.End-w.Start {
+			t.Errorf("window %+v: %d rows, want %d", w, rows, w.End-w.Start)
+		}
+		if got := tf.Compiles(); got != uint64(len(keys)) {
+			t.Errorf("window %+v: %d compiles, want one per compile key, %d", w, got, len(keys))
 		}
 	}
 }

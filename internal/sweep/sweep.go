@@ -1,8 +1,9 @@
 // Package sweep implements the server-side design-space sweep. A Grid is
 // an ordered set of design points, validated up front and expanded
 // lazily, one point at a time; it reports its exact size and hash and
-// mints index windows, shards, resume cursors and compile groups, in the
-// same way whichever of its two constructors built it.
+// mints index windows, shards, resume cursors and stream sources, in the
+// same way whichever of its two constructors built it. The stream engine
+// (core.Toolflow.Stream) finds a source's compile groups itself.
 //
 // Space.Compile builds a Grid from the wire-level grammar, a compact
 // cross product of apps × topologies × capacities × gates × reorder
@@ -12,12 +13,9 @@
 // slowest, then topologies, capacities, gates and reorder methods, with
 // policies fastest: the nesting of the paper's evaluation grid, with
 // adjacent points comparing policies on an otherwise identical
-// configuration. A grammar's compile groups are gate siblings.
+// configuration.
 //
-// List builds a Grid from a points list, in list order, grouped by
-// core.List: points equal but for their gate, within a fixed span of
-// their group's first index. A grammar's expansion passed as a list
-// therefore groups exactly as the grammar does.
+// List builds a Grid from a points list, in list order.
 //
 // The order is part of the cursor contract: a cursor is (grid identity,
 // next index), so resuming can neither skip nor duplicate points.
@@ -152,15 +150,15 @@ func (s Space) Compile() (*Grid, error) {
 
 	x := &grammar{space: s, gates: gates, reorders: reorders, policies: policies}
 	return &Grid{
-		src:  core.Source{End: size, Point: x.pointAt, Group: x.group, Width: len(gates)},
+		src:  core.Source{End: size, Point: x.pointAt, Width: len(gates)},
 		hash: x.hash(),
 	}, nil
 }
 
 // List validates a points list and returns it as a grid whose expansion
-// is the list, in order, grouped by core.List. Its hash covers the
-// canonical points under a tag no grammar hash starts with, so a cursor
-// resumes only an equal list.
+// is the list, in order (see core.List). Its hash covers the canonical
+// points under a tag no grammar hash starts with, so a cursor resumes
+// only an equal list.
 func List(points []core.Point) (*Grid, error) {
 	var c models.Canon
 	c.Str("list", "v1")
@@ -295,27 +293,7 @@ func (x *grammar) pointAt(i int64) core.Point {
 	}
 }
 
-// Group returns i and the later indexes of i's compile group, in
-// increasing order: a grammar's later gate siblings of i, or the later
-// members of i's group in a list (see core.List). The gate
-// implementation enters only the simulator, so points that differ only
-// in their gate share one program.
-func (g *Grid) Group(i int64) []int64 { return g.src.Group(i) }
-
-// group returns i and its later gate siblings in a grammar: they sit at stride
-// |reorders|×|policies| inside i's (app, topology, capacity) block.
-func (x *grammar) group(i int64) []int64 {
-	stride := int64(len(x.reorders) * len(x.policies))
-	block := stride * int64(len(x.gates))
-	members := make([]int64, 0, len(x.gates))
-	for j := i; j < i-i%block+block; j += stride {
-		members = append(members, j)
-	}
-	return members
-}
-
-// Source returns window w of the expansion as a stream source whose
-// compile groups are the grid's (see Group).
+// Source returns window w of the expansion as a stream source.
 func (g *Grid) Source(w Window) core.Source {
 	src := g.src
 	src.Start, src.End = w.Start, w.End
