@@ -202,7 +202,8 @@ func (p *parser) parseReg(quantum bool) error {
 // operand denotes the n flat qubit indexes from first, unexpanded.
 type operand struct{ first, n int }
 
-// at is op's qubit in gate i of a broadcast, which a one-qubit op joins.
+// at is op's qubit in gate i of a broadcast: a one-qubit op gives its
+// qubit to every gate.
 func (op operand) at(i int) int { return op.first + min(i, op.n-1) }
 
 // parseOperand parses "name" (whole register) or "name[i]" and returns the
