@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"io"
 	"math"
 	"testing"
 
@@ -28,22 +29,7 @@ func TestPolicyProgramsPinned(t *testing.T) {
 		"congestion": "dd971c6526766225f0bdd136b7035b6f8e4fbeb53ad2531fc329ed16ace9f17b",
 		"lookahead":  "c80820aaadf14447de1ae418f43492bed41ce6b88c35f8ca54336adeed049ee6",
 	}
-	var circs []*circuit.Circuit
-	for _, spec := range apps.Suite() {
-		c, err := spec.Build()
-		if err != nil {
-			t.Fatalf("build %s: %v", spec.Name, err)
-		}
-		circs = append(circs, c)
-	}
-	var devs []*device.Device
-	for _, spec := range []string{"L6", "G2x3", "M2x3", "R6", "Mod2:G2x2"} {
-		d, err := device.Parse(spec, 22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs = append(devs, d)
-	}
+	circs, devs := paperInputs(t)
 	for _, name := range []string{"baseline", "congestion", "lookahead"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -67,6 +53,52 @@ func TestPolicyProgramsPinned(t *testing.T) {
 				t.Errorf("programs digest = %s, want %s", got, want[name])
 			}
 		})
+	}
+}
+
+// paperInputs returns the six paper apps and one device per topology
+// family at capacity 22.
+func paperInputs(t *testing.T) ([]*circuit.Circuit, []*device.Device) {
+	t.Helper()
+	var circs []*circuit.Circuit
+	for _, spec := range apps.Suite() {
+		c, err := spec.Build()
+		if err != nil {
+			t.Fatalf("build %s: %v", spec.Name, err)
+		}
+		circs = append(circs, c)
+	}
+	var devs []*device.Device
+	for _, spec := range []string{"L6", "G2x3", "M2x3", "R6", "Mod2:G2x2"} {
+		d, err := device.Parse(spec, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, d)
+	}
+	return circs, devs
+}
+
+// TestProgramTextPinned pins the baseline programs' text, as
+// Program.String prints it and qccdsim -dump shows it: one SHA-256 over
+// the six paper apps × five topology families at capacity 22 under GS.
+// The text numbers every op and labels its trap, segment, junction or
+// link, so a change to how an op records either moves the digest.
+func TestProgramTextPinned(t *testing.T) {
+	const want = "45ea11ec683d0c1b9f448e6a9e42b6a3f0d9c400ab81cac49336428fa74b5465"
+	circs, devs := paperInputs(t)
+	h := sha256.New()
+	for _, c := range circs {
+		for _, d := range devs {
+			prog, err := Compile(c, d, DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.Name, d.Name, err)
+			}
+			io.WriteString(h, prog.String())
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("program text digest = %s, want %s", got, want)
 	}
 }
 

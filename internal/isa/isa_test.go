@@ -60,6 +60,44 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 	}
 }
 
+// setResource makes o name resource r: its trap, segment or junction, as
+// its kind uses.
+func setResource(o *Op, r int32) {
+	switch o.Kind {
+	case OpMove, OpLinkTransit:
+		o.Segment = r
+	case OpJunctionCross:
+		o.Junction = r
+	default:
+		o.Trap = r
+	}
+}
+
+// TestValidateResourceTexts pins the exact error Validate gives an op
+// without the resource its kind needs.
+func TestValidateResourceTexts(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Program)
+		want   string
+	}{
+		{"move without segment", func(p *Program) { setResource(&p.Ops[2], -1) },
+			"isa: op 2 move without segment"},
+		{"junction-cross without junction", func(p *Program) {
+			p.Ops[2].Kind = OpJunctionCross
+			setResource(&p.Ops[2], -1)
+		}, "isa: op 2 junction-cross without junction"},
+		{"gate without trap", func(p *Program) { setResource(&p.Ops[4], -1) },
+			"isa: op 4 (gate2) without trap"},
+	} {
+		p := validProgram()
+		c.mutate(p)
+		if err := p.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestCategories(t *testing.T) {
 	if OpGate2.Category() != CatCompute || OpMeasure.Category() != CatCompute {
 		t.Error("gates should be compute")

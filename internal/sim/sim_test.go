@@ -271,6 +271,19 @@ func withOperands(o isa.Op, qubits []int32, deps ...int32) isa.Op {
 	return o
 }
 
+// setResource makes o name resource r: its trap, segment or junction, as
+// its kind uses.
+func setResource(o *isa.Op, r int32) {
+	switch o.Kind {
+	case isa.OpMove, isa.OpLinkTransit:
+		o.Segment = r
+	case isa.OpJunctionCross:
+		o.Junction = r
+	default:
+		o.Trap = r
+	}
+}
+
 func TestRunRejectsCorruptProgram(t *testing.T) {
 	d, _ := device.NewLinear(2, 4)
 	params := models.Default()
