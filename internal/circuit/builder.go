@@ -9,6 +9,8 @@ import "fmt"
 type Builder struct {
 	c   *Circuit
 	err error
+	// seen is the barriers' repeat check (see validate).
+	seen []uint64
 }
 
 // NewBuilder starts a circuit named name over n qubits.
@@ -55,7 +57,7 @@ func (b *Builder) Barrier(qs ...int) *Builder {
 	}
 	b.c.AppendBarrier(qs...)
 	last := len(b.c.Gates) - 1
-	if err := validate(GateBarrier, b.c.Qubits(last), b.c.NumQubits); err != nil {
+	if err := validate(GateBarrier, b.c.Qubits(last), b.c.NumQubits, &b.seen); err != nil {
 		b.err = fmt.Errorf("gate %d: %w", last, err)
 	}
 	return b

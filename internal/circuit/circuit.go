@@ -92,8 +92,9 @@ func (c *Circuit) Validate() error {
 	if c.NumQubits > MaxQubits {
 		return fmt.Errorf("circuit %q: %d qubits, at most %d fit", c.Name, c.NumQubits, MaxQubits)
 	}
+	var seen []uint64 // the barriers' repeat check (see validate)
 	for i := range c.Gates {
-		if err := validate(c.Gates[i].Kind, c.Qubits(i), c.NumQubits); err != nil {
+		if err := validate(c.Gates[i].Kind, c.Qubits(i), c.NumQubits, &seen); err != nil {
 			return fmt.Errorf("gate %d: %w", i, err)
 		}
 	}

@@ -108,6 +108,33 @@ func TestGateValidate(t *testing.T) {
 	}
 }
 
+// TestBarrierChecksStartClear validates barriers over shared qubits
+// through one Circuit.Validate call and one Builder, which keep one
+// repeat-check bitset across barriers: each barrier's check starts clear.
+func TestBarrierChecksStartClear(t *testing.T) {
+	c := New("barriers", 70)
+	b := NewBuilder("barriers", 70)
+	for _, qs := range [][]int{{0, 69}, {69, 0}, {0, 1, 69}, {1}} {
+		c.AppendBarrier(qs...)
+		b.Barrier(qs...)
+	}
+	if err := c.Validate(); err != nil {
+		t.Errorf("Circuit.Validate: %v", err)
+	}
+	if err := b.Err(); err != nil {
+		t.Errorf("Builder.Barrier: %v", err)
+	}
+	c.AppendBarrier(5, 69, 5)
+	b.Barrier(5, 69, 5)
+	const want = "gate 4: circuit: gate barrier repeats operand 5"
+	if err := c.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Circuit.Validate: error %v, want %s", err, want)
+	}
+	if err := b.Err(); err == nil || err.Error() != want {
+		t.Errorf("Builder.Barrier: error %v, want %s", err, want)
+	}
+}
+
 func TestCircuitCountsAndValidate(t *testing.T) {
 	c := New("test", 3)
 	c.Append(NewGate1(GateH, 0), NewGate2(GateCNOT, 0, 1), NewGate2(GateCZ, 1, 2))

@@ -192,11 +192,16 @@ func (g Gate) Validate(numQubits int) error {
 	if g.Kind == GateBarrier {
 		return nil
 	}
-	return validate(g.Kind, g.q[:g.n], numQubits)
+	return validate(g.Kind, g.q[:g.n], numQubits, nil)
 }
 
-// validate checks one gate's kind and operands against numQubits.
-func validate(k Kind, qs []int32, numQubits int) error {
+// validate checks one gate's kind and operands against numQubits. A
+// barrier may span every qubit, so it marks its operands in *seen, a
+// bitset over the qubits that the caller keeps from one barrier to the
+// next: validate allocates it on first use and clears the bits it set, so
+// each barrier costs its own operands, not the register. A fixed-arity
+// gate has at most two operands to compare, and seen may be nil.
+func validate(k Kind, qs []int32, numQubits int, seen *[]uint64) error {
 	if k == Invalid {
 		return fmt.Errorf("circuit: invalid gate kind")
 	}
@@ -204,28 +209,37 @@ func validate(k Kind, qs []int32, numQubits int) error {
 	if want >= 0 && len(qs) != want {
 		return fmt.Errorf("circuit: gate %s wants %d qubits, has %d", k, want, len(qs))
 	}
-	// A barrier may span every qubit, so it tracks seen operands in a
-	// bitset; a fixed-arity gate has at most two operands to compare.
-	var seen []uint64
+	var bits []uint64
 	if want < 0 {
-		seen = make([]uint64, (numQubits+63)/64)
+		if words := (numQubits + 63) / 64; len(*seen) < words {
+			*seen = make([]uint64, words)
+		}
+		bits = *seen
 	}
+	var err error
+	marked := 0
 	for i, q := range qs {
 		if q < 0 || int(q) >= numQubits {
-			return fmt.Errorf("circuit: gate %s operand %d out of range [0,%d)", k, q, numQubits)
+			err = fmt.Errorf("circuit: gate %s operand %d out of range [0,%d)", k, q, numQubits)
+			break
 		}
 		var repeat bool
-		if seen != nil {
-			repeat = seen[q/64]&(1<<(q%64)) != 0
-			seen[q/64] |= 1 << (q % 64)
+		if bits != nil {
+			repeat = bits[q/64]&(1<<(q%64)) != 0
+			bits[q/64] |= 1 << (q % 64)
+			marked = i + 1
 		} else {
 			repeat = slices.Contains(qs[:i], q)
 		}
 		if repeat {
-			return fmt.Errorf("circuit: gate %s repeats operand %d", k, q)
+			err = fmt.Errorf("circuit: gate %s repeats operand %d", k, q)
+			break
 		}
 	}
-	return nil
+	for _, q := range qs[:marked] {
+		bits[q/64] &^= 1 << (q % 64)
+	}
+	return err
 }
 
 // String renders the gate in OpenQASM-like form, e.g. "cx q[0],q[3]". A

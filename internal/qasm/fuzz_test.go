@@ -34,6 +34,7 @@ func FuzzQASMParse(f *testing.F) {
 		fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\nbarrier q;\n", MaxQubits+1),
 		fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\ncreg c[1];\nbarrier q,q,q;\n", MaxQubits),
 		"OPENQASM 2.0;\nqreg q[1];\nrx(1e308*10) q[0];\n",
+		smallBarriers,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -219,6 +219,33 @@ func TestRecordBound(t *testing.T) {
 	}
 }
 
+// smallBarriers is a 28 KB source of 2,000 one-qubit barriers on a
+// register of MaxQubits qubits.
+var smallBarriers = fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\n", MaxQubits) +
+	strings.Repeat("barrier q[0];\n", 2000)
+
+// TestBarrierCheckCost parses and validates smallBarriers, whose
+// barriers name one qubit each: the repeat check must cost each barrier
+// its own operands, not a bitset the size of the register.
+func TestBarrierCheckCost(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Parse("barriers", smallBarriers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := c.CountKind(circuit.GateBarrier); got != 2000 {
+		t.Errorf("parsed %d barriers, want 2000", got)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("Parse and Validate allocated %d bytes, want at most %d", alloc, 16<<20)
+	}
+}
+
 // TestNonFiniteParameter rejects an angle that overflows to infinity or
 // NaN, which Write could not render back as a number.
 func TestNonFiniteParameter(t *testing.T) {
