@@ -52,6 +52,7 @@ package compiler
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -293,14 +294,14 @@ func (cc *compilation) run(sched schedule) error {
 		case g.Kind == circuit.GateMeasure:
 			q := g.Qubit(0)
 			cc.addOp(isa.Op{
-				Kind: isa.OpMeasure, Trap: int32(cc.chains.Trap(q)),
+				Kind: isa.OpMeasure, Resource: int32(cc.chains.Trap(q)),
 				Gate: g.Kind, GateIndex: int32(gi),
 			}, false, q)
 		case g.Kind.IsSingleQubit():
 			q := g.Qubit(0)
 			cc.addOp(isa.Op{
-				Kind: isa.OpGate1, Trap: int32(cc.chains.Trap(q)),
-				Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
+				Kind: isa.OpGate1, Resource: int32(cc.chains.Trap(q)),
+				Gate: g.Kind, GateIndex: int32(gi),
 			}, false, q)
 		case g.Kind.IsTwoQubit():
 			if err := cc.twoQubit(gi, g); err != nil {
@@ -332,8 +333,8 @@ func (cc *compilation) twoQubit(gi int, g circuit.Gate) error {
 		}
 	}
 	cc.addOp(isa.Op{
-		Kind: isa.OpGate2, Trap: int32(cc.chains.Trap(a)),
-		Gate: g.Kind, Param: g.Param, GateIndex: int32(gi),
+		Kind: isa.OpGate2, Resource: int32(cc.chains.Trap(a)),
+		Gate: g.Kind, GateIndex: int32(gi),
 	}, false, a, b)
 	return nil
 }
@@ -379,7 +380,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 
 	cc.reorderToEnd(q, src, route.SrcEnd, gi)
 	cc.addOp(isa.Op{
-		Kind: isa.OpSplit, Trap: int32(src), End: route.SrcEnd, GateIndex: int32(gi),
+		Kind: isa.OpSplit, Resource: int32(src), End: route.SrcEnd, GateIndex: int32(gi),
 	}, true, q)
 
 	for _, hop := range route.Hops {
@@ -391,13 +392,12 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 			moveKind = isa.OpLinkTransit
 		}
 		cc.addOp(isa.Op{
-			Kind: moveKind, Trap: -1, Segment: int32(hop.Segment), GateIndex: int32(gi),
+			Kind: moveKind, Resource: int32(hop.Segment), GateIndex: int32(gi),
 		}, false, q)
 		switch hop.Node.Kind {
 		case device.NodeJunction:
 			cc.addOp(isa.Op{
-				Kind: isa.OpJunctionCross, Trap: -1,
-				Junction: int32(hop.Node.Index), GateIndex: int32(gi),
+				Kind: isa.OpJunctionCross, Resource: int32(hop.Node.Index), GateIndex: int32(gi),
 			}, false, q)
 		case device.NodeTrap:
 			t := hop.Node.Index
@@ -407,7 +407,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				}
 			}
 			cc.addOp(isa.Op{
-				Kind: isa.OpMerge, Trap: int32(t), End: hop.EnterEnd, GateIndex: int32(gi),
+				Kind: isa.OpMerge, Resource: int32(t), End: hop.EnterEnd, GateIndex: int32(gi),
 			}, true, q)
 			if t != dst {
 				// Pass-through: reposition to the far end and split back
@@ -415,7 +415,7 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 				exit := hop.EnterEnd.Opposite()
 				cc.reorderToEnd(q, t, exit, gi)
 				cc.addOp(isa.Op{
-					Kind: isa.OpSplit, Trap: int32(t), End: exit, GateIndex: int32(gi),
+					Kind: isa.OpSplit, Resource: int32(t), End: exit, GateIndex: int32(gi),
 				}, true, q)
 			}
 		}
@@ -472,7 +472,7 @@ func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
 	switch cc.opts.Reorder {
 	case models.GS:
 		cc.addOp(isa.Op{
-			Kind: isa.OpSwapGS, Trap: int32(t), GateIndex: int32(gi),
+			Kind: isa.OpSwapGS, Resource: int32(t), GateIndex: int32(gi),
 		}, true, q, cc.chains.At(t, target))
 	case models.IS:
 		step := 1
@@ -481,7 +481,7 @@ func (cc *compilation) reorderToEnd(q, t int, end device.End, gi int) {
 		}
 		for p := pos; p != target; p += step {
 			cc.addOp(isa.Op{
-				Kind: isa.OpIonSwap, Trap: int32(t), GateIndex: int32(gi),
+				Kind: isa.OpIonSwap, Resource: int32(t), GateIndex: int32(gi),
 			}, true, q, cc.chains.At(t, p+step))
 		}
 	}
@@ -495,9 +495,9 @@ func (cc *compilation) position(q, t int) int {
 	return cc.chains.Pos(q)
 }
 
-// addOp finalizes an op on the given operand qubits: assigns its ID,
-// derives its dependencies, applies it to the chains, updates the
-// per-qubit and per-trap bookkeeping, and appends it.
+// addOp finalizes an op on the given operand qubits: derives its
+// dependencies, applies it to the chains, updates the per-qubit and
+// per-trap bookkeeping, and appends it. Its index is its ID.
 //
 // An op has at most three dependency sources (two operand qubits plus its
 // trap's structural predecessor), so dedup runs over a three-entry
@@ -505,13 +505,6 @@ func (cc *compilation) position(q, t int) int {
 // per-op allocation.
 func (cc *compilation) addOp(op isa.Op, structural bool, qubits ...int) int {
 	id := len(cc.ops)
-	op.ID = int32(id)
-	if op.Kind != isa.OpMove && op.Kind != isa.OpLinkTransit {
-		op.Segment = -1
-	}
-	if op.Kind != isa.OpJunctionCross {
-		op.Junction = -1
-	}
 	var scratch [isa.MaxDeps]int32
 	nd := 0
 	addDep := func(d int) {
@@ -533,7 +526,7 @@ func (cc *compilation) addOp(op isa.Op, structural bool, qubits ...int) int {
 	}
 	op.SetQubits(operands[:len(qubits)]...)
 	if structural {
-		addDep(cc.lastStructure[op.Trap])
+		addDep(cc.lastStructure[op.Resource]) // a structural op's trap
 	}
 	// Insertion sort over at most three entries.
 	for i := 1; i < nd; i++ {
@@ -545,13 +538,13 @@ func (cc *compilation) addOp(op isa.Op, structural bool, qubits ...int) int {
 	if err := cc.chains.Apply(&op); err != nil {
 		// A rejected op is a compiler bug. Formatting op by value keeps it
 		// from escaping to the heap on every call.
-		panic("compiler: emitted " + op.String() + ": " + err.Error())
+		panic("compiler: emitted " + strconv.Itoa(id) + ": " + op.String() + ": " + err.Error())
 	}
 	for _, q := range qubits {
 		cc.lastOfQubit[q] = id
 	}
 	if structural {
-		cc.lastStructure[op.Trap] = id
+		cc.lastStructure[op.Resource] = id
 	}
 	if op.Kind.Category() == isa.CatCompute && op.GateIndex >= 0 {
 		for _, q := range qubits {

@@ -59,7 +59,7 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		trap := int(op.Trap)
+		trap := int(op.Trap())
 		qs := op.Qubits()
 		switch op.Kind {
 		case isa.OpSplit:
@@ -70,7 +70,7 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 				want = len(chain) - 1
 			}
 			if pos(q, trap) != want {
-				t.Fatalf("op %d: split q%d not at %s end of T%d (%v)", op.ID, q, op.End, trap, chain)
+				t.Fatalf("op %d: split q%d not at %s end of T%d (%v)", i, q, op.End, trap, chain)
 			}
 			if op.End == device.Left {
 				chains[trap] = chain[1:]
@@ -81,7 +81,7 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 		case isa.OpMerge:
 			q := int(qs[0])
 			if len(chains[trap]) >= d.Capacity {
-				t.Fatalf("op %d: merge overflows trap %d (cap %d)", op.ID, trap, d.Capacity)
+				t.Fatalf("op %d: merge overflows trap %d (cap %d)", i, trap, d.Capacity)
 			}
 			if op.End == device.Left {
 				chains[trap] = append([]int{q}, chains[trap]...)
@@ -93,36 +93,36 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 			a, b := int(qs[0]), int(qs[1])
 			pa, pb := pos(a, trap), pos(b, trap)
 			if pa < 0 || pb < 0 {
-				t.Fatalf("op %d: swapgs operands not co-located in T%d", op.ID, trap)
+				t.Fatalf("op %d: swapgs operands not co-located in T%d", i, trap)
 			}
 			chains[trap][pa], chains[trap][pb] = chains[trap][pb], chains[trap][pa]
 		case isa.OpIonSwap:
 			a, b := int(qs[0]), int(qs[1])
 			pa, pb := pos(a, trap), pos(b, trap)
 			if pa < 0 || pb < 0 || pa-pb != 1 && pb-pa != 1 {
-				t.Fatalf("op %d: ionswap operands not adjacent in T%d (%d,%d)", op.ID, pa, pb, trap)
+				t.Fatalf("op %d: ionswap operands not adjacent in T%d (%d,%d)", i, pa, pb, trap)
 			}
 			chains[trap][pa], chains[trap][pb] = chains[trap][pb], chains[trap][pa]
 		case isa.OpGate2:
 			a, b := int(qs[0]), int(qs[1])
 			if trapOf[a] != trap || trapOf[b] != trap {
-				t.Fatalf("op %d: gate2 operands q%d,q%d not in trap %d", op.ID, a, b, trap)
+				t.Fatalf("op %d: gate2 operands q%d,q%d not in trap %d", i, a, b, trap)
 			}
 		case isa.OpGate1, isa.OpMeasure:
 			if trapOf[int(qs[0])] != trap {
-				t.Fatalf("op %d: %s qubit not in trap %d", op.ID, op.Kind, trap)
+				t.Fatalf("op %d: %s qubit not in trap %d", i, op.Kind, trap)
 			}
 		}
 		if err := shared.Apply(op); err != nil {
-			t.Fatalf("op %d: isa.Chains rejects %s: %v", op.ID, op, err)
+			t.Fatalf("op %d: isa.Chains rejects %s: %v", i, op, err)
 		}
 		for tr, chain := range chains {
 			same := shared.Len(tr) == len(chain)
-			for i := 0; same && i < len(chain); i++ {
-				same = shared.At(tr, i) == chain[i]
+			for k := 0; same && k < len(chain); k++ {
+				same = shared.At(tr, k) == chain[k]
 			}
 			if !same {
-				t.Fatalf("op %d: isa.Chains disagrees on T%d, reference %v", op.ID, tr, chain)
+				t.Fatalf("op %d: isa.Chains disagrees on T%d, reference %v", i, tr, chain)
 			}
 		}
 		for _, q := range qs {
@@ -131,7 +131,7 @@ func replayStructure(t *testing.T, p *isa.Program, d *device.Device) {
 				want = -1
 			}
 			if got := shared.Trap(int(q)); got != want {
-				t.Fatalf("op %d: isa.Chains puts q%d in trap %d, reference %d", op.ID, q, got, want)
+				t.Fatalf("op %d: isa.Chains puts q%d in trap %d, reference %d", i, q, got, want)
 			}
 		}
 	}

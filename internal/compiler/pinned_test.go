@@ -45,7 +45,7 @@ func TestPolicyProgramsPinned(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s on %s (%s): %v", c.Name, d.Name, reorder, err)
 						}
-						hashProgram(h, prog)
+						hashProgram(h, c, prog)
 					}
 				}
 			}
@@ -102,9 +102,13 @@ func TestProgramTextPinned(t *testing.T) {
 	}
 }
 
-// hashProgram writes p's initial layout and every op field into h in a
-// fixed binary layout, each list preceded by its length.
-func hashProgram(h hash.Hash, p *isa.Program) {
+// hashProgram writes p's initial layout and every op into h in a fixed
+// binary layout, each list preceded by its length. An op is written as
+// its index, gate index, trap, segment and junction (-1 where its kind
+// names none), the angle of the circuit gate a gate1 or gate2 op
+// realizes (0 for any other op), its kind, end, gate and operands and
+// its dependencies.
+func hashProgram(h hash.Hash, c *circuit.Circuit, p *isa.Program) {
 	le := binary.LittleEndian
 	buf := le.AppendUint32(nil, uint32(p.NumQubits))
 	buf = le.AppendUint32(buf, uint32(len(p.InitialLayout)))
@@ -119,10 +123,14 @@ func hashProgram(h hash.Hash, p *isa.Program) {
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		buf = buf[:0]
-		for _, v := range []int32{op.ID, op.GateIndex, op.Trap, op.Segment, op.Junction} {
+		for _, v := range []int32{int32(i), op.GateIndex, op.Trap(), op.Segment(), op.Junction()} {
 			buf = le.AppendUint32(buf, uint32(v))
 		}
-		buf = le.AppendUint64(buf, math.Float64bits(op.Param))
+		param := 0.0
+		if op.Kind == isa.OpGate1 || op.Kind == isa.OpGate2 {
+			param = c.Gates[op.GateIndex].Param
+		}
+		buf = le.AppendUint64(buf, math.Float64bits(param))
 		buf = append(buf, byte(op.Kind), byte(op.End), byte(op.Gate))
 		qs, deps := op.Qubits(), op.Deps()
 		buf = append(buf, byte(len(qs)))
@@ -171,7 +179,7 @@ func TestBarrierProgramsPinned(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d on %s (%s): %v", seed, d.Name, name, err)
 				}
-				hashProgram(h, prog)
+				hashProgram(h, c, prog)
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {

@@ -105,7 +105,7 @@ func (c *Chains) Pos(q int) int {
 // The op must satisfy Program.Validate, and its trap must exist whenever
 // its kind names one.
 func (c *Chains) Apply(op *Op) error {
-	t := int(op.Trap)
+	t := int(op.Resource) // the trap, for the kinds that act in one
 	// The operands; b is meaningful only for the two-qubit kinds.
 	a, b := int(op.qubits[0]), int(op.qubits[1])
 	switch op.Kind {

@@ -8,14 +8,13 @@ import (
 	"repro/internal/device"
 )
 
-// chainOp builds an op of the given kind on trap t (or -1) and qubits.
+// chainOp builds an op of the given kind on trap t (or -1) and qubits; a
+// move, link transit or junction-cross names segment or junction 0.
 func chainOp(kind OpKind, t int32, end device.End, qubits ...int32) *Op {
-	op := &Op{Kind: kind, Trap: t, End: end, Segment: -1, Junction: -1, GateIndex: -1}
+	op := &Op{Kind: kind, Resource: t, End: end, GateIndex: -1}
 	switch kind {
-	case OpMove, OpLinkTransit:
-		op.Segment = 0
-	case OpJunctionCross:
-		op.Junction = 0
+	case OpMove, OpLinkTransit, OpJunctionCross:
+		op.Resource = 0
 	}
 	op.SetQubits(qubits...)
 	return op

@@ -7,14 +7,18 @@
 // Chains is the ion-chain state those ops act on; the compiler and the
 // simulator both step it through every op.
 //
-// An Op is a fixed-size 56-byte record with no pointers: its operands
+// An Op is a fixed-size 32-byte record with no pointers: its operands
 // (at most two qubits) and its dependencies (at most three earlier ops)
-// are held inline, and IDs, gate indices, resources and qubits are
-// 32-bit, as the circuit.Gate records a program is compiled from are. A
-// program of hundreds of thousands of ops is then one flat allocation
-// that the garbage collector never scans. The 32-bit fields bound a
-// program below 2^31 ops and qubits, far beyond any that fits in memory:
-// 2^31 ops would take more than 100 GiB.
+// are held inline, and gate indices, resources and qubits are 32-bit, as
+// the circuit.Gate records a program is compiled from are. A program of
+// hundreds of thousands of ops is then one flat allocation that the
+// garbage collector never scans. The record stores nothing a program
+// already knows: every op holds exactly one device resource (§V.B), so
+// one field names its trap, segment or junction; an op's index in
+// Program.Ops is its ID; and a gate's angle stays on the circuit gate
+// that GateIndex names. The 32-bit fields bound a program below 2^31 ops
+// and qubits, far beyond any the toolflow builds: 2^31 ops would take 64
+// GiB, and QFT@1024's 3.6 M take 115 MB.
 //
 // Program.Validate is the program's structural check. compiler.Compile
 // runs it on what it emits, and sim.Prepare on what it is given, which on
@@ -122,64 +126,89 @@ const (
 	MaxDeps   = 3
 )
 
-// Op is one primitive instruction. Unused resource fields hold -1.
+// Op is one primitive instruction. Its index in Program.Ops is its ID,
+// which dependencies name and the simulator schedules by.
 type Op struct {
-	// ID is the op's index in Program.Ops; also its scheduling priority.
-	ID int32
 	// GateIndex is the IR gate index this op realizes, or -1 for
 	// compiler-inserted communication ops.
 	GateIndex int32
-	// Trap is the trap operated on, for all kinds except move/junction.
-	Trap int32
-	// Segment is the segment traversed by a move.
-	Segment int32
-	// Junction is the junction crossed by a junction-cross.
-	Junction int32
-	// qubits and deps back Qubits and Deps; nQubits and nDeps are their
-	// lengths.
+	// Resource is the one device resource the op holds: the segment of a
+	// move or link transit, the junction of a junction-cross, and the trap
+	// of every other kind. Trap, Segment and Junction read it by kind.
+	Resource int32
+	// qubits and deps back Qubits and Deps; counts packs their lengths
+	// (see SetQubits and SetDeps).
 	qubits [MaxQubits]int32
 	deps   [MaxDeps]int32
-	// Param is the IR gate parameter.
-	Param float64
 	// Kind selects the primitive.
 	Kind OpKind
 	// End is the chain end for split/merge.
 	End device.End
 	// Gate carries the original IR gate kind for gate1/gate2/measure.
-	Gate    circuit.Kind
-	nQubits uint8
-	nDeps   uint8
+	Gate   circuit.Kind
+	counts uint8 // qubit count in the low two bits, dependency count above
 }
 
 // Qubits returns the program qubits involved (two for gate2/swap kinds).
 // The slice aliases the op: it is valid while the op is, and writes
 // through it change the op.
-func (o *Op) Qubits() []int32 { return o.qubits[:o.nQubits] }
+func (o *Op) Qubits() []int32 { return o.qubits[:o.counts&3] }
 
-// Deps returns the op IDs that must complete before this op starts. All
-// deps reference earlier IDs. The slice aliases the op, like Qubits.
-func (o *Op) Deps() []int32 { return o.deps[:o.nDeps] }
+// Deps returns the indices of the ops that must complete before this op
+// starts, all earlier than the op's own. The slice aliases the op, like
+// Qubits.
+func (o *Op) Deps() []int32 { return o.deps[:o.counts>>2] }
 
 // SetQubits replaces the op's operands. It panics on more than MaxQubits.
 func (o *Op) SetQubits(qs ...int32) {
 	if len(qs) > MaxQubits {
-		panic(fmt.Sprintf("isa: op %d: %d qubits, at most %d fit", o.ID, len(qs), MaxQubits))
+		panic(fmt.Sprintf("isa: %d qubits, at most %d fit in an op", len(qs), MaxQubits))
 	}
-	o.nQubits = uint8(copy(o.qubits[:], qs))
+	o.counts = o.counts&^3 | uint8(copy(o.qubits[:], qs))
 }
 
 // SetDeps replaces the op's dependencies. It panics on more than MaxDeps.
 func (o *Op) SetDeps(ds ...int32) {
 	if len(ds) > MaxDeps {
-		panic(fmt.Sprintf("isa: op %d: %d deps, at most %d fit", o.ID, len(ds), MaxDeps))
+		panic(fmt.Sprintf("isa: %d deps, at most %d fit in an op", len(ds), MaxDeps))
 	}
-	o.nDeps = uint8(copy(o.deps[:], ds))
+	o.counts = o.counts&3 | uint8(copy(o.deps[:], ds))<<2
 }
 
-// String renders one op, e.g. "12: gate2 cx q5,q9 @T2 <- [10 11]".
+// Trap returns the trap the op acts in, or -1 for a move, link transit or
+// junction-cross, which act outside any trap.
+func (o *Op) Trap() int32 {
+	switch o.Kind {
+	case OpMove, OpLinkTransit, OpJunctionCross:
+		return -1
+	}
+	return o.Resource
+}
+
+// Segment returns the segment a move or link transit traverses, or -1
+// for any other kind.
+func (o *Op) Segment() int32 {
+	if o.Kind == OpMove || o.Kind == OpLinkTransit {
+		return o.Resource
+	}
+	return -1
+}
+
+// Junction returns the junction a junction-cross traverses, or -1 for
+// any other kind.
+func (o *Op) Junction() int32 {
+	if o.Kind == OpJunctionCross {
+		return o.Resource
+	}
+	return -1
+}
+
+// String renders one op, e.g. "gate2 cx q5,q9 @T2 <- [10 11]". The op
+// does not know its index: a listing puts it in front, as Program.String
+// does ("12: gate2 cx …").
 func (o Op) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d: %s", o.ID, o.Kind)
+	b.WriteString(o.Kind.String())
 	if o.Kind == OpGate1 || o.Kind == OpGate2 || o.Kind == OpMeasure {
 		fmt.Fprintf(&b, " %s", o.Gate)
 	}
@@ -191,15 +220,15 @@ func (o Op) String() string {
 		}
 		fmt.Fprintf(&b, "q%d", q)
 	}
-	switch {
-	case o.Kind == OpMove || o.Kind == OpLinkTransit:
-		fmt.Fprintf(&b, " @s%d", o.Segment)
-	case o.Kind == OpJunctionCross:
-		fmt.Fprintf(&b, " @J%d", o.Junction)
-	case o.Kind == OpSplit || o.Kind == OpMerge:
-		fmt.Fprintf(&b, " @T%d.%s", o.Trap, o.End)
+	switch o.Kind {
+	case OpMove, OpLinkTransit:
+		fmt.Fprintf(&b, " @s%d", o.Resource)
+	case OpJunctionCross:
+		fmt.Fprintf(&b, " @J%d", o.Resource)
+	case OpSplit, OpMerge:
+		fmt.Fprintf(&b, " @T%d.%s", o.Resource, o.End)
 	default:
-		fmt.Fprintf(&b, " @T%d", o.Trap)
+		fmt.Fprintf(&b, " @T%d", o.Resource)
 	}
 	if deps := o.Deps(); len(deps) > 0 {
 		fmt.Fprintf(&b, " <- %v", deps)
@@ -256,9 +285,6 @@ func (p *Program) Validate() error {
 	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if int(op.ID) != i {
-			return fmt.Errorf("isa: op %d has ID %d", i, op.ID)
-		}
 		for _, d := range op.Deps() {
 			if d < 0 || int(d) >= i {
 				return fmt.Errorf("isa: op %d depends on non-earlier op %d", i, d)
@@ -277,17 +303,13 @@ func (p *Program) Validate() error {
 		if len(op.Qubits()) != wantQubits {
 			return fmt.Errorf("isa: op %d (%s) has %d qubits, want %d", i, op.Kind, len(op.Qubits()), wantQubits)
 		}
-		switch op.Kind {
-		case OpMove, OpLinkTransit:
-			if op.Segment < 0 {
+		if op.Resource < 0 {
+			switch op.Kind {
+			case OpMove, OpLinkTransit:
 				return fmt.Errorf("isa: op %d %s without segment", i, op.Kind)
-			}
-		case OpJunctionCross:
-			if op.Junction < 0 {
+			case OpJunctionCross:
 				return fmt.Errorf("isa: op %d junction-cross without junction", i)
-			}
-		default:
-			if op.Trap < 0 {
+			default:
 				return fmt.Errorf("isa: op %d (%s) without trap", i, op.Kind)
 			}
 		}
@@ -304,7 +326,7 @@ func (p *Program) String() string {
 		fmt.Fprintf(&b, "  T%d: %v\n", t, chain)
 	}
 	for i := range p.Ops {
-		fmt.Fprintf(&b, "  %s\n", &p.Ops[i])
+		fmt.Fprintf(&b, "  %d: %s\n", i, &p.Ops[i])
 	}
 	return b.String()
 }

@@ -1,9 +1,11 @@
 package isa
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -23,11 +25,11 @@ func validProgram() *Program {
 		DeviceName:    "L2",
 		InitialLayout: [][]int{{0, 1}, {2}},
 		Ops: []Op{
-			withOperands(Op{ID: 0, Kind: OpGate1, Trap: 0, Gate: circuit.GateH, Segment: -1, Junction: -1, GateIndex: 0}, []int32{0}),
-			withOperands(Op{ID: 1, Kind: OpSplit, Trap: 0, End: device.Right, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}, 0),
-			withOperands(Op{ID: 2, Kind: OpMove, Trap: -1, Segment: 0, Junction: -1, GateIndex: -1}, []int32{0}, 1),
-			withOperands(Op{ID: 3, Kind: OpMerge, Trap: 1, End: device.Left, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}, 2),
-			withOperands(Op{ID: 4, Kind: OpGate2, Trap: 1, Gate: circuit.GateCNOT, Segment: -1, Junction: -1, GateIndex: 1}, []int32{0, 2}, 3),
+			withOperands(Op{Kind: OpGate1, Resource: 0, Gate: circuit.GateH, GateIndex: 0}, []int32{0}),
+			withOperands(Op{Kind: OpSplit, Resource: 0, End: device.Right, GateIndex: -1}, []int32{0}, 0),
+			withOperands(Op{Kind: OpMove, Resource: 0, GateIndex: -1}, []int32{0}, 1),
+			withOperands(Op{Kind: OpMerge, Resource: 1, End: device.Left, GateIndex: -1}, []int32{0}, 2),
+			withOperands(Op{Kind: OpGate2, Resource: 1, Gate: circuit.GateCNOT, GateIndex: 1}, []int32{0, 2}, 3),
 		},
 	}
 }
@@ -40,13 +42,12 @@ func TestValidateHappyPath(t *testing.T) {
 
 func TestValidateCatchesBadPrograms(t *testing.T) {
 	corrupt := []func(*Program){
-		func(p *Program) { p.Ops[2].Segment = -1 },                  // move without segment
-		func(p *Program) { p.Ops[0].Trap = -1 },                     // gate without trap
+		func(p *Program) { p.Ops[2].Resource = -1 },                 // move without segment
+		func(p *Program) { p.Ops[0].Resource = -1 },                 // gate without trap
 		func(p *Program) { p.Ops[4].SetDeps(9) },                    // forward dep
 		func(p *Program) { p.Ops[4].SetDeps(-1) },                   // negative dep
 		func(p *Program) { p.Ops[4].SetQubits(0) },                  // operand count disagrees with kind
 		func(p *Program) { p.Ops[0].SetQubits(5) },                  // qubit range
-		func(p *Program) { p.Ops[1].ID = 7 },                        // ID mismatch
 		func(p *Program) { p.InitialLayout = [][]int{{0, 0}, {2}} }, // dup layout
 		func(p *Program) { p.InitialLayout = [][]int{{0}, {2}} },    // missing qubit
 		func(p *Program) { p.InitialLayout[0][0] = 9 },              // layout range
@@ -62,16 +63,7 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 
 // setResource makes o name resource r: its trap, segment or junction, as
 // its kind uses.
-func setResource(o *Op, r int32) {
-	switch o.Kind {
-	case OpMove, OpLinkTransit:
-		o.Segment = r
-	case OpJunctionCross:
-		o.Junction = r
-	default:
-		o.Trap = r
-	}
-}
+func setResource(o *Op, r int32) { o.Resource = r }
 
 // TestValidateResourceTexts pins the exact error Validate gives an op
 // without the resource its kind needs.
@@ -130,16 +122,34 @@ func TestOpStrings(t *testing.T) {
 		2: "2: move q0 @s0 <- [1]",
 		4: "4: gate2 cx q0,q2 @T1 <- [3]",
 	}
-	for id, want := range cases {
-		if got := p.Ops[id].String(); got != want {
-			t.Errorf("op %d String = %q, want %q", id, got, want)
+	for i, want := range cases {
+		if got := fmt.Sprintf("%d: %s", i, &p.Ops[i]); got != want {
+			t.Errorf("op %d String = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestResourceAccessors checks that each kind's resource reads through
+// the accessor for its kind alone, and the others read -1.
+func TestResourceAccessors(t *testing.T) {
+	for k := OpGate1; k <= OpLinkTransit+1; k++ {
+		op := Op{Kind: k, Resource: 5}
+		want := [3]int32{5, -1, -1} // trap, segment, junction
+		switch k {
+		case OpMove, OpLinkTransit:
+			want = [3]int32{-1, 5, -1}
+		case OpJunctionCross:
+			want = [3]int32{-1, -1, 5}
+		}
+		if got := [3]int32{op.Trap(), op.Segment(), op.Junction()}; got != want {
+			t.Errorf("%s: trap, segment, junction = %v, want %v", k, got, want)
 		}
 	}
 }
 
 func TestProgramString(t *testing.T) {
 	s := validProgram().String()
-	for _, want := range []string{"program t on L2", "T0: [0 1]", "gate2 cx"} {
+	for _, want := range []string{"program t on L2", "T0: [0 1]", "\n  4: gate2 cx q0,q2 @T1 <- [3]\n"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("program string missing %q:\n%s", want, s)
 		}
@@ -155,14 +165,22 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-// TestOpIsFlat keeps Op a small record with no pointers: a pointer-bearing
-// field would make the garbage collector scan every op of every program,
-// and a wider record would add memory traffic to every compile and run.
+// TestRecordSizes pins the two records a compile streams, so widening
+// either is a decision: every compile, Prepare and run moves them, and
+// the largest programs hold millions of each.
+func TestRecordSizes(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size != 32 {
+		t.Errorf("isa.Op is %d bytes, want 32", size)
+	}
+	if size := unsafe.Sizeof(circuit.Gate{}); size != 24 {
+		t.Errorf("circuit.Gate is %d bytes, want 24", size)
+	}
+}
+
+// TestOpIsFlat keeps Op a record with no pointers: a pointer-bearing
+// field would make the garbage collector scan every op of every program.
 func TestOpIsFlat(t *testing.T) {
 	typ := reflect.TypeOf(Op{})
-	if size := typ.Size(); size > 64 {
-		t.Errorf("isa.Op is %d bytes, want at most 64", size)
-	}
 	var check func(path string, typ reflect.Type)
 	check = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
@@ -192,8 +210,13 @@ func TestOperandBounds(t *testing.T) {
 		t.Errorf("Deps = %v", got)
 	}
 	op.SetDeps()
-	if len(op.Deps()) != 0 {
-		t.Errorf("Deps after reset = %v", op.Deps())
+	if len(op.Deps()) != 0 || len(op.Qubits()) != 2 {
+		t.Errorf("after clearing deps: Qubits = %v, Deps = %v", op.Qubits(), op.Deps())
+	}
+	op.SetDeps(6, 7)
+	op.SetQubits(8)
+	if got := op.Deps(); len(got) != 2 || got[1] != 7 || len(op.Qubits()) != 1 {
+		t.Errorf("after one operand: Qubits = %v, Deps = %v", op.Qubits(), op.Deps())
 	}
 	for name, set := range map[string]func(){
 		"qubits": func() { op.SetQubits(0, 1, 2) },

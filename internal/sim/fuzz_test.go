@@ -36,8 +36,8 @@ func decodeProgram(data []byte, devs []*device.Device) (*isa.Program, *device.De
 	for len(data) >= 4 && len(p.Ops) < 64 {
 		kind, operands, res, flags := next(), next(), next(), next()
 		op := isa.Op{
-			ID: int32(len(p.Ops)), Kind: isa.OpKind(kind % int(isa.OpLinkTransit+2)),
-			GateIndex: -1, Trap: -1, Segment: -1, Junction: -1, End: device.End(flags & 1),
+			Kind:      isa.OpKind(kind % int(isa.OpLinkTransit+2)),
+			GateIndex: -1, End: device.End(flags & 1),
 		}
 		a, b := int32(operands%nq), int32(operands/4%nq)
 		switch op.Kind {
@@ -48,14 +48,14 @@ func decodeProgram(data []byte, devs []*device.Device) (*isa.Program, *device.De
 		}
 		switch op.Kind {
 		case isa.OpMove, isa.OpLinkTransit:
-			op.Segment = int32(res % (len(d.Segments) + 2))
+			op.Resource = int32(res % (len(d.Segments) + 2))
 		case isa.OpJunctionCross:
-			op.Junction = int32(res % (len(d.Junctions) + 2))
+			op.Resource = int32(res % (len(d.Junctions) + 2))
 		default:
-			op.Trap = int32(res % (d.NumTraps() + 2))
+			op.Resource = int32(res % (d.NumTraps() + 2))
 		}
-		if flags&2 != 0 && op.ID > 0 {
-			op.SetDeps(op.ID - 1)
+		if i := int32(len(p.Ops)); flags&2 != 0 && i > 0 {
+			op.SetDeps(i - 1)
 		}
 		p.Ops = append(p.Ops, op)
 	}

@@ -115,16 +115,16 @@ func Prepare(p *isa.Program, d *device.Device) (*Prepared, error) {
 	// adjacency list so waking dependents allocates nothing.
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		what, idx, n := "trap", int(op.Trap), d.NumTraps()
+		what, n := "trap", d.NumTraps()
 		switch op.Kind {
 		case isa.OpMove, isa.OpLinkTransit:
-			what, idx, n = "segment", int(op.Segment), len(d.Segments)
+			what, n = "segment", len(d.Segments)
 		case isa.OpJunctionCross:
-			what, idx, n = "junction", int(op.Junction), len(d.Junctions)
+			what, n = "junction", len(d.Junctions)
 		}
-		if idx >= n {
+		if int(op.Resource) >= n {
 			return nil, fmt.Errorf("sim: op %d (%s) names %s %d, device %s has %d",
-				i, op.Kind, what, idx, d.Name, n)
+				i, op.Kind, what, op.Resource, d.Name, n)
 		}
 		for _, dep := range op.Deps() {
 			pr.childOff[dep+1]++
@@ -263,11 +263,11 @@ func (pr *Prepared) newEngine(s *Scratch, params models.Params, traced bool) *en
 func (e *engine) resourceIndex(op *isa.Op) int {
 	switch op.Kind {
 	case isa.OpMove, isa.OpLinkTransit:
-		return e.dev.NumTraps() + int(op.Segment)
+		return e.dev.NumTraps() + int(op.Resource)
 	case isa.OpJunctionCross:
-		return e.dev.NumTraps() + len(e.dev.Segments) + int(op.Junction)
+		return e.dev.NumTraps() + len(e.dev.Segments) + int(op.Resource)
 	default:
-		return int(op.Trap)
+		return int(op.Resource)
 	}
 }
 
@@ -302,7 +302,7 @@ func (e *engine) run() error {
 func (e *engine) firstBlocked() string {
 	for i, n := range e.depsLeft {
 		if n > 0 {
-			return e.prog.Ops[i].String()
+			return fmt.Sprintf("%d: %s", i, &e.prog.Ops[i])
 		}
 	}
 	return "<none>"
@@ -374,9 +374,9 @@ func (e *engine) duration(op *isa.Op) float64 {
 	case isa.OpMeasure:
 		return p.MeasureTime
 	case isa.OpGate2:
-		return p.TwoQubitTime(e.gateDistance(op), e.chains.Len(int(op.Trap)))
+		return p.TwoQubitTime(e.gateDistance(op), e.chains.Len(int(op.Resource)))
 	case isa.OpSwapGS:
-		tau := p.TwoQubitTime(e.gateDistance(op), e.chains.Len(int(op.Trap)))
+		tau := p.TwoQubitTime(e.gateDistance(op), e.chains.Len(int(op.Resource)))
 		return float64(p.SwapMSGates)*tau + float64(p.SwapOneQGates)*p.OneQubitTime
 	case isa.OpIonSwap:
 		return p.IonSwapTime()
@@ -385,13 +385,13 @@ func (e *engine) duration(op *isa.Op) float64 {
 	case isa.OpMerge:
 		return p.MergeTime
 	case isa.OpMove:
-		return p.MoveTime * float64(e.dev.Segments[op.Segment].Length)
+		return p.MoveTime * float64(e.dev.Segments[op.Resource].Length)
 	case isa.OpLinkTransit:
 		// Flat: remote entanglement + teleportation is one heralded round,
 		// however long the optical fiber.
 		return p.PhotonicLinkLatency
 	case isa.OpJunctionCross:
-		return p.JunctionTime(e.dev.Junctions[op.Junction].Kind())
+		return p.JunctionTime(e.dev.Junctions[op.Resource].Kind())
 	}
 	return p.OneQubitTime
 }
@@ -399,7 +399,7 @@ func (e *engine) duration(op *isa.Op) float64 {
 // gateDistance returns the in-chain position separation of a 2-qubit op.
 func (e *engine) gateDistance(op *isa.Op) int {
 	qs := op.Qubits()
-	a, b, t := int(qs[0]), int(qs[1]), int(op.Trap)
+	a, b, t := int(qs[0]), int(qs[1]), int(op.Resource)
 	if e.chains.Trap(a) != t || e.chains.Trap(b) != t {
 		// Recorded as an invariant violation by the completion handler.
 		return 1
@@ -420,7 +420,7 @@ func (e *engine) complete(ev event) error {
 		e.endTime[i] = e.now
 	}
 	if err := e.apply(op); err != nil {
-		return fmt.Errorf("sim: op %s at t=%.1fµs: %w", op, e.now, err)
+		return fmt.Errorf("sim: op %d: %s at t=%.1fµs: %w", i, op, e.now, err)
 	}
 	e.done++
 	cat := op.Kind.Category()
@@ -453,7 +453,7 @@ func (e *engine) apply(op *isa.Op) error {
 	}
 	e.completed[op.Kind]++
 	p := &e.params
-	t := int(op.Trap)
+	t := int(op.Resource) // the trap, for the kinds that act in one
 	q := op.Qubits()[0]
 	switch op.Kind {
 	case isa.OpGate1:
@@ -496,7 +496,7 @@ func (e *engine) apply(op *isa.Op) error {
 		e.observeTransit(q)
 
 	case isa.OpMove:
-		e.transitE[q] = moveEnergy(e.transitE[q], e.dev.Segments[op.Segment].Length, p.K2)
+		e.transitE[q] = moveEnergy(e.transitE[q], e.dev.Segments[op.Resource].Length, p.K2)
 		e.observeTransit(q)
 
 	case isa.OpLinkTransit:

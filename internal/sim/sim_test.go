@@ -273,16 +273,7 @@ func withOperands(o isa.Op, qubits []int32, deps ...int32) isa.Op {
 
 // setResource makes o name resource r: its trap, segment or junction, as
 // its kind uses.
-func setResource(o *isa.Op, r int32) {
-	switch o.Kind {
-	case isa.OpMove, isa.OpLinkTransit:
-		o.Segment = r
-	case isa.OpJunctionCross:
-		o.Junction = r
-	default:
-		o.Trap = r
-	}
-}
+func setResource(o *isa.Op, r int32) { o.Resource = r }
 
 func TestRunRejectsCorruptProgram(t *testing.T) {
 	d, _ := device.NewLinear(2, 4)
@@ -315,8 +306,8 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 			Name: "bad", NumQubits: 1, DeviceName: "L2",
 			InitialLayout: [][]int{{0}, {}},
 			Ops: []isa.Op{withOperands(isa.Op{
-				ID: 0, Kind: isa.OpGate1, Trap: 0,
-				Gate: circuit.GateH, Segment: -1, Junction: -1,
+				Kind: isa.OpGate1, Resource: 0,
+				Gate: circuit.GateH,
 			}, []int32{0}, 3)},
 		}, d, params},
 		{"layout/device mismatch", &isa.Program{
@@ -327,13 +318,13 @@ func TestRunRejectsCorruptProgram(t *testing.T) {
 		{"invalid device", valid, &badDevice, params},
 		// L2 has traps 0-1, segment 0 and no junction.
 		{"trap out of range", oneOp(isa.Op{
-			Kind: isa.OpGate1, Trap: 7, Gate: circuit.GateH, Segment: -1, Junction: -1,
+			Kind: isa.OpGate1, Resource: 7, Gate: circuit.GateH,
 		}), d, params},
 		{"segment out of range", oneOp(isa.Op{
-			Kind: isa.OpMove, Trap: -1, Segment: 9, Junction: -1,
+			Kind: isa.OpMove, Resource: 9,
 		}), d, params},
 		{"junction out of range", oneOp(isa.Op{
-			Kind: isa.OpJunctionCross, Trap: -1, Segment: -1, Junction: 3,
+			Kind: isa.OpJunctionCross, Resource: 3,
 		}), d, params},
 		{"layout overfills a trap", &isa.Program{
 			Name: "overfull", NumQubits: 5, DeviceName: "L2",
@@ -389,8 +380,8 @@ func TestRunDetectsInvariantViolation(t *testing.T) {
 		Name: "viol", NumQubits: 3, DeviceName: "L2",
 		InitialLayout: [][]int{{0, 1, 2}, {}},
 		Ops: []isa.Op{withOperands(isa.Op{
-			ID: 0, Kind: isa.OpSplit, Trap: 0,
-			End: device.Left, Segment: -1, Junction: -1, GateIndex: -1,
+			Kind: isa.OpSplit, Resource: 0,
+			End: device.Left, GateIndex: -1,
 		}, []int32{1})},
 	}
 	_, err := Run(p, d, models.Default())
@@ -405,9 +396,9 @@ func TestRunDetectsMergeOverflow(t *testing.T) {
 		Name: "overflow", NumQubits: 3, DeviceName: "L2",
 		InitialLayout: [][]int{{0}, {1, 2}},
 		Ops: []isa.Op{
-			withOperands(isa.Op{ID: 0, Kind: isa.OpSplit, Trap: 0, End: device.Right, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}),
-			withOperands(isa.Op{ID: 1, Kind: isa.OpMove, Trap: -1, Segment: 0, Junction: -1, GateIndex: -1}, []int32{0}, 0),
-			withOperands(isa.Op{ID: 2, Kind: isa.OpMerge, Trap: 1, End: device.Left, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}, 1),
+			withOperands(isa.Op{Kind: isa.OpSplit, Resource: 0, End: device.Right, GateIndex: -1}, []int32{0}),
+			withOperands(isa.Op{Kind: isa.OpMove, Resource: 0, GateIndex: -1}, []int32{0}, 0),
+			withOperands(isa.Op{Kind: isa.OpMerge, Resource: 1, End: device.Left, GateIndex: -1}, []int32{0}, 1),
 		},
 	}
 	_, err := Run(p, d, models.Default())
@@ -544,19 +535,16 @@ func TestTransitEnergyObserved(t *testing.T) {
 	layout := make([][]int, d.NumTraps())
 	layout[src] = []int{0}
 	ops := []isa.Op{withOperands(isa.Op{
-		Kind: isa.OpSplit, Trap: int32(src), End: route.SrcEnd,
-		Segment: -1, Junction: -1, GateIndex: -1,
+		Kind: isa.OpSplit, Resource: int32(src), End: route.SrcEnd, GateIndex: -1,
 	}, []int32{0})}
 	for _, hop := range route.Hops {
 		prev := int32(len(ops) - 1)
 		ops = append(ops, withOperands(isa.Op{
-			ID: int32(len(ops)), Kind: isa.OpMove, Trap: -1,
-			Segment: int32(hop.Segment), Junction: -1, GateIndex: -1,
+			Kind: isa.OpMove, Resource: int32(hop.Segment), GateIndex: -1,
 		}, []int32{0}, prev))
 		if hop.Node.Kind == device.NodeJunction {
 			ops = append(ops, withOperands(isa.Op{
-				ID: int32(len(ops)), Kind: isa.OpJunctionCross, Trap: -1,
-				Segment: -1, Junction: int32(hop.Node.Index), GateIndex: -1,
+				Kind: isa.OpJunctionCross, Resource: int32(hop.Node.Index), GateIndex: -1,
 			}, []int32{0}, int32(len(ops)-1)))
 		}
 	}
@@ -621,9 +609,9 @@ func TestLinkTransitResetsMotionalEnergy(t *testing.T) {
 		Name: "link-reset", NumQubits: 1, DeviceName: d.Name,
 		InitialLayout: layout,
 		Ops: []isa.Op{
-			withOperands(isa.Op{ID: 0, Kind: isa.OpSplit, Trap: exit, End: route.SrcEnd, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}),
-			withOperands(isa.Op{ID: 1, Kind: isa.OpLinkTransit, Trap: -1, Segment: int32(hop.Segment), Junction: -1, GateIndex: -1}, []int32{0}, 0),
-			withOperands(isa.Op{ID: 2, Kind: isa.OpMerge, Trap: entry, End: hop.EnterEnd, Segment: -1, Junction: -1, GateIndex: -1}, []int32{0}, 1),
+			withOperands(isa.Op{Kind: isa.OpSplit, Resource: exit, End: route.SrcEnd, GateIndex: -1}, []int32{0}),
+			withOperands(isa.Op{Kind: isa.OpLinkTransit, Resource: int32(hop.Segment), GateIndex: -1}, []int32{0}, 0),
+			withOperands(isa.Op{Kind: isa.OpMerge, Resource: entry, End: hop.EnterEnd, GateIndex: -1}, []int32{0}, 1),
 		},
 	}
 	params := models.Default()

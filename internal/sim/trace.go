@@ -105,10 +105,10 @@ func RunTraced(p *isa.Program, d *device.Device, params models.Params) (*Result,
 func (e *engine) resourceName(op *isa.Op) string {
 	switch op.Kind {
 	case isa.OpMove, isa.OpLinkTransit:
-		return fmt.Sprintf("s%d", op.Segment)
+		return fmt.Sprintf("s%d", op.Resource)
 	case isa.OpJunctionCross:
-		return fmt.Sprintf("J%d", op.Junction)
+		return fmt.Sprintf("J%d", op.Resource)
 	default:
-		return fmt.Sprintf("T%d", op.Trap)
+		return fmt.Sprintf("T%d", op.Resource)
 	}
 }
