@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -331,41 +333,60 @@ func TestScalingStudy(t *testing.T) {
 	}
 }
 
-// TestFigureCSVExports checks the long-format CSV writers.
+// TestFigureCSVExports checks the long-format CSV writers and pins the
+// seven files `cmd/experiments -csv` writes. Every study runs on one
+// cached toolflow, as the command does, so points shared across studies
+// are computed once; each study's CSV must hash to its pinned SHA-256.
 func TestFigureCSVExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	f6, err := RunFig6(core.New(models.Default()))
-	checkStudy(t, f6, err)
-	var b strings.Builder
-	if err := f6.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"figure,panel,series,capacity,value", "fig6,a_time_s,QFT,14", "g_supremacy_ms_error,Motional"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig6 csv missing %q", want)
+	tf := core.NewCached(models.Default(), 0)
+	for _, st := range []struct {
+		name, digest string
+		run          func(*core.Toolflow) (csvStudy, error)
+		contains     []string
+	}{
+		{"fig6", "4d34da3498c0fbd1463aef1969b9a881fac60b74fa91ab7ce5de21948b8da702",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunFig6(tf) },
+			[]string{"figure,panel,series,capacity,value", "fig6,a_time_s,QFT,14", "g_supremacy_ms_error,Motional"}},
+		{"fig7", "5d5171a56c1c6359fc8c53eafec39800e0e47420ebeb01e406cf63e3546104b5",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunFig7(tf) },
+			[]string{"G2x3/SquareRoot"}},
+		{"fig8", "2c0e756c6bd52a02238b44a781e8401b87c1fca8772bcb75e7a723ded16c9e8f",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunFig8(tf) },
+			[]string{"QAOA/AM2-GS"}},
+		{"scaling", "763f1685320d239e2bf6f7a6c47dac1b478b4b92c4f0039a5554bbbe9974e9fa",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunScaling(tf) }, nil},
+		{"qec", "b26134d9da6f139fb35fc11b3f12ca9f99f28c13bc54e92aa61d17d747f4b524",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunQEC(tf) }, nil},
+		{"policies", "1a3b4ae96bdf340f4f735829ede45bf6d0019d11487a2d613a152f652a08c6a3",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunPolicyComparison(tf) }, nil},
+		{"titan", "113d91a3b990bbe519ba17beeb5124eb03d13213e232c3cb3b39a1e9ae75ec90",
+			func(tf *core.Toolflow) (csvStudy, error) { return RunTitan(tf) }, nil},
+	} {
+		s, err := st.run(tf)
+		checkStudy(t, s, err)
+		var b strings.Builder
+		if err := s.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, want := range st.contains {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s csv missing %q", st.name, want)
+			}
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != st.digest {
+			t.Errorf("%s csv sha256 = %s, want %s", st.name, got, st.digest)
 		}
 	}
-	f7, err := RunFig7(core.New(models.Default()))
-	checkStudy(t, f7, err)
-	b.Reset()
-	if err := f7.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "G2x3/SquareRoot") {
-		t.Error("fig7 csv series")
-	}
-	f8, err := RunFig8(core.New(models.Default()))
-	checkStudy(t, f8, err)
-	b.Reset()
-	if err := f8.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "QAOA/AM2-GS") {
-		t.Error("fig8 csv series")
-	}
+}
+
+// csvStudy is what TestFigureCSVExports needs of a study.
+type csvStudy interface {
+	WriteCSV(io.Writer) error
+	Failures() []core.Outcome
 }
 
 // TestScalingFailureContract pins the NaN-plus-failure reporting of the
