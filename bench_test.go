@@ -475,9 +475,10 @@ func BenchmarkSimulateSurface(b *testing.B) {
 	}
 }
 
-// BenchmarkStabilizerSurface measures the tableau backend alone on the
-// same circuits: the O(n²)-per-gate fast path that makes Clifford
-// workloads at this width simulable at all.
+// BenchmarkStabilizerSurface measures the stabilizer tableau on the same
+// circuits. The tableau is a test oracle that no toolflow path runs; at
+// O(n) word operations per Clifford gate it simulates widths no dense
+// state vector reaches.
 func BenchmarkStabilizerSurface(b *testing.B) {
 	for _, d := range surfaceDistances {
 		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {

@@ -6,9 +6,9 @@ package apps
 // repeated-round stabilizer measurements are the dominant machine
 // workload. Surface@d generates exactly that circuit: d² data qubits,
 // d²−1 measure ancillas, r rounds of X/Z plaquette extraction, then a
-// final data readout — all Clifford, so the stabilizer backend
-// (internal/stabilizer) simulates it far past the dense-statevector
-// limit.
+// final data readout — all Clifford, so the stabilizer tableau
+// (internal/stabilizer), a test oracle, checks its syndromes far past
+// the dense state vector's limit.
 
 import (
 	"fmt"

@@ -1,13 +1,16 @@
-// Package difftest is the correctness argument for the stabilizer fast
-// path: a seeded random-Clifford-circuit generator whose output runs
-// through both simulation backends (dense state vector and CHP tableau),
-// asserting identical measurement distributions, plus metamorphic
-// rewrites (disjoint-gate commutation, inverse-append ⇒ identity) that
-// hold for any correct simulator regardless of backend.
+// Package difftest checks the repository's two state simulators, both
+// test oracles, against each other: internal/statevec (dense state
+// vector) and internal/stabilizer (CHP tableau), which share no code. Its
+// seeded random-Clifford-circuit generator feeds the package's tests,
+// which run each circuit on both simulators and require the same
+// measurement distribution, and check metamorphic rewrites
+// (disjoint-gate commutation, inverse-append ⇒ identity) that hold for
+// any correct simulator. The tests also run the BV and surface-code
+// workloads on both.
 //
-// The generator lives in the package proper (not a _test file) so fuzz
-// targets and benchmarks elsewhere can reuse it; it has no test-only
-// dependencies.
+// The generator lives in the package proper (not a _test file) so tests
+// elsewhere can reuse it: internal/compiler pins the programs compiled
+// from its circuits. It has no test-only dependencies.
 package difftest
 
 import (
@@ -16,7 +19,7 @@ import (
 	"repro/internal/circuit"
 )
 
-// CliffordKinds is every IR gate kind the stabilizer backend accepts,
+// CliffordKinds is every IR gate kind the stabilizer tableau accepts,
 // exported so coverage tests can assert the generator never silently
 // drops a kind.
 var CliffordKinds = []circuit.Kind{
@@ -72,60 +75,4 @@ func RandomClifford(seed int64, opts GenOptions) *circuit.Circuit {
 		}
 	}
 	return c
-}
-
-// Inverse returns a new circuit that appends c's inverse to c, so the
-// whole program computes the identity (up to global phase). Barriers and
-// measurements — no-ops under both backends' Run contract — are dropped
-// from the appended inverse; every Clifford gate here is self-inverse
-// except S/S†, which swap.
-func Inverse(c *circuit.Circuit) *circuit.Circuit {
-	out := c.Clone()
-	out.Name = c.Name + "+inv"
-	for i := len(c.Gates) - 1; i >= 0; i-- {
-		g := c.Gates[i]
-		switch g.Kind {
-		case circuit.GateMeasure, circuit.GateBarrier:
-			continue
-		case circuit.GateS:
-			g.Kind = circuit.GateSdg
-		case circuit.GateSdg:
-			g.Kind = circuit.GateS
-		}
-		out.Append(g)
-	}
-	return out
-}
-
-// CommuteDisjoint returns a copy of c with one pseudo-randomly chosen
-// pair of adjacent gates on disjoint qubit sets transposed — a rewrite
-// that provably preserves the computed unitary. ok reports whether any
-// such pair exists.
-func CommuteDisjoint(c *circuit.Circuit, seed int64) (out *circuit.Circuit, ok bool) {
-	var sites []int
-	for i := 0; i+1 < len(c.Gates); i++ {
-		if disjoint(c.Qubits(i), c.Qubits(i+1)) {
-			sites = append(sites, i)
-		}
-	}
-	if len(sites) == 0 {
-		return c, false
-	}
-	rng := rand.New(rand.NewSource(seed))
-	i := sites[rng.Intn(len(sites))]
-	out = c.Clone()
-	out.Name = c.Name + "+comm"
-	out.Gates[i], out.Gates[i+1] = out.Gates[i+1], out.Gates[i]
-	return out, true
-}
-
-func disjoint(a, b []int32) bool {
-	for _, qa := range a {
-		for _, qb := range b {
-			if qa == qb {
-				return false
-			}
-		}
-	}
-	return true
 }

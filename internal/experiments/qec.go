@@ -17,10 +17,9 @@ import (
 // syndrome-extraction circuits (d rounds, 2d²−1 qubits) on linear and
 // grid devices sized to hold them, reporting the physical error rate the
 // discrete-event simulation produces and the logical-error estimate it
-// implies. The distance-9 instance runs 161 qubits — far past the dense
-// statevector's reach, which is exactly what the stabilizer fast path
-// (internal/stabilizer) and the timing simulator's fidelity product
-// together make evaluable.
+// implies. The distance-9 instance runs 161 qubits, far past a dense
+// state vector's reach; the study simulates no quantum state, since the
+// timing simulator scores every point by its fidelity product.
 type QEC struct {
 	Rows []QECRow
 	evaluated

@@ -1,20 +1,21 @@
-// Package stabilizer is a Clifford fast-path simulator in the
+// Package stabilizer is a Clifford-circuit simulator in the
 // Aaronson-Gottesman CHP tableau representation ("Improved simulation of
-// stabilizer circuits", PRA 70, 052328). Where the dense state-vector
-// backend (internal/statevec) caps out near 20 qubits, the tableau tracks
-// an n-qubit stabilizer state in O(n²) bits and applies each Clifford
-// gate in O(n) word operations, which is what makes Surface@d
-// syndrome-extraction workloads (50-200+ qubits) semantically simulable.
+// stabilizer circuits", PRA 70, 052328). Where the dense state vector
+// (internal/statevec) caps out near 20 qubits, the tableau tracks an
+// n-qubit stabilizer state in O(n²) bits and applies each Clifford gate
+// in O(n) word operations, so it reaches Surface@d syndrome-extraction
+// circuits (50-200+ qubits). No toolflow path imports this package: it
+// is a test oracle, which checks the surface-code syndromes and which
+// internal/difftest compares with internal/statevec.
 //
 // The supported gate set is the Clifford subset of the circuit IR:
 // X, Y, Z, H, S, S†, CNOT, CZ and SWAP, plus computational-basis
-// measurement. Circuits outside this subset must fall back to the dense
-// backend; IsClifford reports which path a circuit can take.
+// measurement. IsClifford reports whether a circuit stays inside it.
 //
 // Qubit 0 is the least-significant bit of a basis-state index, matching
-// internal/statevec, so the two backends' distributions are directly
-// comparable — the differential harness in internal/difftest pins them
-// bit-for-bit against each other on the Clifford subset.
+// internal/statevec, so the two simulators' distributions are directly
+// comparable; internal/difftest requires them to agree on random
+// Clifford circuits and on the BV and surface-code workloads.
 package stabilizer
 
 import (
@@ -277,23 +278,15 @@ func (t *Tableau) Measure(q int, rng *rand.Rand) (int, bool) {
 	return t.measure(q, rng.Intn(2))
 }
 
-// IsCliffordGate reports whether the gate kind runs on the tableau.
-// Barriers and measurements are part of the Clifford fast path.
-func IsCliffordGate(g circuit.Gate) bool {
-	switch g.Kind {
-	case circuit.GateX, circuit.GateY, circuit.GateZ, circuit.GateH,
-		circuit.GateS, circuit.GateSdg, circuit.GateCNOT, circuit.GateCZ,
-		circuit.GateSwap, circuit.GateMeasure, circuit.GateBarrier:
-		return true
-	}
-	return false
-}
-
-// IsClifford reports whether every gate of c runs on the tableau, i.e.
-// whether the circuit can take the stabilizer fast path.
+// IsClifford reports whether every gate of c runs on the tableau: a
+// Clifford gate, a measurement or a barrier.
 func IsClifford(c *circuit.Circuit) bool {
 	for _, g := range c.Gates {
-		if !IsCliffordGate(g) {
+		switch g.Kind {
+		case circuit.GateX, circuit.GateY, circuit.GateZ, circuit.GateH,
+			circuit.GateS, circuit.GateSdg, circuit.GateCNOT, circuit.GateCZ,
+			circuit.GateSwap, circuit.GateMeasure, circuit.GateBarrier:
+		default:
 			return false
 		}
 	}

@@ -1,10 +1,12 @@
 // Package statevec is a dense state-vector simulator for small circuits
 // (up to ~20 qubits). The QCCD toolflow's reliability model is a fidelity
-// product (§V.B) that never tracks amplitudes; this package provides the
-// complementary semantic check: that the benchmark generators and the
-// QASM frontend produce circuits that compute what they claim (BV
+// product (§V.B) that never tracks amplitudes, and no toolflow path
+// imports this package: it is a test oracle. Its tests check that the
+// benchmark generators produce circuits that compute what they claim (BV
 // recovers its secret string, the Cuccaro adder adds, Grover amplifies
-// the marked state, QFT∘QFT⁻¹ is the identity).
+// the marked state, QFT∘QFT⁻¹ is the identity) and that
+// compiler.LowerToNative preserves the state; internal/difftest compares
+// it with the stabilizer tableau on Clifford circuits.
 //
 // Qubit 0 is the least-significant bit of the basis-state index.
 package statevec
@@ -36,52 +38,10 @@ func NewState(n int) (*State, error) {
 	return s, nil
 }
 
-// NumQubits returns the register width.
-func (s *State) NumQubits() int { return s.n }
-
-// Amplitude returns the amplitude of basis state idx.
-func (s *State) Amplitude(idx int) complex128 { return s.amp[idx] }
-
 // Probability returns |amp|^2 of basis state idx.
 func (s *State) Probability(idx int) float64 {
 	a := s.amp[idx]
 	return real(a)*real(a) + imag(a)*imag(a)
-}
-
-// MarginalProb returns the probability that qubit q measures 1.
-func (s *State) MarginalProb(q int) float64 {
-	mask := 1 << uint(q)
-	p := 0.0
-	for i, a := range s.amp {
-		if i&mask != 0 {
-			p += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	return p
-}
-
-// MostLikely returns the basis state with the highest probability and
-// that probability.
-func (s *State) MostLikely() (int, float64) {
-	best, bestP := 0, 0.0
-	for i := range s.amp {
-		if p := s.Probability(i); p > bestP {
-			best, bestP = i, p
-		}
-	}
-	return best, bestP
-}
-
-// FidelityWith returns |<s|t>|^2.
-func (s *State) FidelityWith(t *State) (float64, error) {
-	if s.n != t.n {
-		return 0, fmt.Errorf("statevec: width mismatch %d vs %d", s.n, t.n)
-	}
-	var dot complex128
-	for i := range s.amp {
-		dot += cmplx.Conj(s.amp[i]) * t.amp[i]
-	}
-	return real(dot)*real(dot) + imag(dot)*imag(dot), nil
 }
 
 // apply1 applies a 2x2 unitary m to qubit q.
@@ -232,13 +192,4 @@ func (s *State) Apply(g circuit.Gate) error {
 		return fmt.Errorf("unsupported gate kind %s", g.Kind)
 	}
 	return nil
-}
-
-// Norm returns the state's squared norm (1 for any unitary evolution).
-func (s *State) Norm() float64 {
-	p := 0.0
-	for _, a := range s.amp {
-		p += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return p
 }

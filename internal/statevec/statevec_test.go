@@ -1,7 +1,9 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,6 +22,51 @@ func run(t *testing.T, c *circuit.Circuit) *State {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// MarginalProb returns the probability that qubit q measures 1.
+func (s *State) MarginalProb(q int) float64 {
+	mask := 1 << uint(q)
+	p := 0.0
+	for i, a := range s.amp {
+		if i&mask != 0 {
+			p += real(a)*real(a) + imag(a)*imag(a)
+		}
+	}
+	return p
+}
+
+// MostLikely returns the basis state with the highest probability and
+// that probability.
+func (s *State) MostLikely() (int, float64) {
+	best, bestP := 0, 0.0
+	for i := range s.amp {
+		if p := s.Probability(i); p > bestP {
+			best, bestP = i, p
+		}
+	}
+	return best, bestP
+}
+
+// FidelityWith returns |<s|t>|^2.
+func (s *State) FidelityWith(t *State) (float64, error) {
+	if s.n != t.n {
+		return 0, fmt.Errorf("statevec: width mismatch %d vs %d", s.n, t.n)
+	}
+	var dot complex128
+	for i := range s.amp {
+		dot += cmplx.Conj(s.amp[i]) * t.amp[i]
+	}
+	return real(dot)*real(dot) + imag(dot)*imag(dot), nil
+}
+
+// Norm returns the state's squared norm (1 for any unitary evolution).
+func (s *State) Norm() float64 {
+	p := 0.0
+	for _, a := range s.amp {
+		p += real(a)*real(a) + imag(a)*imag(a)
+	}
+	return p
 }
 
 func TestBellState(t *testing.T) {
