@@ -65,6 +65,7 @@ func (c *Circuit) AppendBarrier(qs ...int) {
 	if len(qs) > math.MaxInt32-off {
 		panic("circuit: barrier operands overflow the circuit's table")
 	}
+	c.barriers = slices.Grow(c.barriers, len(qs))
 	for _, q := range qs {
 		c.barriers = append(c.barriers, operand(q))
 	}

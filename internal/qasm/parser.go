@@ -395,6 +395,7 @@ func (p *parser) emit(kind circuit.Kind, param float64, operands []operand, line
 		return err
 	}
 	// The operand count matches the kind's arity of one or two.
+	p.c.Gates = slices.Grow(p.c.Gates, width)
 	for i := 0; i < width; i++ {
 		if len(operands) == 1 {
 			p.c.Append(circuit.NewGate1P(kind, operands[0].at(i), param))

@@ -224,25 +224,41 @@ func TestRecordBound(t *testing.T) {
 var smallBarriers = fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\n", MaxQubits) +
 	strings.Repeat("barrier q[0];\n", 2000)
 
-// TestBarrierCheckCost parses and validates smallBarriers, whose
-// barriers name one qubit each: the repeat check must cost each barrier
-// its own operands, not a bitset the size of the register.
+// TestBarrierCheckCost parses and validates sources whose cost must
+// follow what they keep. smallBarriers' barriers name one qubit each, so
+// the repeat check must cost each barrier its own operands, not a bitset
+// the size of the register. A whole-register barrier or broadcast must
+// grow the operand table or gate array once for the statement, not one
+// record at a time.
 func TestBarrierCheckCost(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c, err := Parse("barriers", smallBarriers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := c.CountKind(circuit.GateBarrier); got != 2000 {
-		t.Errorf("parsed %d barriers, want 2000", got)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
-		t.Errorf("Parse and Validate allocated %d bytes, want at most %d", alloc, 16<<20)
+	reg := fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\n", MaxQubits)
+	for _, tc := range []struct {
+		name     string
+		src      string
+		kind     circuit.Kind
+		count    int
+		maxAlloc uint64
+	}{
+		{"2000 one-qubit barriers", smallBarriers, circuit.GateBarrier, 2000, 16 << 20},
+		{"barrier q;", reg + "barrier q;\n", circuit.GateBarrier, 1, 16 << 20},
+		{"h q;", reg + "h q;\n", circuit.GateH, MaxQubits, 40 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := Parse("cost", tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := c.CountKind(tc.kind); got != tc.count {
+			t.Errorf("%s: parsed %d %s gates, want %d", tc.name, got, tc.kind, tc.count)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > tc.maxAlloc {
+			t.Errorf("%s: Parse and Validate allocated %d bytes, want at most %d", tc.name, alloc, tc.maxAlloc)
+		}
 	}
 }
 
