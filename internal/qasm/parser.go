@@ -394,8 +394,8 @@ func (p *parser) emit(kind circuit.Kind, param float64, operands []operand, line
 	if err := p.reserve(width, line); err != nil {
 		return err
 	}
-	// The operand count matches the kind's arity of one or two.
 	p.c.Gates = slices.Grow(p.c.Gates, width)
+	// The operand count matches the kind's arity of one or two.
 	for i := 0; i < width; i++ {
 		if len(operands) == 1 {
 			p.c.Append(circuit.NewGate1P(kind, operands[0].at(i), param))
