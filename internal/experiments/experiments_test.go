@@ -284,17 +284,13 @@ func argmax(xs []int, vals []float64) int {
 	return best
 }
 
-// TestScalingStudy exercises the beyond-paper extension end to end.
-func TestScalingStudy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scaling sweep")
-	}
-	s, err := RunScaling(core.New(models.Default()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Rows) != 34 { // 8 sizes x 2 apps x 2 topologies + 2 multi-module points at 512
-		t.Fatalf("rows = %d, want 34", len(s.Rows))
+// checkScaling checks the scaling study's shape: 8 sizes x 2 apps x 2
+// topologies plus the two multi-module points at 512 qubits, each row a
+// success on a device that holds its qubits.
+func checkScaling(t *testing.T, s *Scaling) {
+	t.Helper()
+	if len(s.Rows) != 34 {
+		t.Fatalf("scaling rows = %d, want 34", len(s.Rows))
 	}
 	multiModule := 0
 	for _, r := range s.Rows {
@@ -320,16 +316,8 @@ func TestScalingStudy(t *testing.T) {
 			t.Errorf("%s/%d: device too small (%d traps x %d)", r.App, r.Qubits, r.Traps, r.Capacity)
 		}
 	}
-	out := s.Render()
-	if !strings.Contains(out, "200") || !strings.Contains(out, "QFT") {
-		t.Error("render content")
-	}
-	var csv strings.Builder
-	if err := s.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(csv.String(), "app,qubits") {
-		t.Error("csv header missing")
+	if out := s.Render(); !strings.Contains(out, "200") || !strings.Contains(out, "QFT") {
+		t.Error("scaling render content")
 	}
 }
 
@@ -337,11 +325,14 @@ func TestScalingStudy(t *testing.T) {
 // seven files `cmd/experiments -csv` writes. Every study runs on one
 // cached toolflow, as the command does, so points shared across studies
 // are computed once; each study's CSV must hash to its pinned SHA-256.
+// The scaling study, the slowest, runs here only: its shape is checked,
+// and a second run on the toolflow must compute nothing.
 func TestFigureCSVExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
 	tf := core.NewCached(models.Default(), 0)
+	var scaling *Scaling
 	for _, st := range []struct {
 		name, digest string
 		run          func(*core.Toolflow) (csvStudy, error)
@@ -357,7 +348,12 @@ func TestFigureCSVExports(t *testing.T) {
 			func(tf *core.Toolflow) (csvStudy, error) { return RunFig8(tf) },
 			[]string{"QAOA/AM2-GS"}},
 		{"scaling", "763f1685320d239e2bf6f7a6c47dac1b478b4b92c4f0039a5554bbbe9974e9fa",
-			func(tf *core.Toolflow) (csvStudy, error) { return RunScaling(tf) }, nil},
+			func(tf *core.Toolflow) (csvStudy, error) {
+				s, err := RunScaling(tf)
+				scaling = s
+				return s, err
+			},
+			[]string{"app,qubits"}},
 		{"qec", "b26134d9da6f139fb35fc11b3f12ca9f99f28c13bc54e92aa61d17d747f4b524",
 			func(tf *core.Toolflow) (csvStudy, error) { return RunQEC(tf) }, nil},
 		{"policies", "1a3b4ae96bdf340f4f735829ede45bf6d0019d11487a2d613a152f652a08c6a3",
@@ -380,6 +376,14 @@ func TestFigureCSVExports(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != st.digest {
 			t.Errorf("%s csv sha256 = %s, want %s", st.name, got, st.digest)
 		}
+	}
+	checkScaling(t, scaling)
+	misses := tf.CacheStats().Misses
+	if _, err := RunScaling(tf); err != nil {
+		t.Fatal(err)
+	}
+	if again := tf.CacheStats().Misses; again != misses {
+		t.Errorf("second scaling run recomputed %d points, want 0", again-misses)
 	}
 }
 
@@ -410,29 +414,6 @@ func TestScalingFailureContract(t *testing.T) {
 	}
 	if !strings.Contains(s.Render(), "NaN") {
 		t.Errorf("failed row should render as NaN in the table")
-	}
-}
-
-// TestScalingSharesRunnerCache verifies the study flows through the
-// shared outcome cache: a second run on the same toolflow recomputes
-// nothing.
-func TestScalingSharesRunnerCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scaling sweep")
-	}
-	r := core.NewCached(models.Default(), 0)
-	if _, err := RunScaling(r); err != nil {
-		t.Fatal(err)
-	}
-	misses := r.CacheStats().Misses
-	if misses == 0 {
-		t.Fatal("first run should compute points")
-	}
-	if _, err := RunScaling(r); err != nil {
-		t.Fatal(err)
-	}
-	if again := r.CacheStats().Misses; again != misses {
-		t.Errorf("second run recomputed %d points, want 0", again-misses)
 	}
 }
 
