@@ -305,7 +305,7 @@ func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 // returns the outcomes in input order.
 func (tf *Toolflow) Sweep(points []Point) []Outcome {
 	out := make([]Outcome, 0, len(points))
-	tf.Stream(context.TODO(), List(points), runtime.GOMAXPROCS(0), func(r Row) bool {
+	tf.Stream(context.Background(), List(points), runtime.GOMAXPROCS(0), func(r Row) bool {
 		out = append(out, r.Outcome)
 		return true
 	})

@@ -49,7 +49,7 @@ func (g *Grid) Shard(index, count int) (Window, error) {
 	}
 	q, r := g.Size()/int64(count), g.Size()%int64(count)
 	i := int64(index)
-	start := i*q + min64(i, r)
+	start := i*q + min(i, r)
 	end := start + q
 	if i < r {
 		end++
@@ -64,11 +64,4 @@ func (g *Grid) Window(start, end int64) (Window, error) {
 		return Window{}, fmt.Errorf("sweep: window [%d, %d) out of range [0, %d]", start, end, g.Size())
 	}
 	return Window{Start: start, End: end}, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
