@@ -3,8 +3,8 @@ package qccd
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (run with `go test -bench=. -benchmem`), plus per-stage
 // compiler/simulator benchmarks and ablations over the design choices
-// (buffer slots, reordering method, gate implementation, routing
-// weights).
+// (reordering method, gate implementation, native lowering, ring
+// topology).
 //
 // The figure benchmarks report headline shape metrics via b.ReportMetric
 // so a bench run doubles as a reproduction check (the README section
@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stabilizer"
@@ -147,38 +146,6 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBufferSlots sweeps the mapper's per-trap headroom (the
-// paper fixes 2, §VI). The trade is workload-dependent: buffers avoid
-// eviction churn but shrink usable capacity, which for communication-
-// heavy apps can cost more than the churn it prevents — the reported
-// fidelity/splits metrics quantify both sides.
-func BenchmarkAblationBufferSlots(b *testing.B) {
-	circ, err := Benchmark("SquareRoot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := DefaultParams()
-	for _, buf := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("buffer%d", buf), func(b *testing.B) {
-			dev, err := NewLinearDevice(6, 22)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := DefaultCompileOptions()
-			opts.BufferSlots = buf
-			var res *Result
-			for i := 0; i < b.N; i++ {
-				res, err = Run(circ, dev, opts, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Fidelity, "fidelity")
-			b.ReportMetric(float64(res.Splits), "splits")
-		})
-	}
-}
-
 // BenchmarkAblationReorder compares GS and IS end to end on the workload
 // the paper highlights (§X.B).
 func BenchmarkAblationReorder(b *testing.B) {
@@ -236,39 +203,6 @@ func BenchmarkAblationGateImpl(b *testing.B) {
 				b.ReportMetric(res.TotalSeconds(), "runtime-s")
 			})
 		}
-	}
-}
-
-// BenchmarkAblationRouting compares the default route weights against a
-// hop-count-only router, exercising the pass-through-avoidance choice the
-// grid topology depends on.
-func BenchmarkAblationRouting(b *testing.B) {
-	circ, err := Benchmark("SquareRoot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := DefaultParams()
-	configs := map[string]device.RouteCosts{
-		"weighted": device.DefaultRouteCosts(),
-		"hops":     {Segment: 1, JunctionY: 1, JunctionX: 1, TrapTransit: 1},
-	}
-	for name, costs := range configs {
-		b.Run(name, func(b *testing.B) {
-			dev, err := NewGridDevice(2, 3, 22)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := DefaultCompileOptions()
-			opts.RouteCosts = costs
-			var res *Result
-			for i := 0; i < b.N; i++ {
-				res, err = Run(circ, dev, opts, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Fidelity, "fidelity")
-		})
 	}
 }
 
@@ -376,39 +310,6 @@ func BenchmarkAblationLowering(b *testing.B) {
 			}
 			b.ReportMetric(res.TotalSeconds(), "runtime-s")
 			b.ReportMetric(float64(res.OneQGates), "1q-gates")
-		})
-	}
-}
-
-// BenchmarkAblationMapping compares the paper's sequential fill-to-
-// capacity mapping against balanced contiguous blocks.
-func BenchmarkAblationMapping(b *testing.B) {
-	circ, err := Benchmark("QFT")
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := DefaultParams()
-	for _, balanced := range []bool{false, true} {
-		name := "sequential"
-		if balanced {
-			name = "balanced"
-		}
-		b.Run(name, func(b *testing.B) {
-			dev, err := NewLinearDevice(6, 30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := DefaultCompileOptions()
-			opts.BalancedMapping = balanced
-			var res *Result
-			for i := 0; i < b.N; i++ {
-				res, err = Run(circ, dev, opts, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Fidelity, "fidelity")
-			b.ReportMetric(res.TotalSeconds(), "runtime-s")
 		})
 	}
 }

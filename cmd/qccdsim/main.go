@@ -33,7 +33,6 @@ func main() {
 		qasmFile = flag.String("qasm", "", "OpenQASM 2.0 file to run instead of -app")
 		devSpec  = flag.String("device", "L6", "device topology: "+deviceForms())
 		capacity = flag.Int("capacity", 20, "maximum ions per trap")
-		buffer   = flag.Int("buffer", 2, "mapper buffer slots per trap")
 		dump     = flag.Bool("dump", false, "print the compiled executable")
 		stats    = flag.Bool("stats", false, "print workload statistics and exit")
 		emitQASM = flag.Bool("emit-qasm", false, "print the circuit as OpenQASM 2.0 and exit")
@@ -90,12 +89,7 @@ func main() {
 		}
 	}
 	params.Gate = gate
-	opts := qccd.DefaultCompileOptions()
-	opts.BufferSlots = *buffer
-	opts.Reorder = reorder
-	opts.Policy = policy
-
-	prog, err := qccd.Compile(circ, dev, opts)
+	prog, err := qccd.Compile(circ, dev, qccd.CompileOptions{Reorder: reorder, Policy: policy})
 	if err != nil {
 		log.Fatal(err)
 	}

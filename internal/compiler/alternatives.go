@@ -97,9 +97,6 @@ func (s *lookaheadOrder) score(gi int) float64 {
 		if err != nil {
 			return 1e18
 		}
-		if rev, err := s.cc.router.Distance(tb, ta); err == nil && rev < d {
-			d = rev
-		}
 		score = d
 	}
 	score -= lookaheadAffinity * float64(s.affinity(a, gi, ta, tb)+s.affinity(b, gi, ta, tb))

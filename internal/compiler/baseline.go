@@ -25,28 +25,25 @@ func (s *programOrder) Next() int {
 	return s.next - 1
 }
 
+// bufferSlots is the per-trap headroom the mapper leaves for incoming
+// shuttles (§VI).
+const bufferSlots = 2
+
 // place maps qubits into traps in first-use order, filling each trap to
-// capacity minus the buffer slots (§VI). With BalancedMapping the fill
-// target is instead an even contiguous block per trap. It returns the
-// per-trap chains (trap index → qubit list, position 0 = left end).
+// capacity minus the buffer slots (§VI). The buffer shrinks to the room
+// the device has beyond the program, and to capacity − 1, so a program
+// that fits the device always places. It returns the per-trap chains
+// (trap index → qubit list, position 0 = left end).
 func (cc *compilation) place() [][]int {
-	c, d, opts := cc.circ, cc.dev, cc.opts
-	buffer := opts.BufferSlots
+	c, d := cc.circ, cc.dev
+	buffer := bufferSlots
 	if perTrap := (d.MaxIons() - c.NumQubits) / d.NumTraps(); buffer > perTrap {
 		buffer = perTrap
 	}
 	if buffer > d.Capacity-1 {
 		buffer = d.Capacity - 1
 	}
-	if buffer < 0 {
-		buffer = 0
-	}
 	usable := d.Capacity - buffer
-	if opts.BalancedMapping {
-		if even := (c.NumQubits + d.NumTraps() - 1) / d.NumTraps(); even < usable {
-			usable = even
-		}
-	}
 	layout := make([][]int, d.NumTraps())
 	trap := 0
 	for _, q := range c.FirstUseOrder() {

@@ -1,12 +1,13 @@
 // Package compiler implements the QCCD backend compiler of §VI. It maps
 // program qubits onto traps with a greedy first-use-order heuristic
-// (leaving buffer slots for incoming shuttles), schedules gates earliest-
-// ready-first (over a circuit's dependency DAG that is program order, so
-// the baseline builds no DAG), routes shuttles along shortest device
-// paths (inserting the extra merge/reorder/split sequences that linear
-// topologies require at intermediate traps, Figure 4), inserts
-// chain-reordering operations for the configured method (GS or IS), and
-// emits a dependency-annotated isa.Program.
+// (leaving two buffer slots per trap for incoming shuttles), schedules
+// gates earliest-ready-first (over a circuit's dependency DAG that is
+// program order, so the baseline builds no DAG), routes shuttles along
+// shortest device paths under fixed weights (inserting the extra
+// merge/reorder/split sequences that linear topologies require at
+// intermediate traps, Figure 4), inserts chain-reordering operations for
+// the configured method (GS or IS), and emits a dependency-annotated
+// isa.Program.
 //
 // Dependency discipline: every op depends on the previous op touching each
 // of its qubits, and every chain-structure-changing op (split, merge,
@@ -31,9 +32,10 @@
 // the list of the program before, so the list grows only for a program
 // larger than any the worker has compiled. The use lists and per-qubit
 // and per-trap arrays, the chains, the router's search state and each
-// shuttle's route are still allocated per compile. The router prices
-// each route once, when it builds it, so the move-cost and lookahead
-// scores that ask for a distance on every gate read a stored number.
+// shuttle's route are still allocated per compile. The router keeps each
+// route's cost, the search's exact whole-number distance, so the
+// move-cost and lookahead scores that ask for a distance on every gate
+// read a stored number.
 //
 // Checks: Compile checks the circuit and device it is given and the
 // program it emits. CompileInto, the toolflow's entry, checks none of
@@ -47,7 +49,8 @@
 // names one row of the closed table in internal/models, and Compile's one
 // switch picks that row's gate order and turns on its transit ledger.
 // baseline.go holds the paper's heuristics; alternatives.go holds the
-// lookahead gate order and the congestion ledger.
+// lookahead gate order and the congestion ledger. The policy and the
+// reorder method are the compiler's whole configuration.
 package compiler
 
 import (
@@ -60,36 +63,22 @@ import (
 	"repro/internal/models"
 )
 
-// Options configures a compilation.
+// Options configures a compilation. Its zero value is the paper's
+// configuration: GS reordering under the baseline policy. Everything else
+// the compiler decides is fixed (two buffer slots per trap, first-use
+// placement, shortest routes under fixed weights); a variant of a
+// decision is a row of the policy table, not an option.
 type Options struct {
 	// Reorder selects the chain reordering method (GS or IS, §IV.C).
 	Reorder models.ReorderMethod
-	// BufferSlots is the per-trap headroom the mapper leaves for incoming
-	// shuttles (the paper uses 2). It is reduced automatically when the
-	// device would otherwise not fit the program.
-	BufferSlots int
-	// RouteCosts weights the shuttle router's shortest-path search.
-	RouteCosts device.RouteCosts
-	// BalancedMapping spreads qubits over all traps in equal contiguous
-	// blocks instead of the paper's sequential fill-to-capacity. Shorter
-	// chains speed up FM gates but use more inter-trap communication; the
-	// BenchmarkAblationMapping ablation quantifies the trade.
-	BalancedMapping bool
 	// Policy selects the compiler policy (gate order, placement,
 	// routing; see models.Policies). The zero value is the baseline — the
 	// paper's heuristics.
 	Policy models.PolicyName
 }
 
-// DefaultOptions returns the paper's configuration: GS reordering and two
-// buffer slots per trap.
-func DefaultOptions() Options {
-	return Options{
-		Reorder:     models.GS,
-		BufferSlots: 2,
-		RouteCosts:  device.DefaultRouteCosts(),
-	}
-}
+// DefaultOptions returns the paper's configuration, the zero Options.
+func DefaultOptions() Options { return Options{} }
 
 // maxEvictionDepth bounds recursive trap-overflow rebalancing.
 const maxEvictionDepth = 16
@@ -135,7 +124,7 @@ func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Option
 		circ:   c,
 		dev:    d,
 		opts:   opts,
-		router: device.NewRouter(d, opts.RouteCosts),
+		router: device.NewRouter(d),
 	}
 	// The op list is seeded at 1.5× the gate count. Over the paper grid's
 	// 144 programs ops per gate run 1.02-5.50 (median 1.44, p90 2.89), so

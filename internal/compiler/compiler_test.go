@@ -387,33 +387,36 @@ func TestAllAppsCompileOnPaperDevices(t *testing.T) {
 	}
 }
 
-func TestBalancedMappingSpreadsQubits(t *testing.T) {
-	c := pinned("bal", 12).CNOT(0, 1).MustCircuit()
-	d := linear(4, 12, t)
-	// Sequential fill packs 10 per trap (cap 12 - buffer 2): 2 traps used.
-	seq, err := Compile(c, d, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := 0
-	for _, chain := range seq.InitialLayout {
-		if len(chain) > 0 {
-			used++
+// TestZeroOptionsArePaperConfiguration requires the zero Options to
+// compile, byte for byte, the programs DefaultOptions does: the paper's
+// configuration is the zero value, and nothing outside Options varies it.
+func TestZeroOptionsArePaperConfiguration(t *testing.T) {
+	for _, spec := range []string{"L6", "G2x3"} {
+		d, err := device.Parse(spec, 22)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if used != 2 {
-		t.Errorf("sequential fill uses %d traps, want 2", used)
-	}
-	// Balanced mapping spreads 3 per trap over all 4.
-	opts := DefaultOptions()
-	opts.BalancedMapping = true
-	bal, err := Compile(c, d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trap, chain := range bal.InitialLayout {
-		if len(chain) != 3 {
-			t.Errorf("balanced trap %d holds %d, want 3", trap, len(chain))
+		for _, app := range []string{"BV", "QFT", "SquareRoot"} {
+			c, err := apps.ByName(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, reorder := range models.ReorderMethods() {
+				opts := DefaultOptions()
+				opts.Reorder = reorder
+				want, err := Compile(c, d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Compile(c, d, Options{Reorder: reorder})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Errorf("%s on %s (%s): Options{} compiles %d ops, DefaultOptions() %d",
+						app, spec, reorder, len(got.Ops), len(want.Ops))
+				}
+			}
 		}
 	}
 }

@@ -77,8 +77,7 @@ type SegmentKind uint8
 
 const (
 	// SegShuttle is a physical shuttling path: the ion moves through it,
-	// paying the Table I move time per length unit and the K2 motional
-	// heating per unit.
+	// paying the Table I move time and the K2 motional heating once.
 	SegShuttle SegmentKind = iota
 	// SegPhotonic is an optical interconnect between two QCCD modules
 	// (TITAN-style, PAPERS.md): the qubit state crosses by remote
@@ -97,13 +96,12 @@ func (k SegmentKind) String() string {
 }
 
 // Segment is a straight shuttling path piece connecting two endpoints.
-// Length counts move units (the Table I "move through one segment" time
-// applies per unit); photonic segments ignore Length for timing.
+// Moving through one takes Table I's "move through one segment" time; a
+// photonic segment is one timed link transit instead.
 type Segment struct {
-	ID     int
-	A, B   Endpoint
-	Length int
-	Kind   SegmentKind
+	ID   int
+	A, B Endpoint
+	Kind SegmentKind
 }
 
 // OtherSide returns the endpoint of s that is not at node n.
@@ -247,9 +245,6 @@ func (d *Device) Validate() error {
 	for i, s := range d.Segments {
 		if s.ID != i {
 			return fmt.Errorf("segment %d: ID mismatch (%d)", i, s.ID)
-		}
-		if s.Length < 1 {
-			return fmt.Errorf("segment %d: non-positive length", i)
 		}
 		if s.A.Node == s.B.Node {
 			return fmt.Errorf("segment %d: self loop at %s", i, s.A.Node)

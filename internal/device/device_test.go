@@ -137,12 +137,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("bad segment reference should fail validation")
 	}
 
-	d, _ = NewLinear(3, 20)
-	d.Segments[0].Length = 0
-	if err := d.Validate(); err == nil {
-		t.Error("zero-length segment should fail validation")
-	}
-
 	d, _ = NewGrid(2, 2, 20)
 	d.Junctions[0].Segments = d.Junctions[0].Segments[:1]
 	if err := d.Validate(); err == nil {
@@ -164,7 +158,7 @@ func TestValidateDisconnected(t *testing.T) {
 
 func TestLinearRouteAdjacent(t *testing.T) {
 	d, _ := NewLinear(6, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	route, err := r.Route(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +169,14 @@ func TestLinearRouteAdjacent(t *testing.T) {
 	if len(route.PassThroughs()) != 0 {
 		t.Errorf("adjacent route has pass-throughs: %v", route.PassThroughs())
 	}
-	if units := d.Segments[route.Hops[0].Segment].Length; len(route.Hops) != 1 || units != 1 {
-		t.Errorf("%d hops, first of %d segment units; want one of 1", len(route.Hops), units)
+	if len(route.Hops) != 1 {
+		t.Errorf("%d hops, want 1", len(route.Hops))
 	}
 }
 
 func TestLinearRoutePassThrough(t *testing.T) {
 	d, _ := NewLinear(6, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	route, err := r.Route(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +201,7 @@ func TestLinearRoutePassThrough(t *testing.T) {
 
 func TestGridRouteAvoidsTraps(t *testing.T) {
 	d, _ := NewGrid(2, 2, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	// Diagonal route T0 (0,0) -> T3 (1,1) should cross both junctions and
 	// pass through no traps (paper: "shuttles do not encounter
 	// intermediate traps" on the 2x2 grid).
@@ -225,7 +219,7 @@ func TestGridRouteAvoidsTraps(t *testing.T) {
 
 func TestGrid2x3CrossRowRoute(t *testing.T) {
 	d, _ := NewGrid(2, 3, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	// T0 (0,0) -> T5 (1,2): down at the first junction then along row 1,
 	// passing through trap T4 (1,1) once; compare with the linear
 	// equivalent (T0->T5 on L6 would pass through 4 traps).
@@ -240,7 +234,7 @@ func TestGrid2x3CrossRowRoute(t *testing.T) {
 
 func TestRouterErrorsAndCache(t *testing.T) {
 	d, _ := NewLinear(3, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	if _, err := r.Route(0, 0); err == nil {
 		t.Error("same-trap route should fail")
 	}
@@ -256,7 +250,7 @@ func TestRouterErrorsAndCache(t *testing.T) {
 
 func TestDistanceMonotoneOnLinear(t *testing.T) {
 	d, _ := NewLinear(8, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	prev := 0.0
 	for dst := 1; dst < 8; dst++ {
 		got, err := r.Distance(0, dst)
@@ -277,7 +271,7 @@ func TestRoutePropertyAllPairs(t *testing.T) {
 	// Property: on random linear and grid devices every trap pair has a
 	// route whose hops are graph-consistent and end at the destination.
 	check := func(d *Device) bool {
-		r := NewRouter(d, DefaultRouteCosts())
+		r := NewRouter(d)
 		for src := 0; src < d.NumTraps(); src++ {
 			for dst := 0; dst < d.NumTraps(); dst++ {
 				if src == dst {
@@ -343,7 +337,7 @@ func TestEndAndNodeStrings(t *testing.T) {
 
 func TestRouteString(t *testing.T) {
 	d, _ := NewLinear(3, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	route, _ := r.Route(0, 2)
 	want := "T0 -s0-> T1 -s1-> T2"
 	if got := route.String(); got != want {
@@ -372,7 +366,7 @@ func TestRingStructure(t *testing.T) {
 
 func TestRingWraparoundRoute(t *testing.T) {
 	d, _ := NewRing(6, 20)
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	// T0 -> T5 is one hop via the wraparound segment, not four
 	// pass-throughs the long way.
 	route, err := r.Route(0, 5)
@@ -402,70 +396,69 @@ func TestParseRing(t *testing.T) {
 	}
 }
 
-// walkPrice prices a route by walking its hops: each intermediate node's
-// transit or crossing weight in hop order, then the shuttle units and
-// photonic links, each aggregated before one multiply.
-func walkPrice(d *Device, costs RouteCosts, route *Route) float64 {
+// walkPrice prices a route by walking its hops, with its own copy of the
+// router's weights: 1 per shuttling segment, 60 per photonic link, and
+// 20, 24 or 64 per Y junction, X junction or trap passed through.
+func walkPrice(d *Device, route *Route) float64 {
 	cost := 0.0
-	for _, h := range route.Hops[:len(route.Hops)-1] {
+	for i, h := range route.Hops {
+		if d.Segments[h.Segment].Kind == SegPhotonic {
+			cost += 60
+		} else {
+			cost++
+		}
+		if i == len(route.Hops)-1 {
+			break // the destination is free to enter
+		}
 		switch {
 		case h.Node.Kind == NodeTrap:
-			cost += costs.TrapTransit
+			cost += 64
 		case d.Junctions[h.Node.Index].Kind() == JunctionX:
-			cost += costs.JunctionX
+			cost += 24
 		default:
-			cost += costs.JunctionY
+			cost += 20
 		}
 	}
-	units, links := 0, 0
-	for _, h := range route.Hops {
-		if seg := d.Segments[h.Segment]; seg.Kind == SegPhotonic {
-			links++
-		} else {
-			units += seg.Length
-		}
-	}
-	cost += float64(units) * costs.Segment
-	cost += float64(links) * costs.Link
 	return cost
 }
 
 // TestDistanceIsRoutePrice pins the price the router stores with each
-// route: on every family's example devices and a multi-module device,
-// under the default weights and under weights whose sums round, Distance
-// must equal, bit for bit, the cost of walking Route's hops, for every
-// ordered trap pair. Route's error texts stay as they were.
+// route: on every family's example devices and larger and nested ones,
+// Distance must equal, bit for bit, the cost of walking Route's hops, and
+// Distance(b, a), for every ordered trap pair. Route's error texts stay as
+// they were.
 func TestDistanceIsRoutePrice(t *testing.T) {
-	specs := []string{"Mod3:G2x5"}
+	specs := []string{"Mod3:G2x5", "Mod2:Mod2:L2", "G3x5", "M3x4", "R7", "L9", "Mod4:L6", "G4x4"}
 	for _, f := range Families() {
 		specs = append(specs, f.Examples...)
 	}
-	odd := RouteCosts{Segment: 0.1, JunctionY: 0.7, JunctionX: 1.3, TrapTransit: 0.3, Link: 2.9}
 	for _, spec := range specs {
 		d, err := Parse(spec, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, costs := range []RouteCosts{DefaultRouteCosts(), odd} {
-			r := NewRouter(d, costs)
-			for src := 0; src < d.NumTraps(); src++ {
-				for dst := 0; dst < d.NumTraps(); dst++ {
-					got, err := r.Distance(src, dst)
+		r := NewRouter(d)
+		for src := 0; src < d.NumTraps(); src++ {
+			for dst := 0; dst < d.NumTraps(); dst++ {
+				got, err := r.Distance(src, dst)
+				if err != nil {
+					t.Fatalf("%s: Distance(%d, %d): %v", spec, src, dst, err)
+				}
+				want := 0.0
+				if src != dst {
+					route, err := r.Route(src, dst)
 					if err != nil {
-						t.Fatalf("%s: Distance(%d, %d): %v", spec, src, dst, err)
+						t.Fatalf("%s: Route(%d, %d): %v", spec, src, dst, err)
 					}
-					want := 0.0
-					if src != dst {
-						route, err := r.Route(src, dst)
-						if err != nil {
-							t.Fatalf("%s: Route(%d, %d): %v", spec, src, dst, err)
-						}
-						want = walkPrice(d, costs, route)
-					}
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s %+v: Distance(%d, %d) = %v, walking the route gives %v",
-							spec, costs, src, dst, got, want)
-					}
+					want = walkPrice(d, route)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Distance(%d, %d) = %v, walking the route gives %v",
+						spec, src, dst, got, want)
+				}
+				if back, err := r.Distance(dst, src); err != nil || back != got {
+					t.Fatalf("%s: Distance(%d, %d) = %v, Distance(%d, %d) = %v (%v)",
+						spec, src, dst, got, dst, src, back, err)
 				}
 			}
 		}
@@ -475,7 +468,7 @@ func TestDistanceIsRoutePrice(t *testing.T) {
 	d.Traps[2].Seg[Left] = -1
 	d.Traps[1].Seg[Right] = -1
 	d.Segments = d.Segments[:1]
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	for _, tc := range []struct {
 		src, dst int
 		want     string

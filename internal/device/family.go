@@ -134,20 +134,20 @@ func atJunction(j int) Endpoint {
 	return Endpoint{Node: NodeRef{NodeJunction, j}}
 }
 
-// segment appends a unit-length shuttling segment between two endpoints,
-// wiring the trap-end and junction back-references, and returns its ID.
+// segment appends a shuttling segment between two endpoints, wiring the
+// trap-end and junction back-references, and returns its ID.
 func (g *graph) segment(a, b Endpoint) int {
-	return g.addSegment(a, b, SegShuttle, 1)
+	return g.addSegment(a, b, SegShuttle)
 }
 
 // photonic appends a photonic interconnect segment between two trap ends.
 func (g *graph) photonic(a, b Endpoint) int {
-	return g.addSegment(a, b, SegPhotonic, 1)
+	return g.addSegment(a, b, SegPhotonic)
 }
 
-func (g *graph) addSegment(a, b Endpoint, kind SegmentKind, length int) int {
+func (g *graph) addSegment(a, b Endpoint, kind SegmentKind) int {
 	sid := len(g.d.Segments)
-	g.d.Segments = append(g.d.Segments, &Segment{ID: sid, A: a, B: b, Length: length, Kind: kind})
+	g.d.Segments = append(g.d.Segments, &Segment{ID: sid, A: a, B: b, Kind: kind})
 	for _, ep := range []Endpoint{a, b} {
 		switch ep.Node.Kind {
 		case NodeTrap:

@@ -66,7 +66,7 @@ func TestMeshStructure(t *testing.T) {
 	// A vertical corridor at every column boundary makes cross-row
 	// same-column routes junction-only — the congestion relief a grid's
 	// sparser verticals cannot offer.
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	for c := 0; c < 3; c++ {
 		route, err := r.Route(c, 3+c) // trap (0,c) -> trap (1,c)
 		if err != nil {
@@ -154,7 +154,7 @@ func TestMultiModuleStructure(t *testing.T) {
 		t.Errorf("module trap names = %q, %q", d.Traps[0].Name, d.Traps[6].Name)
 	}
 	// Cross-module routes exist and traverse the link.
-	r := NewRouter(d, DefaultRouteCosts())
+	r := NewRouter(d)
 	route, err := r.Route(0, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestFamilyGridBuildsValid(t *testing.T) {
 			}
 			// All-pairs routability (Validate checks connectivity over all
 			// nodes; routes additionally exercise the router on each kind).
-			r := NewRouter(d, DefaultRouteCosts())
+			r := NewRouter(d)
 			for dst := 1; dst < d.NumTraps(); dst++ {
 				if _, err := r.Route(0, dst); err != nil {
 					t.Errorf("%s: route 0->%d: %v", spec, dst, err)

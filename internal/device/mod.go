@@ -71,7 +71,7 @@ func NewMultiModule(k int, inner *Device) (*Device, error) {
 	}
 	for m := 0; m < k; m++ {
 		for _, s := range inner.Segments {
-			g.addSegment(offset(s.A, m), offset(s.B, m), s.Kind, s.Length)
+			g.addSegment(offset(s.A, m), offset(s.B, m), s.Kind)
 		}
 	}
 	for m := 0; m+1 < k; m++ {

@@ -6,30 +6,22 @@ import (
 	"strings"
 )
 
-// RouteCosts weights the shortest-path search. Costs are abstract route
-// lengths, not times; the compiler uses them only to pick among paths.
-// TrapTransit should exceed Junction so routes prefer junction hops over
-// merging through an intermediate trap's chain when both exist.
-type RouteCosts struct {
-	Segment     float64 // per segment length unit
-	JunctionY   float64 // per Y-junction crossing
-	JunctionX   float64 // per X-junction crossing
-	TrapTransit float64 // per pass-through of an intermediate trap
-	// Link is the cost of one photonic interconnect traversal, length-
-	// independent: remote entanglement plus teleportation is one timed
-	// operation however far the modules sit apart.
-	Link float64
-}
-
-// DefaultRouteCosts orders preferences segment < junction < trap transit
-// < photonic link, roughly proportional to the operation times (Table I
-// 5µs moves, ~100µs junction crossings, 160µs+ for a merge+split
-// pass-through plus the chain reorder it usually triggers, and ~300µs to
-// establish and consume remote entanglement), so routes stay inside a
-// module unless the destination really is in another module.
-func DefaultRouteCosts() RouteCosts {
-	return RouteCosts{Segment: 1, JunctionY: 20, JunctionX: 24, TrapTransit: 64, Link: 60}
-}
+// The route weights are abstract whole-number lengths, not times: the
+// compiler uses them only to pick among paths. They order a segment < a
+// Y junction < an X junction < a photonic link < a trap pass-through. A
+// junction crossing costs far less than passing through an intermediate
+// trap, which merges into its chain, usually reorders it and splits back
+// out, so routes take junction hops where both exist. A link is priced
+// per traversal, however far apart the modules sit. Whole numbers keep
+// every sum exact, so the search's distance is the route's price and
+// Distance is symmetric.
+const (
+	segmentCost     = 1  // per shuttling segment moved through
+	junctionYCost   = 20 // per Y-junction crossing
+	junctionXCost   = 24 // per X-junction crossing
+	linkCost        = 60 // per photonic link traversed
+	trapTransitCost = 64 // per pass-through of an intermediate trap
+)
 
 // Hop is one step of a route: traversing a segment and arriving at a node.
 // EnterEnd is the chain end entered when Node is a trap.
@@ -53,8 +45,8 @@ type Route struct {
 	Src    int
 	SrcEnd End // chain end of the source trap where the ion exits
 	Hops   []Hop
-	// cost is the route's price under its router's weights, which
-	// Distance returns.
+	// cost is the search's distance to the destination, which Distance
+	// returns.
 	cost float64
 }
 
@@ -95,19 +87,17 @@ func (r *Route) String() string {
 }
 
 // Router computes and caches shortest routes between traps of one device,
-// and prices each once, when it builds it. It is not safe for concurrent
-// use.
+// with each route's cost. It is not safe for concurrent use.
 type Router struct {
-	dev   *Device
-	costs RouteCosts
+	dev *Device
 	// routes[src] is built on the first request from src: routes[src][dst]
 	// is the route to dst, nil for src itself and for unreachable traps.
 	routes [][]*Route
 }
 
-// NewRouter returns a router over d with the given cost weights.
-func NewRouter(d *Device, costs RouteCosts) *Router {
-	return &Router{dev: d, costs: costs, routes: make([][]*Route, d.NumTraps())}
+// NewRouter returns a router over d.
+func NewRouter(d *Device) *Router {
+	return &Router{dev: d, routes: make([][]*Route, d.NumTraps())}
 }
 
 // Route returns the cached shortest route from trap src to trap dst.
@@ -130,8 +120,9 @@ func (r *Router) Route(src, dst int) (*Route, error) {
 	return route, nil
 }
 
-// Distance returns the route cost between two traps (0 when src == dst):
-// the price the router gave the route when it built it.
+// Distance returns the route cost between two traps (0 when src == dst).
+// Every cost is a whole number and the device graph is undirected, so
+// Distance(a, b) == Distance(b, a).
 func (r *Router) Distance(src, dst int) (float64, error) {
 	if src == dst {
 		return 0, nil
@@ -143,39 +134,14 @@ func (r *Router) Distance(src, dst int) (float64, error) {
 	return route.cost, nil
 }
 
-// price returns route's cost: each intermediate node's transit or
-// crossing weight, in hop order, then the shuttle units and photonic
-// links. Units are aggregated before the single multiply (bit-identical to
-// the pre-photonic cost on link-free devices); links price per traversal,
-// not per unit. The search's running distance adds the same terms in
-// another order, which can round differently, so the price is taken over
-// the finished route.
-func (r *Router) price(route *Route) float64 {
-	cost := 0.0
-	for _, h := range route.Hops[:len(route.Hops)-1] {
-		cost += r.nodeCost(h.Node)
-	}
-	units, links := 0, 0
-	for _, h := range route.Hops {
-		if seg := r.dev.Segments[h.Segment]; seg.Kind == SegPhotonic {
-			links++
-		} else {
-			units += seg.Length
-		}
-	}
-	cost += float64(units) * r.costs.Segment
-	cost += float64(links) * r.costs.Link
-	return cost
-}
-
 func (r *Router) nodeCost(n NodeRef) float64 {
 	if n.Kind == NodeTrap {
-		return r.costs.TrapTransit
+		return trapTransitCost
 	}
 	if r.dev.Junctions[n.Index].Kind() == JunctionX {
-		return r.costs.JunctionX
+		return junctionXCost
 	}
-	return r.costs.JunctionY
+	return junctionYCost
 }
 
 type pqItem struct {
@@ -197,8 +163,8 @@ func (q *priorityQueue) Pop() interface{} {
 	return item
 }
 
-// dijkstra computes and prices the shortest routes from trap src to every
-// other trap, indexed by destination.
+// dijkstra computes the shortest routes from trap src to every other
+// trap, with their costs, indexed by destination.
 func (r *Router) dijkstra(src int) []*Route {
 	type parentLink struct {
 		prev NodeRef
@@ -224,9 +190,9 @@ func (r *Router) dijkstra(src int) []*Route {
 		for _, sid := range r.dev.SegmentsAt(cur.node) {
 			seg := r.dev.Segments[sid]
 			next := seg.OtherSide(cur.node)
-			segCost := float64(seg.Length) * r.costs.Segment
+			segCost := float64(segmentCost)
 			if seg.Kind == SegPhotonic {
-				segCost = r.costs.Link
+				segCost = linkCost
 			}
 			nd := cur.dist + leave + segCost
 			if old, ok := dist[next.Node]; !ok || nd < old {
@@ -242,7 +208,8 @@ func (r *Router) dijkstra(src int) []*Route {
 			continue
 		}
 		goal := NodeRef{NodeTrap, dst}
-		if _, ok := dist[goal]; !ok {
+		cost, ok := dist[goal]
+		if !ok {
 			continue
 		}
 		// Walk parents back to src, then reverse.
@@ -258,14 +225,13 @@ func (r *Router) dijkstra(src int) []*Route {
 			rev = append(rev, hop)
 			node = link.prev
 		}
-		route := &Route{Src: src}
+		route := &Route{Src: src, cost: cost}
 		for i := len(rev) - 1; i >= 0; i-- {
 			route.Hops = append(route.Hops, rev[i])
 		}
 		firstSeg := r.dev.Segments[route.Hops[0].Segment]
 		ep, _ := firstSeg.EndpointAt(start)
 		route.SrcEnd = ep.TrapEnd
-		route.cost = r.price(route)
 		out[dst] = route
 	}
 	return out

@@ -155,7 +155,7 @@ type Params struct {
 	// MeasureTime is the duration of a qubit readout (µs).
 	MeasureTime float64 `json:"measure_time_us" canon:"measure_time" valid:"positive"`
 
-	// Shuttling times (Table I, µs); MoveTime is per segment length unit.
+	// Shuttling times (Table I, µs); MoveTime is per segment moved through.
 	MoveTime      float64 `json:"move_time_us" canon:"move_time" valid:"positive"`
 	SplitTime     float64 `json:"split_time_us" canon:"split_time" valid:"positive"`
 	MergeTime     float64 `json:"merge_time_us" canon:"merge_time" valid:"positive"`
@@ -166,7 +166,7 @@ type Params struct {
 	IonSwapRotateTime float64 `json:"ion_swap_rotate_time_us" canon:"ion_swap_rotate_time" valid:"positive"`
 
 	// Heating model (§VII.B), in quanta: K1 is added to each sub-chain on
-	// split, and on merge; K2 per segment length unit moved;
+	// split, and on merge; K2 per segment moved through;
 	// JunctionHeating per junction crossing.
 	K1              float64 `json:"k1_quanta" canon:"k1" valid:"non-negative"`
 	K2              float64 `json:"k2_quanta" canon:"k2" valid:"non-negative"`

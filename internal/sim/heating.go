@@ -4,7 +4,7 @@ package sim
 // oscillator whose energy (in quanta) starts at zero and only grows.
 // Splitting a chain divides its energy in proportion to the sub-chain
 // sizes and adds k1 quanta to each part; merging sums the two energies and
-// adds k1; moving an ion adds k2 quanta per segment unit traversed. There
+// adds k1; moving an ion adds k2 quanta per segment moved through. There
 // is no re-cooling, which is why communication-heavy executions
 // accumulate the motional hot spots the paper analyzes.
 
@@ -28,14 +28,9 @@ func splitEnergy(e float64, nA, nB int, k1 float64) (eA, eB float64) {
 // the chains and prevent collisions (§VII.B).
 func mergeEnergy(e1, e2, k1 float64) float64 { return e1 + e2 + k1 }
 
-// moveEnergy returns the energy of a shuttled chain after traversing the given
-// number of segment length units, picking up k2 quanta per unit.
-func moveEnergy(e float64, units int, k2 float64) float64 {
-	if units < 0 {
-		panic(fmt.Sprintf("sim: negative move distance %d", units))
-	}
-	return e + float64(units)*k2
-}
+// moveEnergy returns the energy of a shuttled chain after moving through
+// one segment, which adds k2 quanta.
+func moveEnergy(e, k2 float64) float64 { return e + k2 }
 
 // ionSwapEnergy returns the chain energy after one physical ion-swap hop:
 // the pair is split out (+k1 to both parts), rotated, and merged back

@@ -50,22 +50,11 @@ func TestMergeAddsK1(t *testing.T) {
 	}
 }
 
+// TestMovePerUnit checks one move: a segment moved through adds k2.
 func TestMovePerUnit(t *testing.T) {
-	if got := moveEnergy(1, 7, 0.01); math.Abs(got-1.07) > 1e-12 {
-		t.Errorf("moveEnergy = %g, want 1.07", got)
+	if got := moveEnergy(1, 0.01); math.Abs(got-1.01) > 1e-12 {
+		t.Errorf("moveEnergy = %g, want 1.01", got)
 	}
-	if got := moveEnergy(1, 0, 0.01); got != 1 {
-		t.Errorf("zero-unit move changed energy: %g", got)
-	}
-}
-
-func TestMovePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative move should panic")
-		}
-	}()
-	moveEnergy(1, -1, 0.01)
 }
 
 func TestIonSwapHop(t *testing.T) {
@@ -90,7 +79,7 @@ func TestEnergyMonotoneUnderAnySequence(t *testing.T) {
 				if n[0] > 1 {
 					ion, rest := splitEnergy(e[0], 1, n[0]-1, k1)
 					e[0] = rest
-					e[1] = mergeEnergy(e[1], moveEnergy(ion, int(op%4), k2), k1)
+					e[1] = mergeEnergy(e[1], moveEnergy(ion, k2), k1)
 					n[0]--
 					n[1]++
 				}
@@ -98,7 +87,7 @@ func TestEnergyMonotoneUnderAnySequence(t *testing.T) {
 				if n[1] > 1 {
 					ion, rest := splitEnergy(e[1], 1, n[1]-1, k1)
 					e[1] = rest
-					e[0] = mergeEnergy(e[0], moveEnergy(ion, int(op%4), k2), k1)
+					e[0] = mergeEnergy(e[0], moveEnergy(ion, k2), k1)
 					n[1]--
 					n[0]++
 				}

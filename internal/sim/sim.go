@@ -385,7 +385,7 @@ func (e *engine) duration(op *isa.Op) float64 {
 	case isa.OpMerge:
 		return p.MergeTime
 	case isa.OpMove:
-		return p.MoveTime * float64(e.dev.Segments[op.Resource].Length)
+		return p.MoveTime
 	case isa.OpLinkTransit:
 		// Flat: remote entanglement + teleportation is one heralded round,
 		// however long the optical fiber.
@@ -496,7 +496,7 @@ func (e *engine) apply(op *isa.Op) error {
 		e.observeTransit(q)
 
 	case isa.OpMove:
-		e.transitE[q] = moveEnergy(e.transitE[q], e.dev.Segments[op.Resource].Length, p.K2)
+		e.transitE[q] = moveEnergy(e.transitE[q], p.K2)
 		e.observeTransit(q)
 
 	case isa.OpLinkTransit:

@@ -510,7 +510,7 @@ func TestTransitEnergyObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := device.NewRouter(d, device.DefaultRouteCosts())
+	router := device.NewRouter(d)
 	var route *device.Route
 	src := -1
 	for a := 0; a < d.NumTraps() && src < 0; a++ {
@@ -562,14 +562,10 @@ func TestTransitEnergyObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Splitting the 1-ion chain carries chain energy 0 plus the k1 jolt,
-	// then every segment unit adds k2 and every junction crossing adds
-	// its heating constant.
-	units := 0
-	for _, h := range route.Hops {
-		units += d.Segments[h.Segment].Length
-	}
+	// then every segment moved through adds k2 and every junction
+	// crossing adds its heating constant.
 	want := params.K1 +
-		float64(units)*params.K2 +
+		float64(len(route.Hops))*params.K2 +
 		float64(len(route.Junctions()))*params.JunctionHeating
 	if math.Abs(r.MaxMotionalEnergy-want) > 1e-12 {
 		t.Errorf("MaxMotionalEnergy = %g, want %g (in-transit maximum)", r.MaxMotionalEnergy, want)
@@ -595,7 +591,7 @@ func TestLinkTransitResetsMotionalEnergy(t *testing.T) {
 	// Module 0 is traps 0-1 and module 1 traps 2-3; the link joins trap
 	// 1's exit end to trap 2's entry end.
 	const exit, entry = 1, 2
-	route, err := device.NewRouter(d, device.DefaultRouteCosts()).Route(exit, entry)
+	route, err := device.NewRouter(d).Route(exit, entry)
 	if err != nil {
 		t.Fatal(err)
 	}

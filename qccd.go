@@ -79,7 +79,8 @@ type (
 	PolicyName = models.PolicyName
 	// PolicyInfo describes one compiler policy.
 	PolicyInfo = models.PolicyInfo
-	// CompileOptions configures the backend compiler.
+	// CompileOptions configures the backend compiler: the reorder method
+	// and the policy. Its zero value is the paper's configuration.
 	CompileOptions = compiler.Options
 	// BenchmarkSpec describes one suite benchmark and its Table II
 	// reference numbers.
@@ -155,8 +156,8 @@ func DefaultParams() Params { return models.Default() }
 // into tools without recompiling.
 func LoadParams(data []byte) (Params, error) { return models.LoadJSON(data) }
 
-// DefaultCompileOptions returns the paper's compiler configuration:
-// GS reordering and two buffer slots per trap.
+// DefaultCompileOptions returns the paper's compiler configuration, the
+// zero CompileOptions: GS reordering under the baseline policy.
 func DefaultCompileOptions() CompileOptions { return compiler.DefaultOptions() }
 
 // CompilerPolicies lists the compiler policies, baseline first. Any
