@@ -325,8 +325,9 @@ func checkScaling(t *testing.T, s *Scaling) {
 // seven files `cmd/experiments -csv` writes. Every study runs on one
 // cached toolflow, as the command does, so points shared across studies
 // are computed once; each study's CSV must hash to its pinned SHA-256.
-// The scaling study, the slowest, runs here only: its shape is checked,
-// and a second run on the toolflow must compute nothing.
+// This is the one test that computes the scaling study, the slowest: it
+// checks the study's rows, and a second run on the toolflow must compute
+// nothing.
 func TestFigureCSVExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
