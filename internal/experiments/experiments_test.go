@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -284,13 +285,42 @@ func argmax(xs []int, vals []float64) int {
 	return best
 }
 
-// checkScaling checks the scaling study's shape: 8 sizes x 2 apps x 2
-// topologies plus the two multi-module points at 512 qubits, each row a
-// success on a device that holds its qubits.
-func checkScaling(t *testing.T, s *Scaling) {
+// The full-sweep tests share one cached toolflow, as `cmd/experiments`
+// shares one across its studies, so the scaling study, the slowest, is
+// computed once per test binary whichever of them runs first.
+var (
+	studyOnce     sync.Once
+	studyTF       *core.Toolflow
+	studyScaling  *Scaling
+	studyErr      error
+	scalingMisses uint64 // points the first scaling run computed
+)
+
+// sharedToolflow returns the shared toolflow after the scaling study has
+// run on it, and the study. It skips under -short.
+func sharedToolflow(t *testing.T) (*core.Toolflow, *Scaling) {
 	t.Helper()
+	if testing.Short() {
+		t.Skip("full study sweep")
+	}
+	studyOnce.Do(func() {
+		studyTF = core.NewCached(models.Default(), 0)
+		studyScaling, studyErr = RunScaling(studyTF)
+		scalingMisses = studyTF.CacheStats().Misses
+	})
+	if studyErr != nil {
+		t.Fatal(studyErr)
+	}
+	return studyTF, studyScaling
+}
+
+// TestScalingStudy exercises the beyond-paper extension end to end: 8
+// sizes x 2 apps x 2 topologies plus the two multi-module points at 512
+// qubits, each row a success on a device that holds its qubits.
+func TestScalingStudy(t *testing.T) {
+	_, s := sharedToolflow(t)
 	if len(s.Rows) != 34 {
-		t.Fatalf("scaling rows = %d, want 34", len(s.Rows))
+		t.Fatalf("rows = %d, want 34", len(s.Rows))
 	}
 	multiModule := 0
 	for _, r := range s.Rows {
@@ -316,8 +346,33 @@ func checkScaling(t *testing.T, s *Scaling) {
 			t.Errorf("%s/%d: device too small (%d traps x %d)", r.App, r.Qubits, r.Traps, r.Capacity)
 		}
 	}
-	if out := s.Render(); !strings.Contains(out, "200") || !strings.Contains(out, "QFT") {
-		t.Error("scaling render content")
+	out := s.Render()
+	if !strings.Contains(out, "200") || !strings.Contains(out, "QFT") {
+		t.Error("render content")
+	}
+	var csv strings.Builder
+	if err := s.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(csv.String(), "app,qubits") {
+		t.Error("csv header missing")
+	}
+}
+
+// TestScalingSharesRunnerCache verifies the study flows through the
+// shared outcome cache: a second run on the same toolflow recomputes
+// nothing.
+func TestScalingSharesRunnerCache(t *testing.T) {
+	tf, _ := sharedToolflow(t)
+	if scalingMisses == 0 {
+		t.Fatal("first run should compute points")
+	}
+	misses := tf.CacheStats().Misses
+	if _, err := RunScaling(tf); err != nil {
+		t.Fatal(err)
+	}
+	if again := tf.CacheStats().Misses; again != misses {
+		t.Errorf("second run recomputed %d points, want 0", again-misses)
 	}
 }
 
@@ -325,15 +380,8 @@ func checkScaling(t *testing.T, s *Scaling) {
 // seven files `cmd/experiments -csv` writes. Every study runs on one
 // cached toolflow, as the command does, so points shared across studies
 // are computed once; each study's CSV must hash to its pinned SHA-256.
-// This is the one test that computes the scaling study, the slowest: it
-// checks the study's rows, and a second run on the toolflow must compute
-// nothing.
 func TestFigureCSVExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure sweep")
-	}
-	tf := core.NewCached(models.Default(), 0)
-	var scaling *Scaling
+	tf, _ := sharedToolflow(t)
 	for _, st := range []struct {
 		name, digest string
 		run          func(*core.Toolflow) (csvStudy, error)
@@ -349,12 +397,7 @@ func TestFigureCSVExports(t *testing.T) {
 			func(tf *core.Toolflow) (csvStudy, error) { return RunFig8(tf) },
 			[]string{"QAOA/AM2-GS"}},
 		{"scaling", "763f1685320d239e2bf6f7a6c47dac1b478b4b92c4f0039a5554bbbe9974e9fa",
-			func(tf *core.Toolflow) (csvStudy, error) {
-				s, err := RunScaling(tf)
-				scaling = s
-				return s, err
-			},
-			[]string{"app,qubits"}},
+			func(tf *core.Toolflow) (csvStudy, error) { return RunScaling(tf) }, nil},
 		{"qec", "b26134d9da6f139fb35fc11b3f12ca9f99f28c13bc54e92aa61d17d747f4b524",
 			func(tf *core.Toolflow) (csvStudy, error) { return RunQEC(tf) }, nil},
 		{"policies", "1a3b4ae96bdf340f4f735829ede45bf6d0019d11487a2d613a152f652a08c6a3",
@@ -377,14 +420,6 @@ func TestFigureCSVExports(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != st.digest {
 			t.Errorf("%s csv sha256 = %s, want %s", st.name, got, st.digest)
 		}
-	}
-	checkScaling(t, scaling)
-	misses := tf.CacheStats().Misses
-	if _, err := RunScaling(tf); err != nil {
-		t.Fatal(err)
-	}
-	if again := tf.CacheStats().Misses; again != misses {
-		t.Errorf("second scaling run recomputed %d points, want 0", again-misses)
 	}
 }
 
