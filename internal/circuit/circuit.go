@@ -61,15 +61,45 @@ func (c *Circuit) add(g Gate) {
 // AppendBarrier adds a barrier over qs to the end of the program without
 // validation, keeping its operands in the circuit's barrier table.
 func (c *Circuit) AppendBarrier(qs ...int) {
-	off := len(c.barriers)
-	if len(qs) > math.MaxInt32-off {
-		panic("circuit: barrier operands overflow the circuit's table")
-	}
-	c.barriers = slices.Grow(c.barriers, len(qs))
+	c.Gates = append(c.Gates, Gate{Kind: GateBarrier})
+	g := c.growBarrier(len(qs))
 	for _, q := range qs {
 		c.barriers = append(c.barriers, operand(q))
 	}
-	c.Gates = append(c.Gates, Gate{Kind: GateBarrier, q: [2]int32{int32(off), int32(len(qs))}})
+	g.q[1] += int32(len(qs))
+}
+
+// ExtendBarrier adds qubits first, first+1, ..., first+n-1 to the
+// operands of the program's last gate, which must be a barrier, without
+// validation. It writes them straight into the barrier table, so a
+// barrier whose operands come in runs, as OpenQASM's register operands
+// do, never holds them in a list of its own first.
+func (c *Circuit) ExtendBarrier(first, n int) {
+	g := c.growBarrier(n)
+	for q := first; q < first+n; q++ {
+		c.barriers = append(c.barriers, operand(q))
+	}
+	g.q[1] += int32(n)
+}
+
+// growBarrier makes room in the barrier table for n more operands of the
+// program's last gate, which must be a barrier, and returns that gate.
+func (c *Circuit) growBarrier(n int) *Gate {
+	if len(c.Gates) == 0 || c.Gates[len(c.Gates)-1].Kind != GateBarrier {
+		panic("circuit: barrier operands added after a gate that is not a barrier")
+	}
+	if n > math.MaxInt32-len(c.barriers) {
+		panic("circuit: barrier operands overflow the circuit's table")
+	}
+	c.barriers = slices.Grow(c.barriers, n)
+	g := &c.Gates[len(c.Gates)-1]
+	if g.q[1] == 0 {
+		// A barrier with no operands yet has no span: start one at the
+		// table's end. A barrier with operands that is the last gate
+		// already ends there.
+		g.q[0] = int32(len(c.barriers))
+	}
+	return g
 }
 
 // Qubits returns gate i's operands, control first for a controlled gate,

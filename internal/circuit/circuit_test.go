@@ -135,6 +135,33 @@ func TestBarrierChecksStartClear(t *testing.T) {
 	}
 }
 
+// TestExtendBarrier adds runs of operands to the last gate, a barrier
+// from AppendBarrier or an operandless one from Append, and refuses a
+// last gate that is not a barrier.
+func TestExtendBarrier(t *testing.T) {
+	c := New("extend", 8)
+	c.AppendBarrier(3)
+	c.ExtendBarrier(5, 3)
+	c.Append(Gate{Kind: GateBarrier})
+	c.ExtendBarrier(0, 2)
+	c.ExtendBarrier(4, 0)
+	for i, want := range [][]int32{{3, 5, 6, 7}, {0, 1}} {
+		if got := c.Qubits(i); !slices.Equal(got, want) {
+			t.Errorf("Qubits(%d) = %v, want %v", i, got, want)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c.Append(NewGate1(GateH, 0))
+	defer func() {
+		if recover() == nil {
+			t.Error("ExtendBarrier after an H did not panic")
+		}
+	}()
+	c.ExtendBarrier(0, 1)
+}
+
 func TestCircuitCountsAndValidate(t *testing.T) {
 	c := New("test", 3)
 	c.Append(NewGate1(GateH, 0), NewGate2(GateCNOT, 0, 1), NewGate2(GateCZ, 1, 2))

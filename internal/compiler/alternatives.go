@@ -1,7 +1,9 @@
 package compiler
 
 import (
-	"repro/internal/circuit"
+	"math/bits"
+	"slices"
+
 	"repro/internal/device"
 )
 
@@ -30,105 +32,183 @@ const lookaheadAffinity = 2.0
 // candidate's operand traps. Ties break to the lowest gate index, so the
 // order — and therefore the whole compilation — is deterministic.
 //
-// It owns the dependency bookkeeping of one compilation: an in-degree
-// vector plus an unordered ready list it scores on every pick (ready sets
-// of the paper workloads stay small, so the scan is cheap relative to the
-// shuttles a better order saves).
+// Ready sets are wide: QFT@128 on L8 keeps a mean of 127 gates ready,
+// almost all of them free. So a pick costs what changed since the last
+// one, not the ready set. A ready gate that is not two-qubit scores
+// exactly 0, so only the lowest-indexed of them can win: they wait in a
+// bit set by gate index, searched from a cursor below which none lies.
+// Each ready two-qubit gate keeps its score and the qubits it read (see
+// readyPair), and is rescored only when one of them has merged into a
+// trap since. The pick is still the least (score, gate index) over the
+// whole ready set, from the same score function.
 type lookaheadOrder struct {
 	cc    *compilation
-	dag   *circuit.DAG
-	indeg []int
-	ready []int
+	dag   *dag
+	indeg []int32
+	// free has bit i set when gate i is ready and not two-qubit; nfree
+	// counts them, and none lies below gate lo.
+	free      []uint64
+	nfree, lo int
+	pairs     []readyPair // the ready two-qubit gates
 }
 
-func newLookaheadOrder(cc *compilation) *lookaheadOrder {
-	dag := circuit.BuildDAG(cc.circ)
-	s := &lookaheadOrder{cc: cc, dag: dag, indeg: make([]int, dag.Len())}
-	copy(s.indeg, dag.InDegree)
+// readyPair is a ready two-qubit gate and its score, taken at op count
+// scoredAt (-1 before its first scoring). The score reads the traps of
+// the watched qubits: the gate's operands, then the partners of their
+// next lookaheadDepth uses. Only Gate1, Gate2 and Measure ops advance
+// the use cursors, so that set is fixed while the gate is ready.
+type readyPair struct {
+	gi       int32
+	scoredAt int32
+	score    float64
+	n        int32 // watched qubits in watch
+	watch    [2 + 2*lookaheadDepth]int32
+}
+
+func newLookaheadOrder(cc *compilation) schedule {
+	d := cc.an.lookaheadDAG()
+	s := &lookaheadOrder{
+		cc: cc, dag: d, indeg: slices.Clone(d.indeg),
+		free: make([]uint64, (len(d.indeg)+63)/64), lo: len(d.indeg),
+	}
+	cc.merged = make([]int32, cc.circ.NumQubits)
 	for i, deg := range s.indeg {
 		if deg == 0 {
-			s.ready = append(s.ready, i)
+			s.release(int32(i))
 		}
 	}
 	return s
 }
 
+// release adds gate gi to the ready set. A two-qubit gate is first scored
+// at the next pick, after the picked gate's ops are emitted: until then
+// the use cursor of an operand it shares with the picked gate still
+// points at the picked gate.
+func (s *lookaheadOrder) release(gi int32) {
+	if s.cc.circ.Gates[gi].Kind.IsTwoQubit() {
+		s.pairs = append(s.pairs, readyPair{gi: gi, scoredAt: -1})
+		return
+	}
+	s.free[gi/64] |= 1 << (gi % 64)
+	s.nfree++
+	s.lo = min(s.lo, int(gi))
+}
+
 func (s *lookaheadOrder) Next() int {
-	if len(s.ready) == 0 {
+	cc := s.cc
+	best, bestScore := -1, 0.0 // into pairs
+	for i := range s.pairs {
+		p := &s.pairs[i]
+		if p.scoredAt < 0 {
+			s.watch(p)
+			s.score(p)
+		} else if cc.lastMerge > p.scoredAt && s.moved(p) {
+			s.score(p)
+		}
+		if best < 0 || p.score < bestScore || (p.score == bestScore && p.gi < s.pairs[best].gi) {
+			best, bestScore = i, p.score
+		}
+	}
+	var gi int32
+	switch {
+	case s.nfree > 0 && (best < 0 || bestScore > 0 || (bestScore == 0 && s.firstFree() < s.pairs[best].gi)):
+		gi = s.firstFree()
+		s.free[gi/64] &^= 1 << (gi % 64)
+		s.nfree--
+	case best >= 0:
+		gi = s.pairs[best].gi
+		s.pairs[best] = s.pairs[len(s.pairs)-1]
+		s.pairs = s.pairs[:len(s.pairs)-1]
+	default:
 		return -1
 	}
-	best, bestScore := -1, 0.0
-	for _, gi := range s.ready {
-		score := s.score(gi)
-		if best < 0 || score < bestScore || (score == bestScore && gi < best) {
-			best, bestScore = gi, score
+	for _, v := range s.dag.succs[s.dag.succOff[gi]:s.dag.succOff[gi+1]] {
+		if s.indeg[v]--; s.indeg[v] == 0 {
+			s.release(v)
 		}
 	}
-	for i, gi := range s.ready {
-		if gi == best {
-			s.ready[i] = s.ready[len(s.ready)-1]
-			s.ready = s.ready[:len(s.ready)-1]
-			break
-		}
-	}
-	for _, v := range s.dag.Succs[best] {
-		s.indeg[v]--
-		if s.indeg[v] == 0 {
-			s.ready = append(s.ready, v)
-		}
-	}
-	return best
+	return int(gi)
 }
 
-// score rates readiness of gate gi under the current placement. Barriers,
-// single-qubit gates, measurements and co-located two-qubit gates are
-// free; cross-trap gates pay their route distance minus the affinity of
-// their operands' upcoming partners.
-func (s *lookaheadOrder) score(gi int) float64 {
-	g := s.cc.circ.Gates[gi]
-	if !g.Kind.IsTwoQubit() {
-		return 0
-	}
-	a, b := g.Qubit(0), g.Qubit(1)
-	ta, tb := s.cc.chains.Trap(a), s.cc.chains.Trap(b)
-	score := 0.0
-	if ta != tb {
-		d, err := s.cc.router.Distance(ta, tb)
-		if err != nil {
-			return 1e18
-		}
-		score = d
-	}
-	score -= lookaheadAffinity * float64(s.affinity(a, gi, ta, tb)+s.affinity(b, gi, ta, tb))
-	return score
-}
-
-// affinity counts, over the next lookaheadDepth gates still to be emitted
-// on qubit q (excluding gi itself), two-qubit partners already resident in
-// trap ta or tb — the traps this gate could execute in.
-func (s *lookaheadOrder) affinity(q, gi, ta, tb int) int {
+// watch records p's watched qubits: its operands, then for each operand
+// the two-qubit partners among its next lookaheadDepth uses after p.
+func (s *lookaheadOrder) watch(p *readyPair) {
 	cc := s.cc
-	count, seen := 0, 0
-	for _, use := range cc.useLists[q][cc.useCounts[q]:] {
-		if use == gi {
-			continue
+	g := cc.circ.Gates[p.gi]
+	p.watch[0], p.watch[1] = int32(g.Qubit(0)), int32(g.Qubit(1))
+	n := int32(2)
+	for _, q := range p.watch[:2] {
+		seen := 0
+		for _, use := range cc.an.usesOf(int(q))[cc.useCounts[q]:] {
+			if use == p.gi {
+				continue
+			}
+			if seen++; seen > lookaheadDepth {
+				break
+			}
+			u := cc.circ.Gates[use]
+			if !u.Kind.IsTwoQubit() {
+				continue
+			}
+			partner := int32(u.Qubit(0))
+			if partner == q {
+				partner = int32(u.Qubit(1))
+			}
+			p.watch[n] = partner
+			n++
 		}
-		if seen++; seen > lookaheadDepth {
-			break
+	}
+	p.n = n
+}
+
+// moved reports whether a qubit p watches has merged into a trap since p
+// was scored.
+func (s *lookaheadOrder) moved(p *readyPair) bool {
+	for _, q := range p.watch[:p.n] {
+		if s.cc.merged[q] > p.scoredAt {
+			return true
 		}
-		g := cc.circ.Gates[use]
-		if !g.Kind.IsTwoQubit() {
-			continue
+	}
+	return false
+}
+
+// score rates p under the current placement: a co-located gate is free,
+// a cross-trap gate pays its route distance, and either is credited
+// lookaheadAffinity for each watched partner resident in one of its
+// operands' traps.
+func (s *lookaheadOrder) score(p *readyPair) {
+	cc := s.cc
+	p.scoredAt = int32(len(cc.ops))
+	ta, tb := cc.chains.Trap(int(p.watch[0])), cc.chains.Trap(int(p.watch[1]))
+	p.score = 0
+	if ta != tb {
+		d, err := cc.router.Distance(ta, tb)
+		if err != nil {
+			p.score = 1e18
+			return
 		}
-		partner := g.Qubit(0)
-		if partner == q {
-			partner = g.Qubit(1)
-		}
-		if tp := cc.chains.Trap(partner); tp >= 0 && (tp == ta || tp == tb) {
+		p.score = d
+	}
+	count := 0
+	for _, q := range p.watch[2:p.n] {
+		if tp := cc.chains.Trap(int(q)); tp >= 0 && (tp == ta || tp == tb) {
 			count++
 		}
 	}
-	return count
+	p.score -= lookaheadAffinity * float64(count)
+}
+
+// firstFree returns the least ready gate that is not two-qubit, moving lo
+// up to it. There must be one.
+func (s *lookaheadOrder) firstFree() int32 {
+	w := s.lo / 64
+	x := s.free[w] &^ (1<<(s.lo%64) - 1)
+	for x == 0 {
+		w++
+		x = s.free[w]
+	}
+	s.lo = 64*w + bits.TrailingZeros64(x)
+	return int32(s.lo)
 }
 
 // congestionWindow is the op-count horizon over which a stamped transit

@@ -46,7 +46,7 @@ func (cc *compilation) place() [][]int {
 	usable := d.Capacity - buffer
 	layout := make([][]int, d.NumTraps())
 	trap := 0
-	for _, q := range c.FirstUseOrder() {
+	for _, q := range cc.an.firstUse {
 		for len(layout[trap]) >= usable {
 			trap++
 		}

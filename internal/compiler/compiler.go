@@ -30,12 +30,15 @@
 // scan. The op list is a compile's largest allocation, and CompileInto
 // takes its storage from the caller: a sweep worker hands each compile
 // the list of the program before, so the list grows only for a program
-// larger than any the worker has compiled. The use lists and per-qubit
-// and per-trap arrays, the chains, the router's search state and each
-// shuttle's route are still allocated per compile. The router keeps each
-// route's cost, the search's exact whole-number distance, so the
-// move-cost and lookahead scores that ask for a distance on every gate
-// read a stored number.
+// larger than any the worker has compiled. What depends on the circuit
+// alone — each qubit's uses, the first-use order and the lookahead
+// order's dependency DAG — is an Analysis, which the toolflow builds
+// once per circuit and every compile of it reads (Compile builds its
+// own). The per-qubit and per-trap arrays, the chains, the router's
+// search state and each shuttle's route are still allocated per compile.
+// The router keeps each route's cost, the search's exact whole-number
+// distance, so the move-cost and lookahead scores that ask for a
+// distance on every gate read a stored number.
 //
 // Checks: Compile checks the circuit and device it is given and the
 // program it emits. CompileInto, the toolflow's entry, checks none of
@@ -93,7 +96,7 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
-	prog, err := CompileInto(nil, c, d, opts)
+	prog, err := CompileInto(nil, Analyze(c), d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -103,15 +106,23 @@ func Compile(c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, 
 	return prog, nil
 }
 
-// CompileInto is Compile without its checks, emitting into ops' storage.
-// Each input is checked once where it is made: c must be valid, as a
-// Builder or qasm.Parse returns it, and d too, as device.Parse returns it;
-// the program is left for sim.Prepare to check. When ops has room for the
-// op list's seed, the program's Ops start at ops[:0], so a caller
-// compiling many programs in turn can hand each the last one's Ops. The
-// program then shares that storage, and the caller must not reuse it
-// while the program is in use.
-func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Options) (*isa.Program, error) {
+// CompileInto is Compile without its checks, compiling a's circuit and
+// emitting into ops' storage. Each input is checked once where it is
+// made: the circuit must be valid, as a Builder or qasm.Parse returns it,
+// and d too, as device.Parse returns it; the program is left for
+// sim.Prepare to check. When ops has room for the op list's seed, the
+// program's Ops start at ops[:0], so a caller compiling many programs in
+// turn can hand each the last one's Ops. The program then shares that
+// storage, and the caller must not reuse it while the program is in use.
+func CompileInto(ops []isa.Op, a *Analysis, d *device.Device, opts Options) (*isa.Program, error) {
+	return compileWith(ops, a, d, opts, newLookaheadOrder)
+}
+
+// compileWith is CompileInto with the lookahead policy's gate order
+// given, so that a test can compile under a reference order.
+func compileWith(ops []isa.Op, a *Analysis, d *device.Device, opts Options,
+	lookahead func(*compilation) schedule) (*isa.Program, error) {
+	c := a.c
 	if c.NumQubits > d.MaxIons() {
 		return nil, fmt.Errorf("compiler: %d qubits exceed device capacity %d (%s)",
 			c.NumQubits, d.MaxIons(), d.Name)
@@ -122,6 +133,7 @@ func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Option
 	}
 	cc := &compilation{
 		circ:   c,
+		an:     a,
 		dev:    d,
 		opts:   opts,
 		router: device.NewRouter(d),
@@ -148,7 +160,7 @@ func CompileInto(ops []isa.Op, c *circuit.Circuit, d *device.Device, opts Option
 	var sched schedule = &programOrder{n: len(c.Gates)}
 	switch policy {
 	case models.PolicyLookahead:
-		sched = newLookaheadOrder(cc)
+		sched = lookahead(cc)
 	case models.PolicyCongestion:
 		cc.congestion = true
 	}
@@ -175,6 +187,7 @@ type schedule interface {
 // compilation holds the mutable state of one Compile call.
 type compilation struct {
 	circ   *circuit.Circuit
+	an     *Analysis
 	dev    *device.Device
 	opts   Options
 	router *device.Router
@@ -190,13 +203,19 @@ type compilation struct {
 	lastOfQubit   []int // qubit -> last op ID touching it (-1 none)
 	lastStructure []int // trap -> last structural op ID (-1 none)
 
-	useLists  [][]int // qubit -> sorted gate indices of its IR gates
-	useCounts []int   // qubit -> IR gates already emitted (cursor into useLists)
+	useCounts []int // qubit -> IR gates already emitted (cursor into its uses)
+
+	// merged, which only the lookahead order keeps (nil otherwise), holds
+	// per qubit the op count just after its last merge (0 for none), and
+	// lastMerge the largest of them: a score taken at op count n is stale
+	// once a qubit it reads has merged at a count above n.
+	merged    []int32
+	lastMerge int32
 }
 
 // mapQubits computes the initial qubit→trap layout, validates it (every
-// program qubit exactly once, no chain over capacity), installs it as the
-// compilation's chains and builds the use lists. It returns the layout.
+// program qubit exactly once, no chain over capacity) and installs it as
+// the compilation's chains. It returns the layout.
 func (cc *compilation) mapQubits() ([][]int, error) {
 	c, d := cc.circ, cc.dev
 	layout := cc.place()
@@ -233,33 +252,6 @@ func (cc *compilation) mapQubits() ([][]int, error) {
 	cc.lastStructure = make([]int, d.NumTraps())
 	for i := range cc.lastStructure {
 		cc.lastStructure[i] = -1
-	}
-	// Per-qubit use lists as subslices of one flat counted array.
-	cc.useLists = make([][]int, c.NumQubits)
-	counts := make([]int, c.NumQubits)
-	total := 0
-	for gi := range c.Gates {
-		if c.Gates[gi].Kind == circuit.GateBarrier {
-			continue
-		}
-		for _, q := range c.Qubits(gi) {
-			counts[q]++
-			total++
-		}
-	}
-	flat := make([]int, total)
-	off := 0
-	for q, n := range counts {
-		cc.useLists[q] = flat[off : off : off+n]
-		off += n
-	}
-	for gi := range c.Gates {
-		if c.Gates[gi].Kind == circuit.GateBarrier {
-			continue
-		}
-		for _, q := range c.Qubits(gi) {
-			cc.useLists[q] = append(cc.useLists[q], gi)
-		}
 	}
 	cc.useCounts = make([]int, c.NumQubits)
 	return layout, nil
@@ -398,6 +390,10 @@ func (cc *compilation) shuttle(q, src, dst, gi, depth int, keep []int) error {
 			cc.addOp(isa.Op{
 				Kind: isa.OpMerge, Resource: int32(t), End: hop.EnterEnd, GateIndex: int32(gi),
 			}, true, q)
+			if cc.merged != nil {
+				cc.lastMerge = int32(len(cc.ops))
+				cc.merged[q] = cc.lastMerge
+			}
 			if t != dst {
 				// Pass-through: reposition to the far end and split back
 				// out (Figure 4).
@@ -429,13 +425,13 @@ func (cc *compilation) evictOne(t int, softAvoid []int, depth int, keep []int) e
 
 // nextUse returns the next gate index that will use q, or a large sentinel
 // when q is never used again. Gates on one qubit are emitted in program
-// order, so the per-qubit emitted-use count is a cursor into useLists.
+// order, so the per-qubit emitted-use count is a cursor into its uses.
 func (cc *compilation) nextUse(q int) int {
-	uses := cc.useLists[q]
+	uses := cc.an.usesOf(q)
 	if cc.useCounts[q] >= len(uses) {
 		return 1 << 30
 	}
-	return uses[cc.useCounts[q]]
+	return int(uses[cc.useCounts[q]])
 }
 
 func contains(xs []int, x int) bool {

@@ -15,8 +15,9 @@ import (
 // included, on small devices of every topology family at capacities 2-8,
 // under every policy and both reorder methods: the compiler's whole
 // configuration. A circuit that fits the device must compile, replay
-// through replayStructure and simulate; one that does not must fail with
-// the capacity error and nothing else.
+// through replayStructure and simulate, and under the lookahead policy
+// compile the program the rescanning reference order does; one that does
+// not fit must fail with the capacity error and nothing else.
 func FuzzCompile(f *testing.F) {
 	specs := []string{
 		"L1", "L2", "L3", "L6", "G2x2", "G2x3", "G3x3", "R3", "R6",
@@ -64,6 +65,11 @@ func FuzzCompile(f *testing.F) {
 		replayStructure(t, p, d)
 		if _, err := sim.Run(p, d, params); err != nil {
 			t.Fatalf("%s: simulate: %v", where, err)
+		}
+		if opts.Policy == models.PolicyLookahead {
+			if err := diffRescan(p, Analyze(c), d, opts); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
 		}
 	})
 }

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cache"
-	"repro/internal/circuit"
 	"repro/internal/compiler"
 	"repro/internal/device"
 	"repro/internal/isa"
@@ -84,10 +83,11 @@ type Toolflow struct {
 
 // shared is the calibration-independent state of a family of toolflows.
 type shared struct {
-	// circuits memoizes benchmark circuits by app name. Builds are
-	// single-flight per name, so one app's build never holds up lookups
-	// of another's.
-	circuits *cache.Cache[*circuit.Circuit]
+	// circuits memoizes benchmark circuits by app name, each with its
+	// compiler.Analysis, which every compile of the circuit shares. Builds
+	// are single-flight per name, so one app's build never holds up
+	// lookups of another's.
+	circuits *cache.Cache[*compiler.Analysis]
 	// compiles counts compiler.Compile calls.
 	compiles atomic.Uint64
 }
@@ -97,7 +97,7 @@ type shared struct {
 // is computed from scratch; use NewCached or NewWithCache to reuse
 // outcomes across sweeps.
 func New(base models.Params) *Toolflow {
-	return &Toolflow{base: base, shared: &shared{circuits: cache.New[*circuit.Circuit](0)}}
+	return &Toolflow{base: base, shared: &shared{circuits: cache.New[*compiler.Analysis](0)}}
 }
 
 // NewCached returns a toolflow backed by a fresh outcome cache holding at
@@ -140,12 +140,17 @@ func (tf *Toolflow) CacheStats() cache.Stats {
 // with WithParams have compiled.
 func (tf *Toolflow) Compiles() uint64 { return tf.shared.compiles.Load() }
 
-// circuitFor builds or fetches the cached circuit for an app name.
-func (tf *Toolflow) circuitFor(app string) (*circuit.Circuit, error) {
-	c, err, _ := tf.shared.circuits.Do(app, func() (*circuit.Circuit, error) {
-		return apps.ByName(app)
+// circuitFor builds or fetches the memoized circuit for an app name,
+// analysed for the compiler.
+func (tf *Toolflow) circuitFor(app string) (*compiler.Analysis, error) {
+	a, err, _ := tf.shared.circuits.Do(app, func() (*compiler.Analysis, error) {
+		c, err := apps.ByName(app)
+		if err != nil {
+			return nil, err
+		}
+		return compiler.Analyze(c), nil
 	})
-	return c, err
+	return a, err
 }
 
 // Run executes a single design point: build device, compile, simulate.
@@ -276,7 +281,7 @@ func (g *Group) compute(pt Point) Outcome {
 // (compiler.CompileInto) checks none of them again.
 func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 	p := &program{key: key}
-	c, err := tf.circuitFor(key.App)
+	a, err := tf.circuitFor(key.App)
 	if err != nil {
 		p.err = err
 		return p
@@ -290,7 +295,7 @@ func (tf *Toolflow) compile(key Point, buf *scratch) *program {
 	opts.Reorder = key.Reorder
 	opts.Policy = key.Policy
 	tf.shared.compiles.Add(1)
-	prog, err := compiler.CompileInto(buf.ops, c, dev, opts)
+	prog, err := compiler.CompileInto(buf.ops, a, dev, opts)
 	if err != nil {
 		p.compileErr = err
 		return p

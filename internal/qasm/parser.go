@@ -297,7 +297,7 @@ func (p *parser) parseBarrier(line int) error {
 	if err := p.reserve(1, line); err != nil { // the barrier's own record
 		return err
 	}
-	var qubits []int
+	p.c.AppendBarrier()
 	for {
 		op, err := p.parseOperand()
 		if err != nil {
@@ -306,10 +306,7 @@ func (p *parser) parseBarrier(line int) error {
 		if err := p.reserve(op.n, line); err != nil {
 			return err
 		}
-		qubits = slices.Grow(qubits, op.n)
-		for i := range op.n {
-			qubits = append(qubits, op.first+i)
-		}
+		p.c.ExtendBarrier(op.first, op.n)
 		t, err := p.next()
 		if err != nil {
 			return err
@@ -322,7 +319,6 @@ func (p *parser) parseBarrier(line int) error {
 		}
 		return fmt.Errorf("qasm: line %d: expected , or ; in barrier, found %s", t.line, t)
 	}
-	p.c.AppendBarrier(qubits...)
 	return nil
 }
 
