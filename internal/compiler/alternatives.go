@@ -109,10 +109,14 @@ func (s *lookaheadOrder) Next() int {
 			best, bestScore = i, p.score
 		}
 	}
+	first := int32(-1) // the least ready gate that is not two-qubit
+	if s.nfree > 0 {
+		first = s.firstFree()
+	}
 	var gi int32
 	switch {
-	case s.nfree > 0 && (best < 0 || bestScore > 0 || (bestScore == 0 && s.firstFree() < s.pairs[best].gi)):
-		gi = s.firstFree()
+	case first >= 0 && (best < 0 || bestScore > 0 || (bestScore == 0 && first < s.pairs[best].gi)):
+		gi = first
 		s.free[gi/64] &^= 1 << (gi % 64)
 		s.nfree--
 	case best >= 0:
