@@ -1,9 +1,8 @@
 // Package circuit defines the program intermediate representation (IR)
 // consumed by the QCCD backend compiler: a fully unrolled sequence of gates
 // with data (qubit) dependencies and no control flow, exactly as described
-// in §V.A and §VI of the paper. It also provides the dependency DAG used by
-// the earliest-ready-gate-first scheduler and the workload statistics that
-// drive the architectural study (Table II).
+// in §V.A and §VI of the paper. It also provides the workload statistics
+// that drive the architectural study (Table II).
 //
 // The IR is flat: a Gate is a 24-byte record with no pointers that holds
 // its at most two operands inline, as isa.Op does, so a circuit is one

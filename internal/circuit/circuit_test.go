@@ -265,134 +265,82 @@ func TestFirstUseOrder(t *testing.T) {
 	}
 }
 
-func TestDAGStructure(t *testing.T) {
-	c := New("dag", 3)
-	c.Append(
-		NewGate1(GateH, 0),       // 0
-		NewGate2(GateCNOT, 0, 1), // 1 depends on 0
-		NewGate1(GateH, 2),       // 2 independent
-		NewGate2(GateCNOT, 1, 2), // 3 depends on 1 and 2
-	)
-	d := BuildDAG(c)
-	if got := d.InDegree[3]; got != 2 {
-		t.Errorf("InDegree[3] = %d, want 2", got)
-	}
-	var roots []int
-	for i, deg := range d.InDegree {
-		if deg == 0 {
-			roots = append(roots, i)
-		}
-	}
-	if len(roots) != 2 || roots[0] != 0 || roots[1] != 2 {
-		t.Errorf("roots = %v, want [0 2]", roots)
-	}
-	order, ok := d.TopoOrder()
-	if !ok {
-		t.Fatal("TopoOrder reported cycle")
-	}
-	pos := make(map[int]int)
-	for i, g := range order {
-		pos[g] = i
-	}
-	for u, succs := range d.Succs {
-		for _, v := range succs {
-			if pos[u] >= pos[v] {
-				t.Errorf("topo order violates edge %d->%d", u, v)
-			}
-		}
-	}
-	if got := d.Depth(); got != 3 {
-		t.Errorf("Depth = %d, want 3", got)
-	}
-}
-
-func TestDAGDedupesDoubleEdges(t *testing.T) {
-	c := New("dd", 2)
-	c.Append(NewGate2(GateCNOT, 0, 1), NewGate2(GateCNOT, 1, 0))
-	d := BuildDAG(c)
-	if got := d.InDegree[1]; got != 1 {
-		t.Errorf("InDegree[1] = %d, want 1 (edge deduped)", got)
-	}
-}
-
 func TestDepthEmpty(t *testing.T) {
-	d := BuildDAG(New("empty", 1))
-	if got := d.Depth(); got != 0 {
+	if got := ComputeStats(New("empty", 1)).Depth; got != 0 {
 		t.Errorf("Depth(empty) = %d, want 0", got)
 	}
 }
 
-// randomCircuit builds a valid random circuit for property tests.
+// randomCircuit builds a valid random circuit for property tests:
+// single-qubit gates, CNOTs and barriers over random qubit subsets.
 func randomCircuit(rng *rand.Rand, nq, ng int) *Circuit {
 	c := New("rand", nq)
 	for i := 0; i < ng; i++ {
-		if rng.Intn(2) == 0 || nq < 2 {
+		switch rng.Intn(3) {
+		case 0:
 			c.Append(NewGate1(GateH, rng.Intn(nq)))
-		} else {
+		case 1:
 			a := rng.Intn(nq)
 			b := rng.Intn(nq - 1)
 			if b >= a {
 				b++
 			}
 			c.Append(NewGate2(GateCNOT, a, b))
+		default:
+			c.AppendBarrier(rng.Perm(nq)[:1+rng.Intn(nq)]...)
 		}
 	}
 	return c
 }
 
-func TestTopoOrderProperty(t *testing.T) {
-	// Property: for any random circuit, TopoOrder is a permutation
-	// respecting all edges, and depth <= gate count.
-	f := func(seed int64, nqRaw, ngRaw uint8) bool {
-		nq := int(nqRaw%16) + 2
-		ng := int(ngRaw % 200)
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCircuit(rng, nq, ng)
-		d := BuildDAG(c)
-		order, ok := d.TopoOrder()
-		if !ok || len(order) != len(c.Gates) {
-			return false
-		}
-		pos := make([]int, len(order))
-		seen := make([]bool, len(order))
-		for i, g := range order {
-			if seen[g] {
-				return false
-			}
-			seen[g] = true
-			pos[g] = i
-		}
-		for u, succs := range d.Succs {
-			for _, v := range succs {
-				if pos[u] >= pos[v] {
-					return false
+// longestPath is Depth by definition: a gate's level is one more than
+// the deepest level among its predecessors, and a predecessor is, for
+// each operand, the last earlier gate touching it, found by scanning
+// back.
+func longestPath(c *Circuit) int {
+	level := make([]int, len(c.Gates))
+	deepest := 0
+	for i := range c.Gates {
+		level[i] = 1
+		for _, q := range c.Qubits(i) {
+			for j := i - 1; j >= 0; j-- {
+				if slices.Contains(c.Qubits(j), q) {
+					level[i] = max(level[i], level[j]+1)
+					break
 				}
 			}
 		}
-		depth := d.Depth()
-		return depth >= 0 && depth <= len(c.Gates)
+		deepest = max(deepest, level[i])
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	return deepest
 }
 
-func TestEarliestReadyPreference(t *testing.T) {
-	// Two independent chains: topo order should interleave preferring
-	// lower indices among ready gates.
-	c := New("pref", 2)
+// TestDepthMatchesLongestPath holds ComputeStats' Depth to longestPath
+// on a hand-made circuit and on random circuits with barriers among the
+// gates.
+func TestDepthMatchesLongestPath(t *testing.T) {
+	c := New("chain", 3)
 	c.Append(
-		NewGate1(GateH, 0), // 0
-		NewGate1(GateH, 1), // 1
-		NewGate1(GateX, 0), // 2 dep 0
-		NewGate1(GateX, 1), // 3 dep 1
+		NewGate1(GateH, 0),       // level 1
+		NewGate2(GateCNOT, 0, 1), // 2: after gate 0
+		NewGate1(GateH, 2),       // 1
+		NewGate2(GateCNOT, 1, 2), // 3: after gates 1 and 2
 	)
-	order, _ := BuildDAG(c).TopoOrder()
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	if got := ComputeStats(c).Depth; got != 3 {
+		t.Errorf("Depth = %d, want 3", got)
+	}
+	f := func(seed int64, nqRaw, ngRaw uint8) bool {
+		nq := int(nqRaw%16) + 2
+		ng := int(ngRaw % 200)
+		c := randomCircuit(rand.New(rand.NewSource(seed)), nq, ng)
+		got, want := ComputeStats(c).Depth, longestPath(c)
+		if got != want {
+			t.Logf("seed %d, %d qubits, %d gates: Depth %d, longest path %d", seed, nq, ng, got, want)
 		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -44,7 +44,7 @@ func ComputeStats(c *Circuit) Stats {
 		Gate2Q:   c.TwoQubitGates(),
 		Measures: c.Measurements(),
 	}
-	s.Depth = BuildDAG(c).Depth()
+	s.Depth = depth(c)
 	var sum, nn int
 	for _, g := range c.Gates {
 		if !g.IsTwoQubit() {
@@ -68,6 +68,29 @@ func ComputeStats(c *Circuit) Stats {
 	}
 	s.Pattern = classify(s, c.NumQubits)
 	return s
+}
+
+// depth returns the length of c's longest dependency chain, counting
+// every gate, barriers included, as one level. A gate sits one level
+// above the deepest earlier gate on any of its operands, so one pass
+// that keeps each qubit's last level finds it. An empty circuit has
+// depth 0.
+func depth(c *Circuit) int {
+	level := make([]int32, c.NumQubits) // the level of the last gate on each qubit
+	var deepest int32
+	for i := range c.Gates {
+		qs := c.Qubits(i)
+		var l int32
+		for _, q := range qs {
+			l = max(l, level[q])
+		}
+		l++
+		for _, q := range qs {
+			level[q] = l
+		}
+		deepest = max(deepest, l)
+	}
+	return int(deepest)
 }
 
 // classify buckets a distance profile into a Table II pattern label.

@@ -28,7 +28,7 @@ type Analysis struct {
 
 // dag is the circuit's dependency DAG in the form the lookahead order
 // reads: gate i's successors are succs[succOff[i]:succOff[i+1]] and
-// indeg[i] counts its predecessors. Its edges are circuit.BuildDAG's.
+// indeg[i] counts its predecessors.
 type dag struct {
 	succOff, succs, indeg []int32
 }

@@ -13,8 +13,8 @@ import "repro/internal/models"
 // ("prioritize earlier gates", §IV): among ready gates, the lowest index
 // fires next. Every DAG edge runs from a lower gate index to a higher one,
 // so once gates 0..i-1 have fired gate i is ready, and it is the lowest
-// unfired index: the order is program order, circuit.DAG.TopoOrder
-// without building the DAG. It yields gate indices 0, 1, ..., n-1.
+// unfired index: the order is program order, and needs no DAG. It yields
+// gate indices 0, 1, ..., n-1.
 type programOrder struct{ next, n int }
 
 func (s *programOrder) Next() int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,19 +17,19 @@ import (
 )
 
 // rescanOrder is the lookahead order as first written, kept as the
-// reference lookaheadOrder must match pick for pick: over circuit.BuildDAG,
-// it rescores every ready gate, from the use lists, at every pick.
+// reference lookaheadOrder must match pick for pick: over the analysis's
+// DAG, which TestAnalysisDAGMatchesReference holds to its definition, it
+// rescores every ready gate, from the use lists, at every pick.
 type rescanOrder struct {
 	cc    *compilation
-	dag   *circuit.DAG
-	indeg []int
+	dag   *dag
+	indeg []int32
 	ready []int
 }
 
 func newRescanOrder(cc *compilation) schedule {
-	dag := circuit.BuildDAG(cc.circ)
-	s := &rescanOrder{cc: cc, dag: dag, indeg: make([]int, dag.Len())}
-	copy(s.indeg, dag.InDegree)
+	d := cc.an.lookaheadDAG()
+	s := &rescanOrder{cc: cc, dag: d, indeg: slices.Clone(d.indeg)}
 	for i, deg := range s.indeg {
 		if deg == 0 {
 			s.ready = append(s.ready, i)
@@ -55,10 +56,9 @@ func (s *rescanOrder) Next() int {
 			break
 		}
 	}
-	for _, v := range s.dag.Succs[best] {
-		s.indeg[v]--
-		if s.indeg[v] == 0 {
-			s.ready = append(s.ready, v)
+	for _, v := range s.dag.succs[s.dag.succOff[best]:s.dag.succOff[best+1]] {
+		if s.indeg[v]--; s.indeg[v] == 0 {
+			s.ready = append(s.ready, int(v))
 		}
 	}
 	return best
@@ -176,30 +176,34 @@ func TestLookaheadMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestAnalysisDAGMatchesBuildDAG holds the analysis's DAG to
-// circuit.BuildDAG's successor lists and in-degrees on random circuits,
-// barriers included, and on one with no gates.
-func TestAnalysisDAGMatchesBuildDAG(t *testing.T) {
-	circs := []*circuit.Circuit{circuit.New("empty", 3)}
+// TestAnalysisDAGMatchesReference holds the analysis's DAG to refDAG's
+// in-degrees and successor lists on random circuits, barriers included,
+// on one with no gates, and on one whose second gate follows its first
+// on both operands, an edge the DAG must hold once.
+func TestAnalysisDAGMatchesReference(t *testing.T) {
+	double := circuit.New("double", 2)
+	double.Append(circuit.NewGate2(circuit.GateCNOT, 0, 1), circuit.NewGate2(circuit.GateCNOT, 1, 0))
+	circs := []*circuit.Circuit{circuit.New("empty", 3), double}
 	for _, seed := range []int64{1, 2, 3} {
 		circs = append(circs, randomCircuit(rand.New(rand.NewSource(seed)), 9, 300))
 	}
 	for _, c := range circs {
-		want := circuit.BuildDAG(c)
-		got := Analyze(c).lookaheadDAG()
-		if len(got.indeg) != want.Len() || len(got.succOff) != want.Len()+1 {
-			t.Fatalf("%s: %d in-degrees and %d offsets for %d gates", c.Name, len(got.indeg), len(got.succOff), want.Len())
-		}
-		for i := range want.Len() {
-			succs := got.succs[got.succOff[i]:got.succOff[i+1]]
-			if int(got.indeg[i]) != want.InDegree[i] || len(succs) != len(want.Succs[i]) {
-				t.Fatalf("%s: gate %d: in-degree %d, successors %v; want %d, %v",
-					c.Name, i, got.indeg[i], succs, want.InDegree[i], want.Succs[i])
+		preds := refDAG(c)
+		succs := make([][]int32, len(preds))
+		for i, ps := range preds {
+			for _, p := range ps {
+				succs[p] = append(succs[p], int32(i))
 			}
-			for j, v := range succs {
-				if int(v) != want.Succs[i][j] {
-					t.Fatalf("%s: gate %d: successors %v, want %v", c.Name, i, succs, want.Succs[i])
-				}
+		}
+		got := Analyze(c).lookaheadDAG()
+		if len(got.indeg) != len(preds) || len(got.succOff) != len(preds)+1 {
+			t.Fatalf("%s: %d in-degrees and %d offsets for %d gates", c.Name, len(got.indeg), len(got.succOff), len(preds))
+		}
+		for i := range preds {
+			gotSuccs := got.succs[got.succOff[i]:got.succOff[i+1]]
+			if int(got.indeg[i]) != len(preds[i]) || !slices.Equal(gotSuccs, succs[i]) {
+				t.Fatalf("%s: gate %d: in-degree %d, successors %v; want %d, %v",
+					c.Name, i, got.indeg[i], gotSuccs, len(preds[i]), succs[i])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package compiler
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,49 @@ func randomCircuit(rng *rand.Rand, nq, ng int) *circuit.Circuit {
 	return c
 }
 
+// refDAG returns each gate's predecessors in c's dependency DAG, by
+// definition: for each operand, the last earlier gate touching it, found
+// by scanning back, each kept once.
+func refDAG(c *circuit.Circuit) [][]int {
+	preds := make([][]int, len(c.Gates))
+	for i := range c.Gates {
+		for _, q := range c.Qubits(i) {
+			for j := i - 1; j >= 0; j-- {
+				if slices.Contains(c.Qubits(j), q) {
+					if !slices.Contains(preds[i], j) {
+						preds[i] = append(preds[i], j)
+					}
+					break
+				}
+			}
+		}
+	}
+	return preds
+}
+
+// earliestReady traverses the DAG that preds lists lowest-ready-first:
+// each step fires the lowest-indexed gate whose predecessors have all
+// fired.
+func earliestReady(preds [][]int) []int {
+	fired := make([]bool, len(preds))
+	var order []int
+	for len(order) < len(preds) {
+		next := -1
+		for i, ps := range preds {
+			if !fired[i] && !slices.ContainsFunc(ps, func(p int) bool { return !fired[p] }) {
+				next = i
+				break
+			}
+		}
+		if next < 0 {
+			break
+		}
+		fired[next] = true
+		order = append(order, next)
+	}
+	return order
+}
+
 // TestBaselineOrderIsEarliestReady pins the program-order schedule, which
 // the baseline and congestion policies share, to the earliest-ready order
 // it replaces: on random circuits, barriers included, it must yield
@@ -46,10 +90,7 @@ func TestBaselineOrderIsEarliestReady(t *testing.T) {
 		nq := int(nqRaw%16) + 2
 		ng := int(ngRaw % 200)
 		c := randomCircuit(rand.New(rand.NewSource(seed)), nq, ng)
-		want, ok := circuit.BuildDAG(c).TopoOrder()
-		if !ok {
-			return false
-		}
+		want := earliestReady(refDAG(c))
 		sched := &programOrder{n: len(c.Gates)}
 		var gates []int32 // want without barriers, which emit no op
 		for _, gi := range want {

@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // Gantt renders the trace as an ASCII timeline, one row per device
-// resource, bucketing time into width columns. Each cell shows the kind
-// of op occupying the resource for the majority of that bucket:
+// resource, bucketing time into width columns. An op marks every bucket
+// its interval touches with its kind, so where ops share a bucket the
+// one later in the trace shows:
 // g=gate2/swap, 1=gate1, m=measure, S=split, M=merge, .=move, J=junction,
-// x=ion-swap, space=idle. Useful for eyeballing parallelism and
-// congestion from cmd/qccdsim -gantt.
+// L=link transit, x=ion-swap, space=idle. Useful for eyeballing
+// parallelism and congestion from cmd/qccdsim -gantt.
 func (tr Trace) Gantt(width int) string {
 	if len(tr) == 0 {
 		return "(empty trace)\n"
@@ -80,22 +83,24 @@ func (tr Trace) Gantt(width int) string {
 }
 
 func ganttGlyph(e TraceEntry) byte {
-	switch e.Kind.String() {
-	case "gate2", "swapgs":
+	switch e.Kind {
+	case isa.OpGate2, isa.OpSwapGS:
 		return 'g'
-	case "gate1":
+	case isa.OpGate1:
 		return '1'
-	case "measure":
+	case isa.OpMeasure:
 		return 'm'
-	case "split":
+	case isa.OpSplit:
 		return 'S'
-	case "merge":
+	case isa.OpMerge:
 		return 'M'
-	case "move":
+	case isa.OpMove:
 		return '.'
-	case "junction":
+	case isa.OpJunctionCross:
 		return 'J'
-	case "ionswap":
+	case isa.OpLinkTransit:
+		return 'L'
+	case isa.OpIonSwap:
 		return 'x'
 	}
 	return '?'

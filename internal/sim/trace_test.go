@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -212,5 +213,36 @@ func TestGanttRendering(t *testing.T) {
 	}
 	if got := Trace(nil).Gantt(40); !strings.Contains(got, "empty") {
 		t.Errorf("empty gantt = %q", got)
+	}
+
+	// On two modules the CNOT's ions start in different modules, so one
+	// crosses the photonic link, whose row must show the link glyph.
+	d, err = device.Parse("Mod2:L2", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = pinned("gantt-link", 8).CNOT(0, 7).MustCircuit()
+	if p, err = compiler.Compile(c, d, compiler.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if _, trace, err = RunTraced(p, d, models.Default()); err != nil {
+		t.Fatal(err)
+	}
+	link := ""
+	for _, e := range trace {
+		if e.Kind == isa.OpLinkTransit {
+			link = e.Resource
+		}
+	}
+	if link == "" {
+		t.Fatal("no link transit in the two-module trace")
+	}
+	out = trace.Gantt(40)
+	if strings.Contains(out, "?") {
+		t.Errorf("gantt shows an unknown op kind:\n%s", out)
+	}
+	_, row, _ := strings.Cut(out, fmt.Sprintf("\n%-4s |", link))
+	if row, _, _ = strings.Cut(row, "\n"); !strings.Contains(row, "L") {
+		t.Errorf("link row %s shows no link glyph:\n%s", link, out)
 	}
 }
