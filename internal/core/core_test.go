@@ -84,6 +84,31 @@ func TestCapacityDoesNotSizeMemory(t *testing.T) {
 	}
 }
 
+// TestDoReusesBuffers evaluates QFT@128 on G2x4 at capacity 22 with Do,
+// then its AM2 sibling. The second Do compiles and simulates the same
+// program again, but into the op list and run arrays the first one
+// returned to the toolflow, so it allocates only the per-program state:
+// well under maxAlloc (fresh buffers took about 3 MB).
+func TestDoReusesBuffers(t *testing.T) {
+	const maxAlloc = 1 << 20
+	tf := New(models.Default())
+	pt := Point{App: "QFT@128", Topology: "G2x4", Capacity: 22, Gate: models.FM, Reorder: models.GS}
+	if o, _ := tf.Do(pt); o.Err != nil {
+		t.Fatal(o.Err)
+	}
+	pt.Gate = models.AM2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	o, _ := tf.Do(pt)
+	runtime.ReadMemStats(&after)
+	if o.Err != nil {
+		t.Fatal(o.Err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxAlloc {
+		t.Errorf("second Do allocated %d bytes, want at most %d", alloc, maxAlloc)
+	}
+}
+
 func TestCircuitCacheSharedAcrossPoints(t *testing.T) {
 	tf := New(models.Default())
 	a, err := tf.circuitFor("QFT")
