@@ -90,6 +90,34 @@ type shared struct {
 	circuits *cache.Cache[*compiler.Analysis]
 	// compiles counts compiler.Compile calls.
 	compiles atomic.Uint64
+	// scratches is the free list of idle scratches, buffered to
+	// GOMAXPROCS when the toolflow is made: room for one per goroutine
+	// that can compute at once. Do takes one per point and each Stream
+	// worker one for its stream, each a new scratch when the list is
+	// empty, and returns it afterwards, dropping it when the list is
+	// full. So the list holds at most GOMAXPROCS scratches, each as large
+	// as the largest program it has served, for the toolflow's lifetime.
+	scratches chan *scratch
+}
+
+// getScratch takes an idle scratch from the free list, or returns a new
+// one when the list is empty.
+func (s *shared) getScratch() *scratch {
+	select {
+	case buf := <-s.scratches:
+		return buf
+	default:
+		return new(scratch)
+	}
+}
+
+// putScratch returns buf to the free list, or drops it when the list is
+// full. The caller must hold no program compiled into buf.
+func (s *shared) putScratch(buf *scratch) {
+	select {
+	case s.scratches <- buf:
+	default:
+	}
 }
 
 // New returns a toolflow whose physical parameters default to base (the
@@ -97,7 +125,10 @@ type shared struct {
 // is computed from scratch; use NewCached or NewWithCache to reuse
 // outcomes across sweeps.
 func New(base models.Params) *Toolflow {
-	return &Toolflow{base: base, shared: &shared{circuits: cache.New[*compiler.Analysis](0)}}
+	return &Toolflow{base: base, shared: &shared{
+		circuits:  cache.New[*compiler.Analysis](0),
+		scratches: make(chan *scratch, runtime.GOMAXPROCS(0)),
+	}}
 }
 
 // NewCached returns a toolflow backed by a fresh outcome cache holding at
@@ -119,7 +150,7 @@ func NewWithCache(base models.Params, c cache.Tier[Outcome]) *Toolflow {
 }
 
 // WithParams returns a toolflow for calibration p that shares tf's
-// outcome cache, circuit memo and compile counter.
+// outcome cache, circuit memo, compile counter and free list of buffers.
 func (tf *Toolflow) WithParams(p models.Params) *Toolflow {
 	return &Toolflow{base: p, baseHash: paramsHash(p), outcomes: tf.outcomes, shared: tf.shared}
 }
@@ -163,9 +194,12 @@ func (tf *Toolflow) Run(pt Point) Outcome {
 
 // Do is Run plus a report of whether the outcome was served from the
 // cache (or an in-flight duplicate) instead of computed by this call. It
-// is the one-point case of a Group.
+// is the one-point case of a Group, on a scratch from the toolflow's free
+// list.
 func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
-	return tf.NewGroup().Do(pt)
+	buf := tf.shared.getScratch()
+	defer tf.shared.putScratch(buf)
+	return (&Group{tf: tf, buf: buf}).Do(pt)
 }
 
 // Group evaluates design points that differ only in their gate
@@ -180,10 +214,11 @@ func (tf *Toolflow) Do(pt Point) (Outcome, bool) {
 // Buffers: the held program's op list and each run's per-op arrays come
 // from the group's scratch. Compiling the next program overwrites the op
 // list, so neither the held program nor its sim.Prepared may be used
-// after it. A Stream worker hands one scratch to every group it
-// evaluates, so it holds at most its largest program's buffers, until
-// the stream ends; NewGroup, and so Toolflow.Do, starts a fresh one. No
-// Outcome holds any of them.
+// after it. Toolflow.Do and each Stream worker take a scratch from the
+// toolflow's free list and return it when done: Do for one point, a
+// worker for every group of its stream, so a worker holds at most its
+// largest program's buffers. NewGroup starts a fresh scratch, since a
+// Group has no release to return one. No Outcome holds any of them.
 type Group struct {
 	tf   *Toolflow
 	held *program
@@ -210,7 +245,8 @@ type program struct {
 	err, compileErr error
 }
 
-// NewGroup returns a Group over tf holding no program and no buffers yet.
+// NewGroup returns a Group over tf holding no program yet, on a fresh
+// scratch of its own, which is dropped with the Group.
 func (tf *Toolflow) NewGroup() *Group { return &Group{tf: tf, buf: new(scratch)} }
 
 // Do evaluates pt as Toolflow.Do does, through the outcome cache under

@@ -3,10 +3,13 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -199,5 +202,87 @@ func TestStreamReusedBuffersMatchFresh(t *testing.T) {
 				t.Errorf("%d compiles, want one per compile key, %d", got, len(keys))
 			}
 		})
+	}
+}
+
+// TestSharedBuffersGiveFreshOutcomes evaluates points on one toolflow
+// from four goroutines calling Do and one two-worker Stream at once, so
+// every compile and run takes its buffers from the toolflow's one free
+// list. The programs grow and shrink: BV@64, QFT@128 and Surface@5 on
+// L8, G2x4 and Mod2:G2x2, each goroutine in its own order, plus QFT@64
+// on L2 at capacity 14, which does not fit. The toolflow's cache holds
+// one entry, so nearly every Do computes, and it panics on one point
+// that only the stream evaluates. Every outcome must be the one fresh
+// buffers give, the panicking row its panic's error, and afterwards the
+// free list must hold at least one scratch and at most GOMAXPROCS.
+func TestSharedBuffersGiveFreshOutcomes(t *testing.T) {
+	var pts []core.Point
+	for _, app := range []string{"BV@64", "QFT@128", "Surface@5"} {
+		for _, topo := range []string{"L8", "G2x4", "Mod2:G2x2"} {
+			for _, gate := range []models.GateImpl{models.AM2, models.FM} {
+				pts = append(pts, core.Point{App: app, Topology: topo, Capacity: 22, Gate: gate})
+			}
+		}
+	}
+	pts = append(pts, core.Point{App: "QFT@64", Topology: "L2", Capacity: 14, Gate: models.FM})
+	want := freshOutcomes(t, pts)
+	// The panicking point is BV@64 on L8 under PM, a gate sibling of the
+	// list's first two points.
+	bad := core.Point{App: "BV@64", Topology: "L8", Capacity: 22, Gate: models.PM}
+	streamed := append([]core.Point{bad}, pts...)
+	params := models.Default()
+	tf := core.NewWithCache(params, panicTier{Cache: cache.New[core.Outcome](1), key: core.CacheKey(bad, params)})
+
+	check := func(who string, pt core.Point, o core.Outcome) {
+		if pt == bad {
+			if wantErr := bad.String() + ": panic: injected fault"; o.Err == nil || o.Err.Error() != wantErr {
+				t.Errorf("%s %s: error %v, want %q", who, pt, o.Err, wantErr)
+			}
+			return
+		}
+		w := want[pt]
+		if o.Err != nil {
+			if o.Err.Error() != w.err {
+				t.Errorf("%s %s: error %q, fresh %q", who, pt, o.Err, w.err)
+			}
+			return
+		}
+		got, err := json.Marshal(o.Result)
+		if err != nil {
+			t.Errorf("%s %s: %v", who, pt, err)
+			return
+		}
+		if string(got) != string(w.result) {
+			t.Errorf("%s %s: result differs from fresh buffers'\n got %s\nwant %s", who, pt, got, w.result)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range pts {
+				i := (k + 5*w) % len(pts)
+				if w%2 == 1 {
+					i = len(pts) - 1 - i
+				}
+				o, _ := tf.Do(pts[i])
+				check("Do", pts[i], o)
+			}
+		}()
+	}
+	rows := 0
+	complete := tf.Stream(context.Background(), core.List(streamed), 2, func(r core.Row) bool {
+		rows++
+		check("Stream", streamed[r.Index], r.Outcome)
+		return true
+	})
+	wg.Wait()
+	if !complete || rows != len(streamed) {
+		t.Errorf("stream complete = %v with %d of %d rows", complete, rows, len(streamed))
+	}
+	if n := core.FreeScratches(tf); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Errorf("free list holds %d scratches, want 1 to GOMAXPROCS (%d)", n, runtime.GOMAXPROCS(0))
 	}
 }

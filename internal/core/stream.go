@@ -84,8 +84,9 @@ type slot struct {
 // by compile group, the points that differ only in Gate within groupSpan
 // indexes of the group's first (see group): a worker takes a whole group,
 // compiles its program once and simulates each row from it, checking ctx
-// between rows. Each worker keeps one scratch for its groups' op lists and
-// per-op run arrays, and drops it when the stream ends. Once ctx is done
+// between rows. Each worker takes one scratch from the toolflow's free
+// list for its groups' op lists and per-op run arrays, and returns it
+// when the stream ends. Once ctx is done
 // or emit returns false, Stream feeds no further point and emits no
 // further row; it returns after its goroutines have exited, each worker
 // having finished at most the row it was evaluating. Stream reports
@@ -153,7 +154,8 @@ func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit fu
 		go func() {
 			defer wg.Done()
 			// The worker's groups share one scratch (see Group).
-			buf := new(scratch)
+			buf := tf.shared.getScratch()
+			defer tf.shared.putScratch(buf)
 			for group := range work {
 				g := &Group{tf: tf, buf: buf}
 				for _, sl := range group {
