@@ -90,13 +90,11 @@ type shared struct {
 	circuits *cache.Cache[*compiler.Analysis]
 	// compiles counts compiler.Compile calls.
 	compiles atomic.Uint64
-	// scratches is the free list of idle scratches, buffered to
-	// GOMAXPROCS when the toolflow is made: room for one per goroutine
-	// that can compute at once. Do takes one per point and each Stream
-	// worker one for its stream, each a new scratch when the list is
-	// empty, and returns it afterwards, dropping it when the list is
-	// full. So the list holds at most GOMAXPROCS scratches, each as large
-	// as the largest program it has served, for the toolflow's lifetime.
+	// scratches is the free list of idle scratches that Do and Stream's
+	// workers take and return, a channel buffered to GOMAXPROCS when New
+	// runs: one for each goroutine that can compute at a time. So it
+	// keeps at most that many, each as large as the largest program it
+	// has served. A sync.Pool keeps no such bound.
 	scratches chan *scratch
 }
 

@@ -86,11 +86,11 @@ type slot struct {
 // compiles its program once and simulates each row from it, checking ctx
 // between rows. Each worker takes one scratch from the toolflow's free
 // list for its groups' op lists and per-op run arrays, and returns it
-// when the stream ends. Once ctx is done
-// or emit returns false, Stream feeds no further point and emits no
-// further row; it returns after its goroutines have exited, each worker
-// having finished at most the row it was evaluating. Stream reports
-// whether it emitted every row of the window.
+// when the stream ends. Once ctx is done or emit returns false, Stream
+// feeds no further point and emits no further row; it returns after its
+// goroutines have exited, each worker having finished at most the row it
+// was evaluating. Stream reports whether it emitted every row of the
+// window.
 func (tf *Toolflow) Stream(ctx context.Context, src Source, workers int, emit func(Row) bool) bool {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
